@@ -73,15 +73,24 @@ def test_ping_throughput_scalar(benchmark, world):
 
 
 def test_traceroute_resolution_throughput(benchmark, world, dataset):
-    resolver = TracerouteResolver(
-        world.topology.registry, world.topology.ixps, rib_coverage=1.0
+    """The campaign's traceroutes in one ``resolve_many`` batch, as the
+    experiments resolve them, with a cold address cache every round."""
+    traces = list(dataset.traceroutes())
+
+    def fresh_resolver():
+        resolver = TracerouteResolver(
+            world.topology.registry,
+            world.topology.ixps,
+            rng=world.rngs.fork("bench-resolver", 0),
+        )
+        return (resolver,), {}
+
+    def resolve_all(resolver):
+        return resolver.resolve_many(traces)
+
+    resolved = benchmark.pedantic(
+        resolve_all, setup=fresh_resolver, rounds=5, iterations=1
     )
-    traces = list(dataset.traceroutes(platform="speedchecker"))[:400]
-
-    def resolve_all():
-        return [resolver.resolve(trace) for trace in traces]
-
-    resolved = benchmark(resolve_all)
     assert len(resolved) == len(traces)
 
 

@@ -277,7 +277,10 @@ class FaultyFileOps(FileOps):
     leaves an unsynced prefix on disk and raises; a *corrupt write*
     flips one byte and returns silently (only the post-write CRC
     verification catches it); an *fsync failure* writes everything but
-    raises before durability is guaranteed.
+    raises before durability is guaranteed.  Errors name the shard by
+    file name only: a unit's last error is journaled as its skip reason,
+    which must not depend on where the store (or a worker's staging
+    copy of it) lives.
     """
 
     def __init__(self, faults: AttemptFaults) -> None:
@@ -299,7 +302,7 @@ class FaultyFileOps(FileOps):
             with open(path, "wb") as fh:
                 fh.write(payload[:cut])
             self._faults.record(f"torn-write:{path.name}@{cut}")
-            raise TornWrite(f"{path}: write torn at byte {cut}")
+            raise TornWrite(f"{path.name}: write torn at byte {cut}")
         if draw < config.torn_write_rate + config.corrupt_write_rate:
             index = int(self._faults.storage.integers(len(payload)))
             corrupted = bytearray(payload)
@@ -312,5 +315,5 @@ class FaultyFileOps(FileOps):
                 fh.write(payload)
                 fh.flush()
             self._faults.record(f"fsync-failure:{path.name}")
-            raise FsyncFailure(f"{path}: fsync failed after write")
+            raise FsyncFailure(f"{path.name}: fsync failed after write")
         super().write_bytes(path, payload)

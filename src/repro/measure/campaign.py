@@ -23,7 +23,6 @@ mirroring the year-long continuous collection of Corneo et al.
 
 from __future__ import annotations
 
-import gc
 import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
@@ -32,6 +31,7 @@ import numpy as np
 
 from repro.cloud.regions import CloudRegion
 from repro.core.config import config_digest
+from repro.core.gcpause import gc_paused
 from repro.exec.runner import execute_plan_parallel
 from repro.exec.staging import discard_staging
 from repro.faults.config import FaultConfig, RetryPolicy, fault_digest
@@ -133,23 +133,11 @@ def run_campaign(
     if total_days < 1:
         raise ValueError(f"campaign needs at least one day, got {total_days}")
     dataset = MeasurementDataset()
-    # The campaign allocates records in bulk and none of them form
-    # reference cycles, but a large live heap (planned-path caches,
-    # earlier datasets) makes each automatic gen-2 collection a full
-    # multi-millisecond traversal that fires repeatedly mid-campaign.
-    # Suspend collection for the duration and restore the collector to
-    # its previous state after.
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
+    with gc_paused():
         if "speedchecker" in platforms:
             _run_speedchecker(world, total_days, dataset)
         if "atlas" in platforms:
             _run_atlas(world, total_days, dataset)
-    finally:
-        if was_enabled:
-            gc.enable()
     return dataset
 
 
@@ -757,12 +745,7 @@ def run_campaign_checkpointed(
     )
     executor = CheckpointExecutor(world, engine)
 
-    # As in run_campaign: bulk record allocation with no reference
-    # cycles, so suspend the collector for the duration.
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
+    with gc_paused():
         if workers == 1:
             execute_plan(
                 store,
@@ -795,9 +778,6 @@ def run_campaign_checkpointed(
                 abort_after_commits=abort_after_commits,
                 on_commit=on_commit,
             )
-    finally:
-        if was_enabled:
-            gc.enable()
     return store
 
 

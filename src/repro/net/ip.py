@@ -9,7 +9,9 @@ longest-prefix-match resolver in :mod:`repro.resolve.pyasn`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple, Union
+
+import numpy as np
 
 MAX_IPV4 = 2**32 - 1
 
@@ -54,6 +56,16 @@ def is_private_ip(address: int) -> bool:
         if (address & mask) == base:
             return True
     return False
+
+
+def private_mask(addresses: Union[np.ndarray, Sequence[int]]) -> np.ndarray:
+    """Vectorized :func:`is_private_ip`: one boolean per address."""
+    addresses = np.asarray(addresses, dtype=np.int64)
+    private = np.zeros(addresses.shape, dtype=bool)
+    for base, length in _PRIVATE_RANGES:
+        mask = ((1 << length) - 1) << (32 - length)
+        private |= (addresses & mask) == base
+    return private
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ This module is the synthetic equivalent of that dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set, Union
+
+import numpy as np
 
 from repro.geo.continents import Continent
 from repro.geo.coords import GeoPoint
@@ -86,6 +88,22 @@ class IXPRegistry:
             if ixp.peering_lan.contains(address):
                 return ixp
         return None
+
+    def ixp_ids_for(
+        self, addresses: Union[np.ndarray, Sequence[int]]
+    ) -> np.ndarray:
+        """Vectorized :meth:`ixp_for_address` over an address batch.
+
+        Returns the ``ixp_id`` of the matching IXP per address, ``-1``
+        where no peering LAN contains it.  Where LANs overlap, the IXP
+        registered first wins, as in :meth:`ixp_for_address`.
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        ids = np.full(addresses.shape, -1, dtype=np.int64)
+        for ixp in self._by_id.values():
+            lan = ixp.peering_lan
+            ids[(ids < 0) & ((addresses & lan.mask) == lan.base)] = ixp.ixp_id
+        return ids
 
     def peering_lan_prefixes(self) -> List[IPv4Prefix]:
         return [ixp.peering_lan for ixp in self._by_id.values()]

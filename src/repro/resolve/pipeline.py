@@ -14,18 +14,24 @@ For every raw traceroute the pipeline:
    serving ISP are *cell* probes -- including the VPN/CGN false positives
    the paper warns about;
 5. extracts the last-mile RTT segments (USR-ISP and RTR-ISP).
+
+Steps 1 and 2 depend only on the hop address, so a batch classifies each
+distinct address once, in NumPy, and steps 3 to 5 read that
+classification per hop.  The per-hop reference implementation the batch
+path must match lives with the tests (``tests/oracles/resolver.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.measure.results import TraceHop, TracerouteMeasurement
+from repro.core.gcpause import gc_paused
+from repro.measure.results import TracerouteMeasurement
 from repro.net.asn import ASRegistry
-from repro.net.ip import is_private_ip
+from repro.net.ip import private_mask
 from repro.net.ixp import IXPRegistry
 from repro.resolve.cymru import CymruResolver
 from repro.resolve.pyasn import PyASNResolver
@@ -39,9 +45,13 @@ from repro.resolve.pyasn import PyASNResolver
 DEFAULT_RESOLVER_SEED = 0
 
 
-@dataclass(frozen=True)
-class ResolvedHop:
-    """One traceroute hop after resolution."""
+class ResolvedHop(NamedTuple):
+    """One traceroute hop after resolution.
+
+    A named tuple rather than a dataclass, like
+    :class:`~repro.measure.results.TraceHop`: resolution allocates one
+    per hop of every trace.
+    """
 
     address: Optional[int]
     rtt_ms: Optional[float]
@@ -53,6 +63,17 @@ class ResolvedHop:
     @property
     def responded(self) -> bool:
         return self.address is not None
+
+
+#: What resolution learns from a hop address alone:
+#: ``(asn, is_private, ixp_id, resolved_by)``, the last four fields of
+#: :class:`ResolvedHop`.
+HopKind = Tuple[Optional[int], bool, Optional[int], str]
+
+_PRIVATE: HopKind = (None, True, None, "private")
+_UNRESOLVED: HopKind = (None, False, None, "none")
+#: Every unresponsive hop resolves to this one value.
+_UNRESPONSIVE = ResolvedHop(None, None, None, False, None, "none")
 
 
 @dataclass(frozen=True)
@@ -130,7 +151,11 @@ class ResolvedTrace:
 
 
 class TracerouteResolver:
-    """Resolves raw traceroutes using the full pipeline."""
+    """Resolves raw traceroutes using the full pipeline.
+
+    Classifications are cached per address for the resolver's lifetime,
+    so the AS and IXP registries must not change after construction.
+    """
 
     def __init__(
         self,
@@ -147,88 +172,118 @@ class TracerouteResolver:
         )
         self._cymru = CymruResolver(registry)
         self._ixps = ixps
-        self._cache: Dict[int, Tuple[Optional[int], str]] = {}
+        self._kinds: Dict[int, HopKind] = {}
 
     @property
     def cymru_query_count(self) -> int:
         return self._cymru.query_count
 
-    def _resolve_address(self, address: int) -> Tuple[Optional[int], str]:
-        cached = self._cache.get(address)
-        if cached is not None:
-            return cached
-        result: Tuple[Optional[int], str]
-        asn = self._pyasn.lookup(address)
-        if asn is not None:
-            result = (asn, "pyasn")
-        else:
-            asn = self._cymru.lookup(address)
-            result = (asn, "cymru") if asn is not None else (None, "none")
-        self._cache[address] = result
-        return result
-
     def resolve_many(
-        self, measurements: List[TracerouteMeasurement]
+        self, measurements: Sequence[TracerouteMeasurement]
     ) -> List[ResolvedTrace]:
         """Run the pipeline over a traceroute batch.
 
-        All not-yet-cached public hop addresses across the batch resolve
-        in one vectorized longest-prefix-match pass (one binary search
-        per prefix length for the whole batch); only the residual misses
-        fall back to per-address Cymru queries.  Results are identical
-        to calling :meth:`resolve` per measurement -- both engines are
-        deterministic and the address cache keeps one entry per address
-        either way.
+        Every hop address the resolver has not seen before is classified
+        once for the whole batch: a private-range mask, an IXP peering-LAN
+        lookup, then one vectorized longest-prefix-match pass over the
+        remaining public addresses, with per-address Cymru queries only
+        for its misses.  Each trace is then assembled from the cached
+        classifications.
         """
-        pending: List[int] = []
-        seen = set()
-        cache = self._cache
-        for measurement in measurements:
-            for hop in measurement.hops:
-                address = hop.address
-                if address is None or address in cache or address in seen:
-                    continue
-                if is_private_ip(address):
-                    continue
-                if self._ixps.ixp_for_address(address) is not None:
-                    continue
-                seen.add(address)
-                pending.append(address)
-        if pending:
-            asns = self._pyasn.lookup_many(np.asarray(pending, dtype=np.int64))
-            for address, asn in zip(pending, asns.tolist()):
-                if asn >= 0:
-                    cache[address] = (asn, "pyasn")
-                else:
-                    fallback = self._cymru.lookup(address)
-                    cache[address] = (
-                        (fallback, "cymru") if fallback is not None else (None, "none")
-                    )
-        return [self.resolve(measurement) for measurement in measurements]
+        kinds = self._kinds
+        with gc_paused():
+            fresh = {
+                address
+                for measurement in measurements
+                for address, _ in measurement.hops
+                if address not in kinds
+            }
+            fresh.discard(None)
+            if fresh:
+                self._classify(
+                    np.sort(np.fromiter(fresh, dtype=np.int64, count=len(fresh)))
+                )
+            return [self._assemble(measurement) for measurement in measurements]
 
     def resolve(self, measurement: TracerouteMeasurement) -> ResolvedTrace:
         """Run the pipeline over one raw traceroute."""
-        hops: List[ResolvedHop] = []
-        for hop in measurement.hops:
-            hops.append(self._resolve_hop(hop))
+        return self.resolve_many([measurement])[0]
 
+    def _classify(self, addresses: np.ndarray) -> None:
+        """Cache the :data:`HopKind` of each (uncached, distinct) address.
+
+        Private space wins over an IXP LAN, and an IXP LAN over the
+        RIB, so only public non-IXP addresses reach the table lookup.
+        """
+        private = private_mask(addresses)
+        ixp_ids = self._ixps.ixp_ids_for(addresses)
+        public = ~private & (ixp_ids < 0)
+        asns = np.full(addresses.shape, -1, dtype=np.int64)
+        if public.any():
+            asns[public] = self._pyasn.lookup_many(addresses[public])
+        kinds = self._kinds
+        for address, is_private, ixp_id, asn in zip(
+            addresses.tolist(), private.tolist(), ixp_ids.tolist(), asns.tolist()
+        ):
+            if is_private:
+                kinds[address] = _PRIVATE
+            elif ixp_id >= 0:
+                kinds[address] = (None, False, ixp_id, "ixp")
+            elif asn >= 0:
+                kinds[address] = (asn, False, None, "pyasn")
+            else:
+                fallback = self._cymru.lookup(address)
+                kinds[address] = (
+                    _UNRESOLVED if fallback is None else (fallback, False, None, "cymru")
+                )
+
+    def _assemble(self, measurement: TracerouteMeasurement) -> ResolvedTrace:
+        """Steps 3-5 for one trace, from cached hop classifications.
+
+        The AS path drops private, IXP and unresolved hops and collapses
+        repeats; an IXP hop is recorded after the AS it followed.  The
+        first responding hop decides the last mile: private -> *home*
+        (its RTT is the router RTT), inside the serving ISP -> *cell*.
+        The USR-ISP RTT is that of the first hop inside the serving ISP.
+        """
+        kinds = self._kinds
+        isp_asn = measurement.meta.isp_asn
+        hops: List[ResolvedHop] = []
         as_path: List[int] = []
         ixp_after: List[Tuple[int, int]] = []
-        for hop in hops:
-            if not hop.responded or hop.is_private:
+        inferred: Optional[str] = None
+        router_rtt: Optional[float] = None
+        usr_isp_rtt: Optional[float] = None
+        first = True
+        isp_seen = False
+        for address, rtt_ms in measurement.hops:
+            if address is None:
+                hops.append(_UNRESPONSIVE)
                 continue
-            if hop.ixp_id is not None:
+            asn, is_private, ixp_id, resolved_by = kinds[address]
+            hops.append(
+                ResolvedHop(address, rtt_ms, asn, is_private, ixp_id, resolved_by)
+            )
+            if first:
+                first = False
+                if is_private:
+                    inferred = "home"
+                    router_rtt = rtt_ms
+                elif asn == isp_asn:
+                    inferred = "cell"
+            if not isp_seen and asn == isp_asn:
+                isp_seen = True
+                usr_isp_rtt = rtt_ms
+            if is_private:
+                continue
+            if ixp_id is not None:
                 if as_path:
-                    ixp_after.append((len(as_path) - 1, hop.ixp_id))
+                    ixp_after.append((len(as_path) - 1, ixp_id))
                 continue
-            if hop.asn is None:
+            if asn is None:
                 continue
-            if not as_path or as_path[-1] != hop.asn:
-                as_path.append(hop.asn)
-
-        inferred, router_rtt, usr_isp_rtt = self._infer_last_mile(
-            hops, measurement.meta.isp_asn
-        )
+            if not as_path or as_path[-1] != asn:
+                as_path.append(asn)
         return ResolvedTrace(
             measurement=measurement,
             hops=tuple(hops),
@@ -238,62 +293,3 @@ class TracerouteResolver:
             router_rtt_ms=router_rtt,
             usr_isp_rtt_ms=usr_isp_rtt,
         )
-
-    def _resolve_hop(self, hop: TraceHop) -> ResolvedHop:
-        if hop.address is None:
-            return ResolvedHop(
-                address=None,
-                rtt_ms=None,
-                asn=None,
-                is_private=False,
-                ixp_id=None,
-                resolved_by="none",
-            )
-        if is_private_ip(hop.address):
-            return ResolvedHop(
-                address=hop.address,
-                rtt_ms=hop.rtt_ms,
-                asn=None,
-                is_private=True,
-                ixp_id=None,
-                resolved_by="private",
-            )
-        ixp = self._ixps.ixp_for_address(hop.address)
-        if ixp is not None:
-            return ResolvedHop(
-                address=hop.address,
-                rtt_ms=hop.rtt_ms,
-                asn=None,
-                is_private=False,
-                ixp_id=ixp.ixp_id,
-                resolved_by="ixp",
-            )
-        asn, resolved_by = self._resolve_address(hop.address)
-        return ResolvedHop(
-            address=hop.address,
-            rtt_ms=hop.rtt_ms,
-            asn=asn,
-            is_private=False,
-            ixp_id=None,
-            resolved_by=resolved_by,
-        )
-
-    @staticmethod
-    def _infer_last_mile(
-        hops: List[ResolvedHop], isp_asn: int
-    ) -> Tuple[Optional[str], Optional[float], Optional[float]]:
-        first = next((hop for hop in hops if hop.responded), None)
-        if first is None:
-            return None, None, None
-        router_rtt: Optional[float] = None
-        inferred: Optional[str] = None
-        if first.is_private:
-            inferred = "home"
-            router_rtt = first.rtt_ms
-        elif first.asn == isp_asn:
-            inferred = "cell"
-        usr_isp_rtt = next(
-            (hop.rtt_ms for hop in hops if hop.responded and hop.asn == isp_asn),
-            None,
-        )
-        return inferred, router_rtt, usr_isp_rtt

@@ -358,11 +358,15 @@ class DatasetStore:
         first problem.  The resilient runner calls this between a
         fault-injected write and the journal append, so a silently
         corrupted shard is caught while the unit can still be retried.
+        The error names the shard by file name only, because the runner
+        journals it as the unit's skip reason, and the store's location
+        (or a worker's staging copy) must not change journal bytes.
         """
         for name in entry["shards"]:
-            problems = verify_shard_report(self.shard_dir / name)
+            path = self.shard_dir / name
+            problems = verify_shard_report(path)
             if problems:
-                raise ShardFormatError(problems[0])
+                raise ShardFormatError(problems[0].replace(str(path), name))
 
     def journal_unit(
         self, entry: Dict[str, Any], extra: Optional[Dict[str, Any]] = None
@@ -409,12 +413,19 @@ class DatasetStore:
         """Journal a unit the resilient runner gave up on.
 
         A skipped unit is closed: it counts against coverage and resume
-        will not re-run it (use store repair to re-open units).
+        will not re-run it (use store repair to re-open units).  It also
+        holds no data: shard files its failed write attempts left behind
+        (torn, corrupt or unsynced) are removed before the skip is
+        journaled, so a serial run leaves the same files as a parallel
+        one, whose workers' failed writes stay in discarded staging.
         """
         if unit in self.completed_units():
             raise StoreError(f"{self._run_dir}: unit {unit!r} already completed")
         if unit in self.skipped_units():
             raise StoreError(f"{self._run_dir}: unit {unit!r} already skipped")
+        stem = unit_file_stem(unit)
+        for suffix in ("-pings.shard", "-traces.shard"):
+            (self.shard_dir / f"{stem}{suffix}").unlink(missing_ok=True)
         entry: Dict[str, Any] = {
             "type": SKIP_ENTRY,
             "unit": unit,

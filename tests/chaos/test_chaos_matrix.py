@@ -252,6 +252,61 @@ class TestParallelChaos:
         assert not staging_root(parallel_dir).exists()
 
 
+#: Storage regimes harsh enough that units run out of attempts, so their
+#: last storage error (a torn write, a failed fsync, a shard failing
+#: verification) is journaled as the skip reason.
+SKIPPING = {
+    "storage-mix": FaultConfig(
+        torn_write_rate=0.4, corrupt_write_rate=0.3, fsync_failure_rate=0.25
+    ),
+    "corrupt-every-write": FaultConfig(corrupt_write_rate=1.0),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(SKIPPING))
+class TestSkippedUnitIdentity:
+    """A unit skipped after storage faults journals the same entry and
+    leaves the same files wherever the store lives and however many
+    workers ran it: skip reasons name shards by file name, and failed
+    writes leave no shards behind."""
+
+    def test_skips_do_not_depend_on_store_location(
+        self, regime, world, tmp_path
+    ):
+        from repro.exec import store_digest
+        from repro.store.warehouse import JOURNAL_NAME
+
+        run_dirs = {
+            "serial": tmp_path / "serial",
+            "moved": tmp_path / "elsewhere" / "deeper" / "serial",
+            "w2": tmp_path / "w2",
+        }
+        stores = {
+            name: run_campaign_checkpointed(
+                world,
+                run_dir,
+                days=DAYS,
+                faults=SKIPPING[regime],
+                retry=RETRY,
+                workers=2 if name == "w2" else 1,
+            )
+            for name, run_dir in run_dirs.items()
+        }
+        reasons = [
+            entry["reason"]
+            for entry in stores["serial"].skip_entries()
+            if entry["reason"] != "circuit-open"
+        ]
+        assert reasons, "the regime must make some unit run out of attempts"
+        if regime == "corrupt-every-write":
+            assert all(r.startswith("ShardFormatError: ") for r in reasons)
+        assert store_digest(run_dirs["w2"]) == store_digest(run_dirs["serial"])
+        assert (run_dirs["moved"] / JOURNAL_NAME).read_bytes() == (
+            run_dirs["serial"] / JOURNAL_NAME
+        ).read_bytes()
+        assert stores["serial"].verify() == []
+
+
 class TestChaosDeterminism:
     def test_same_seed_and_config_reproduce_identical_runs(
         self, world, tmp_path
