@@ -30,7 +30,7 @@ from memprof import peak_rss_mb
 from repro import build_world, run_campaign
 from repro.exec import canonical_store_digest, fork_available
 from repro.measure.campaign import run_campaign_checkpointed
-from repro.measure.path import PathPlanner
+from repro.measure.path import PathPlanner, PlannedPath
 from repro.net.routing import (
     clear_route_cache,
     compute_routes,
@@ -259,9 +259,9 @@ def test_hot_path_speedup(results):
     plan_opt = time.perf_counter() - start
     assert len(legacy_paths) == len(batch_paths)
     assert all(
-        a.base_path_rtt_ms == b.base_path_rtt_ms
-        and a.hop_addresses == b.hop_addresses
+        getattr(a, slot) == getattr(b, slot)
         for a, b in zip(legacy_paths, batch_paths)
+        for slot in PlannedPath.__slots__
     )
 
     stages = {

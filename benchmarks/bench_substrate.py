@@ -9,6 +9,7 @@ import numpy as np
 
 from repro import run_campaign
 from repro.measure.batch import PingRequest
+from repro.measure.path import PathPlanner
 from repro.resolve.pipeline import TracerouteResolver
 from repro.resolve.pyasn import PyASNResolver
 
@@ -30,19 +31,31 @@ def test_pyasn_lookup_throughput(benchmark, world):
 
 
 def test_path_planning_throughput(benchmark, world):
+    """Cold ``plan_many`` of 50 probes x every tenth region on a fresh
+    pair-deterministic planner every round, as a checkpointed campaign
+    unit plans its new pairs."""
     probes = world.speedchecker.probes[:50]
     regions = world.catalog.all()[::10]
+    pairs = [(probe, region) for probe in probes for region in regions]
 
-    def plan_all():
-        count = 0
-        for probe in probes:
-            for region in regions:
-                world.planner.plan(probe, region)
-                count += 1
-        return count
+    def fresh_planner():
+        planner = PathPlanner(
+            topology=world.topology,
+            wans=world.wans,
+            region_addresses=world.region_addresses,
+            config=world.config,
+            countries=world.countries,
+            pair_entropy=world.rngs.seed,
+        )
+        return (planner,), {}
 
-    planned = benchmark(plan_all)
-    assert planned == len(probes) * len(regions)
+    def plan_all(planner):
+        return planner.plan_many(pairs)
+
+    planned = benchmark.pedantic(
+        plan_all, setup=fresh_planner, rounds=10, iterations=1, warmup_rounds=1
+    )
+    assert len(planned) == len(pairs)
 
 
 def test_ping_throughput(benchmark, world):

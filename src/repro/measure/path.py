@@ -26,7 +26,7 @@ import numpy as np
 from repro.cloud.regions import CloudRegion
 from repro.cloud.wan import PrivateWAN
 from repro.core.config import SimulationConfig
-from repro.core.rng import name_digest
+from repro.core.rng import DerivedLanes, DerivedStreams, name_digest
 from repro.core.topology import Topology
 from repro.core.units import one_way_fiber_ms
 from repro.geo.continents import Continent
@@ -292,9 +292,9 @@ class _PathPrep(NamedTuple):
     """Everything about a path that is decided before hop placement.
 
     The scalar prefix of path building (routing, interconnect class,
-    stretch/jitter, per-AS hop counts) stays per-pair Python; hop
+    stretch/jitter) stays per-pair Python; the hop-count draws and hop
     placement itself (fractions, spherical interpolation, base RTTs,
-    addresses) runs as one array pass over every prep in a batch.
+    addresses) run as array passes over every prep in a batch.
     """
 
     probe: Probe
@@ -310,9 +310,6 @@ class _PathPrep(NamedTuple):
     total_hops: int
     two_way_fiber: float
     dest_address: int
-    #: Generator serving this pair's draws (the shared planner stream in
-    #: sequential mode, a per-pair derived generator in pair mode).
-    rng: np.random.Generator
 
 
 class _RouteMeta(NamedTuple):
@@ -325,6 +322,8 @@ class _RouteMeta(NamedTuple):
     once per (probe, region) pair.  ``sigma_base``/``sigma_per_1000km``
     linearize :func:`effective_jitter_sigma` so the only per-probe terms
     left are the great-circle distance and the RNG draws.
+    ``count_scales``/``count_bases`` are :func:`_hop_counts` per AS with
+    the draw factored out: ``count = base + int(u * scale)``.
     """
 
     as_path: Tuple[int, ...]
@@ -333,7 +332,8 @@ class _RouteMeta(NamedTuple):
     sigma_base: float
     sigma_per_1000km: float
     systems: Tuple[AS, ...]
-    cloud_share: float
+    count_scales: Tuple[float, ...]
+    count_bases: Tuple[int, ...]
     fixed_rtt: float
     dest_address: int
 
@@ -344,14 +344,16 @@ class PathPlanner:
     Two randomness disciplines are supported:
 
     - *sequential* (``rng=...``): all paths draw from one shared stream
-      in planning order -- the historical mode, cheapest, but the result
-      of a plan depends on every plan that preceded it;
+      in planning order -- the historical mode, where the result of a
+      plan depends on every plan that preceded it;
     - *pair-deterministic* (``pair_entropy=...``): every (probe, region)
-      pair draws from its own generator derived from the entropy and a
-      stable digest of the pair key, so a planned path is a pure function
-      of (entropy, probe, region) regardless of planning order.  This is
-      what makes checkpointed campaigns resumable: a resumed process
-      replans only the remaining units yet produces bit-identical paths.
+      pair draws from its own stream, the generator derived from the
+      entropy and a stable digest of the pair key, so a planned path is
+      a pure function of (entropy, probe, region) regardless of planning
+      order.  This is what makes checkpointed campaigns resumable: a
+      resumed process replans only the remaining units yet produces
+      bit-identical paths.  A batch derives the draws of all its new
+      pairs in array passes (:class:`~repro.core.rng.DerivedStreams`).
     """
 
     def __init__(
@@ -379,6 +381,9 @@ class PathPlanner:
         self._config = config
         self._rng = rng
         self._pair_entropy = pair_entropy
+        self._pair_streams = (
+            None if pair_entropy is None else DerivedStreams(pair_entropy)
+        )
         self._countries = countries
         #: ``True`` pins preparation to the uncached per-pair reference
         #: path (:meth:`_prepare_legacy`) -- the pre-optimization
@@ -410,14 +415,11 @@ class PathPlanner:
         self._probe_digest: Dict[str, int] = {}
         self._region_digest: Dict[Tuple[str, str], Tuple[int, int]] = {}
 
-    def _pair_generator(
-        self, probe: Probe, region: CloudRegion
-    ) -> np.random.Generator:
-        """The derived generator owning one pair's planning draws.
+    def _pair_digest(self, probe: Probe, region: CloudRegion) -> int:
+        """The spawn key of one pair's planning stream.
 
-        Produces the generator seeded from
-        ``name_digest(f"path.{probe_id}.{provider}.{region}")`` exactly,
-        but assembles the digest from cached prefix/suffix folds.
+        Equals ``name_digest(f"path.{probe_id}.{provider}.{region}")``,
+        assembled from cached prefix/suffix folds.
         """
         prefix = self._probe_digest.get(probe.probe_id)
         if prefix is None:
@@ -429,11 +431,7 @@ class PathPlanner:
             tail = f"{region.provider_code}.{region.region_id}"
             suffix = (name_digest(tail), pow(1_000_003, len(tail), 2**63))
             self._region_digest[region_key] = suffix
-        digest = (prefix * suffix[1] + suffix[0]) % 2**63
-        seq = np.random.SeedSequence(
-            entropy=self._pair_entropy, spawn_key=(digest,)
-        )
-        return np.random.default_rng(seq)
+        return (prefix * suffix[1] + suffix[0]) % 2**63
 
     # -- path selection policy ---------------------------------------------
 
@@ -526,20 +524,7 @@ class PathPlanner:
 
     def plan(self, probe: Probe, region: CloudRegion) -> PlannedPath:
         """The planned path for a (probe, region) pair, cached."""
-        token = self._pair_token(region.provider_code, probe.continent)
-        key: Tuple[Hashable, ...] = (
-            probe.probe_id,
-            region.provider_code,
-            region.region_id,
-        )
-        if token is not None:
-            key = key + (token,)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        path = self._build(probe, region, token)
-        self._cache[key] = path
-        return path
+        return self.plan_many([(probe, region)])[0]
 
     def plan_many(
         self, pairs: Sequence[Tuple[Probe, CloudRegion]]
@@ -547,10 +532,11 @@ class PathPlanner:
         """Planned paths for many (probe, region) pairs at once.
 
         Cache hits return directly; every miss in the batch shares one
-        vectorized hop-placement pass (fractions, spherical interpolation,
-        base RTTs, and hop addresses are single array expressions across
-        all new paths), so a cold campaign day pays array setup once
-        rather than per pair.
+        pass of draws (:meth:`_prepare_many`) and one vectorized
+        hop-placement pass (fractions, spherical interpolation, base
+        RTTs, and hop addresses are single array expressions across all
+        new paths), so a cold campaign day pays array setup once rather
+        than per pair.
         """
         results: List[Optional[PlannedPath]] = [None] * len(pairs)
         keys: List[Optional[tuple]] = [None] * len(pairs)
@@ -559,8 +545,7 @@ class PathPlanner:
         cache = self._cache
         policy = self._route_policy
         scope_tokens: Dict[Tuple[str, Continent], Optional[Hashable]] = {}
-        # Cache probing is per-pair by design: dict hits cost ~100ns and
-        # keep the RNG draw order identical to the scalar plan() path.
+        # Cache probing is per-pair by design: dict hits cost ~100ns.
         for i, (probe, region) in enumerate(pairs):  # repro-lint: disable=PERF001
             key: Tuple[Hashable, ...] = (
                 probe.probe_id,
@@ -593,11 +578,10 @@ class PathPlanner:
             if keys[i] not in first_seen:
                 first_seen[keys[i]] = len(unique)
                 unique.append(i)
-        preps = [
-            self._prepare(pairs[i][0], pairs[i][1], tokens[i])
-            for i in unique
-        ]
-        placed = self._place_hops(preps)
+        preps, address_draws = self._prepare_many(
+            [pairs[i] for i in unique], [tokens[i] for i in unique]
+        )
+        placed = self._place_hops(preps, address_draws)
         lat_list, lon_list, rtt_list, addr_list, offsets = placed
         built: List[PlannedPath] = []
         # Final assembly slices the vectorized hop columns back into
@@ -612,19 +596,6 @@ class PathPlanner:
         for i in misses:
             results[i] = built[first_seen[keys[i]]]
         return results
-
-    def _build(
-        self,
-        probe: Probe,
-        region: CloudRegion,
-        token: Optional[Hashable],
-    ) -> PlannedPath:
-        prep = self._prepare(probe, region, token)
-        lat_list, lon_list, rtt_list, addr_list, _ = self._place_hops([prep])
-        columns, base_rtt = self._assemble(
-            prep, lat_list, lon_list, rtt_list, addr_list, 0
-        )
-        return self._finalize(prep, columns, base_rtt)
 
     def _route_meta(
         self,
@@ -692,14 +663,19 @@ class PathPlanner:
             sigma_slope = path_config.public_jitter_sigma_per_1000km
         intermediates = max(0, len(as_path) - 2)
         registry = topology.registry
+        systems = tuple(registry.get(asn) for asn in as_path)
+        count_scales, count_bases = _hop_count_terms(
+            systems, _CLOUD_GEO_SHARE[interconnect]
+        )
         meta = _RouteMeta(
             as_path=tuple(as_path),
             interconnect=interconnect,
             stretch=stretch,
             sigma_base=sigma_base,
             sigma_per_1000km=sigma_slope,
-            systems=tuple(registry.get(asn) for asn in as_path),
-            cloud_share=_CLOUD_GEO_SHARE[interconnect],
+            systems=systems,
+            count_scales=count_scales,
+            count_bases=count_bases,
             fixed_rtt=(
                 path_config.isp_core_rtt_ms
                 + intermediates * path_config.per_intermediate_as_rtt_ms
@@ -711,51 +687,93 @@ class PathPlanner:
         self._meta_cache[key] = meta
         return meta
 
-    def _prepare(
+    def _prepare_many(
         self,
-        probe: Probe,
-        region: CloudRegion,
-        token: Optional[Hashable],
-    ) -> _PathPrep:
-        """The scalar (per-pair) prefix of path building.
+        pairs: Sequence[Tuple[Probe, CloudRegion]],
+        tokens: Sequence[Optional[Hashable]],
+    ) -> Tuple[List[_PathPrep], np.ndarray]:
+        """The per-pair prefix of path building for a batch of new pairs,
+        plus the address draw of every hop, in hop order.
 
-        Routing, classification, stretch geography and fixed overheads
-        come from the :meth:`_route_meta` cache; only the great-circle
-        distance, the distance-dependent jitter sigma, and the RNG draws
-        remain per pair.  ``token`` is the caller-resolved scope token
-        (``None`` for baseline planning).  Produces preps bit-identical
-        to :meth:`_prepare_legacy` with an identical draw sequence.
+        Routing, classification, stretch geography, fixed overheads and
+        the hop-count terms come from the :meth:`_route_meta` cache; only
+        the great-circle distance and the distance-dependent jitter sigma
+        remain per pair.  ``tokens`` are the caller-resolved scope tokens
+        (``None`` for baseline planning).  Each pair draws one uniform per
+        AS for its hop counts, then one per hop for its addresses: in
+        pair mode these are the first draws of the pair's own stream, all
+        pairs' in two array passes; in sequential mode every count draw
+        of the batch precedes every address draw on the shared stream.
+        Produces preps and draws bit-identical to
+        :meth:`_prepare_legacy`.
         """
         if self._legacy_prep:
-            return self._prepare_legacy(probe, region)
-        meta = self._route_meta(probe, region, token)
-        distance = probe.location.distance_km(region.location)
-        sigma = meta.sigma_base + (distance / 1000.0) * meta.sigma_per_1000km
-        if self._pair_entropy is not None:
-            pair_rng = self._pair_generator(probe, region)
+            prepared = [self._prepare_legacy(probe, region) for probe, region in pairs]
+            address_draws = np.concatenate(
+                [generator.random(prep.total_hops) for prep, generator in prepared]
+            )
+            return [prep for prep, _ in prepared], address_draws
+        metas = [
+            self._route_meta(probe, region, token)
+            for (probe, region), token in zip(pairs, tokens)
+        ]
+        n_systems = np.array([len(meta.systems) for meta in metas])
+        lanes: Optional[DerivedLanes] = None
+        if self._pair_streams is not None:
+            digests = [self._pair_digest(probe, region) for probe, region in pairs]
+            lanes = self._pair_streams.lanes(np.array(digests, dtype=np.uint64))
+            count_draws = lanes.random(np.zeros_like(n_systems), n_systems)
         else:
             assert self._rng is not None
-            pair_rng = self._rng
-        counts = _hop_counts(meta.systems, meta.cloud_share, pair_rng)
-        return _PathPrep(
-            probe=probe,
-            region=region,
-            as_path=meta.as_path,
-            interconnect=meta.interconnect,
-            distance=distance,
-            stretch=meta.stretch,
-            sigma=sigma,
-            systems=meta.systems,
-            counts=counts,
-            fixed_rtt=meta.fixed_rtt,
-            total_hops=sum(counts),
-            two_way_fiber=2.0 * one_way_fiber_ms(distance, meta.stretch),
-            dest_address=meta.dest_address,
-            rng=pair_rng,
-        )
+            count_draws = self._rng.random(int(n_systems.sum()))
+        scales = np.array([scale for meta in metas for scale in meta.count_scales])
+        bases = np.array([base for meta in metas for base in meta.count_bases])
+        counts = bases + (count_draws * scales).astype(np.int64)
+        total_hops = np.add.reduceat(counts, np.cumsum(n_systems) - n_systems)
+        if lanes is not None:
+            address_draws = lanes.random(n_systems, total_hops)
+        else:
+            assert self._rng is not None
+            address_draws = self._rng.random(int(total_hops.sum()))
+        count_list = counts.tolist()
+        preps: List[_PathPrep] = []
+        start = 0
+        # Per-pair record assembly; every draw above is one array pass.
+        for (probe, region), meta, total in zip(  # repro-lint: disable=PERF001
+            pairs, metas, total_hops.tolist()
+        ):
+            end = start + len(meta.systems)
+            distance = probe.location.distance_km(region.location)
+            preps.append(
+                _PathPrep(
+                    probe=probe,
+                    region=region,
+                    as_path=meta.as_path,
+                    interconnect=meta.interconnect,
+                    distance=distance,
+                    stretch=meta.stretch,
+                    sigma=(
+                        meta.sigma_base
+                        + (distance / 1000.0) * meta.sigma_per_1000km
+                    ),
+                    systems=meta.systems,
+                    counts=count_list[start:end],
+                    fixed_rtt=meta.fixed_rtt,
+                    total_hops=total,
+                    two_way_fiber=2.0 * one_way_fiber_ms(distance, meta.stretch),
+                    dest_address=meta.dest_address,
+                )
+            )
+            start = end
+        return preps, address_draws
 
-    def _prepare_legacy(self, probe: Probe, region: CloudRegion) -> _PathPrep:
-        """The original uncached per-pair preparation (parity reference)."""
+    def _prepare_legacy(
+        self, probe: Probe, region: CloudRegion
+    ) -> Tuple[_PathPrep, np.random.Generator]:
+        """The original uncached per-pair preparation (parity reference),
+        with the generator that continues the pair's draws: one
+        ``SeedSequence`` and ``Generator`` per pair in pair mode, the
+        shared stream in sequential mode."""
         topology = self._topology
         provider_code = region.provider_code
         network = topology.network_code(provider_code)
@@ -788,12 +806,19 @@ class PathPlanner:
         cloud_share = _CLOUD_GEO_SHARE[interconnect]
         systems = [registry.get(asn) for asn in as_path]
         if self._pair_entropy is not None:
-            pair_rng = self._pair_generator(probe, region)
+            digest = name_digest(
+                f"path.{probe.probe_id}.{provider_code}.{region.region_id}"
+            )
+            pair_rng = np.random.default_rng(
+                np.random.SeedSequence(
+                    entropy=self._pair_entropy, spawn_key=(digest,)
+                )
+            )
         else:
             assert self._rng is not None
             pair_rng = self._rng
         counts = _hop_counts(systems, cloud_share, pair_rng)
-        return _PathPrep(
+        prep = _PathPrep(
             probe=probe,
             region=region,
             as_path=as_path,
@@ -809,11 +834,11 @@ class PathPlanner:
             dest_address=self._region_addresses[
                 (provider_code, region.region_id)
             ],
-            rng=pair_rng,
         )
+        return prep, pair_rng
 
     def _place_hops(
-        self, preps: Sequence[_PathPrep]
+        self, preps: Sequence[_PathPrep], draws: np.ndarray
     ) -> Tuple[
         List[float], List[float], List[float], List[int], List[int]
     ]:
@@ -821,9 +846,10 @@ class PathPlanner:
 
         Fractions along each great circle, spherical interpolation, the
         linear noise-free RTT profile, and hop addresses are all plain
-        array expressions over the concatenated hops of the whole batch.
-        Returns per-hop lat/lon/RTT/address lists plus the per-prep start
-        offsets into them.
+        array expressions over the concatenated hops of the whole batch;
+        ``draws`` holds one uniform per hop for its address.  Returns
+        per-hop lat/lon/RTT/address lists plus the per-prep start offsets
+        into them.
         """
         path_config = self._config.path_model
         n_hops = np.array([prep.total_hops for prep in preps], dtype=np.int64)
@@ -885,16 +911,6 @@ class PathPlanner:
                 as_spans.append(prefix.size - 32)
         spans = np.repeat(np.array(as_spans, dtype=np.float64), as_counts)
         bases = np.repeat(np.array(as_bases, dtype=np.int64), as_counts)
-        if self._pair_entropy is None:
-            assert self._rng is not None
-            draws = self._rng.random(total)
-        else:
-            # Pair mode: each prep's address draws come from its own
-            # generator (which already served its hop counts), keeping
-            # the planned path independent of batch composition.
-            draws = np.concatenate(
-                [prep.rng.random(prep.total_hops) for prep in preps]
-            )
         addresses = bases + 16 + (draws * spans).astype(np.int64)
 
         return (
@@ -1029,6 +1045,25 @@ class PathPlanner:
                 probe.continent.value, 1.0
             )
         return stretch
+
+def _hop_count_terms(
+    systems: Sequence[AS], cloud_share: float
+) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
+    """Per-AS ``(scale, base)`` of :func:`_hop_counts` with the draw
+    factored out: an AS exposes ``base + int(u * scale)`` routers for its
+    uniform draw ``u``."""
+    other_share = (1.0 - cloud_share) / max(1, len(systems) - 1)
+    cloud_base = 2 + int(round(5 * max(0.0, min(1.0, cloud_share))))
+    other_base = 2 + int(round(3 * max(0.0, min(1.0, other_share))))
+    scales = tuple(
+        2.0 if system.kind is ASKind.ACCESS else 3.0 for system in systems
+    )
+    bases = tuple(
+        cloud_base if system.kind is ASKind.CLOUD else other_base
+        for system in systems
+    )
+    return scales, bases
+
 
 def _hop_counts(
     systems: Sequence[AS], cloud_share: float, rng: np.random.Generator

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.measure.path import PathPlanner
+from repro.measure.path import PathPlanner, PlannedPath
 from repro.net.ip import IPv4Prefix, parse_ip
 from repro.net.relationships import RelationshipGraph
 from repro.net.routing import (
@@ -191,18 +191,9 @@ class TestResolverEngineParity:
 
 
 def paths_identical(a, b):
-    return (
-        a.probe_id == b.probe_id
-        and a.region_id == b.region_id
-        and a.as_path == b.as_path
-        and a.interconnect == b.interconnect
-        and a.base_path_rtt_ms == b.base_path_rtt_ms
-        and a.jitter_sigma == b.jitter_sigma
-        and a.congestion_probability == b.congestion_probability
-        and a.hop_addresses == b.hop_addresses
-        and a.hop_lats == b.hop_lats
-        and a.hop_lons == b.hop_lons
-        and a.hop_base_rtts == b.hop_base_rtts
+    """Every :class:`PlannedPath` slot equal, hop columns included."""
+    return all(
+        getattr(a, slot) == getattr(b, slot) for slot in PlannedPath.__slots__
     )
 
 
@@ -242,12 +233,55 @@ class TestPlannerParity:
                 cached.plan(probe, region), legacy.plan(probe, region)
             ), (probe.probe_id, region.region_id)
 
-    def test_plan_many_matches_scalar_plan(self, planners, sample_pairs):
-        batch_planner = planners(False)
+    def test_plan_many_matches_scalar_plan(self, planners, world):
+        """A pair plans identically alone, inside a large shuffled batch
+        with duplicates, and split across two batches -- the property a
+        resumed checkpointed campaign relies on."""
+        regions = list(world.catalog)
+        probes = list(world.atlas.probes)[:120]
+        distinct = [
+            (probe, regions[(7 * i + shift) % len(regions)])
+            for i, probe in enumerate(probes)
+            for shift in range(4)
+        ]
+        order = np.random.default_rng(0).permutation(2 * len(distinct))
+        batch = [(distinct + distinct)[i] for i in order]
         scalar_planner = planners(False)
-        batch = batch_planner.plan_many(sample_pairs)
-        for (probe, region), planned in zip(sample_pairs, batch):
-            assert paths_identical(planned, scalar_planner.plan(probe, region))
+        alone = {
+            (probe.probe_id, region.region_id): scalar_planner.plan(probe, region)
+            for probe, region in distinct
+        }
+        split_planner = planners(False)
+        half = len(batch) // 3
+        split = split_planner.plan_many(batch[:half]) + split_planner.plan_many(
+            batch[half:]
+        )
+        batched = planners(False).plan_many(batch)
+        for (probe, region), one, other in zip(batch, batched, split):
+            expected = alone[(probe.probe_id, region.region_id)]
+            assert paths_identical(one, expected)
+            assert paths_identical(other, expected)
+
+    def test_sequential_batch_matches_legacy(self, world, sample_pairs):
+        """The shared-stream mode draws every hop count of a batch before
+        its addresses, as the per-pair legacy preparation does."""
+
+        def planner(legacy):
+            return PathPlanner(
+                topology=world.topology,
+                wans=world.wans,
+                region_addresses=world.region_addresses,
+                config=world.config,
+                countries=world.countries,
+                rng=np.random.default_rng(5),
+                legacy_prep=legacy,
+            )
+
+        cached, legacy = planner(False), planner(True)
+        for start in (0, 1, 31):
+            chunk = sample_pairs[start : start + 40]
+            for one, other in zip(cached.plan_many(chunk), legacy.plan_many(chunk)):
+                assert paths_identical(one, other)
 
     def test_empty_batch(self, planners):
         assert planners(False).plan_many([]) == []
