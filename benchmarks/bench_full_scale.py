@@ -7,10 +7,10 @@ on a 20%-scale campaign-day workload (docs/PERFORMANCE.md, "Full
 scale").  Every measurement lands in ``BENCH_full_scale.json`` so CI
 archives the numbers run over run.
 
-The A/B baseline is real: the pre-optimization implementations are kept
-in-tree as parity oracles (``compute_routes_reference``, the
-``engine="trie"`` resolver, the planner's ``legacy_prep=True`` mode),
-so "legacy" below is the seed code path, not a simulation of it.
+The A/B baseline is real: the pre-optimization implementations are the
+parity oracles in ``tests/oracles/`` (the per-node routing sweep, the
+per-address trie lookup, the per-pair planner), so "legacy" below is
+the seed code path, not a simulation of it.
 
 Budget calibration (this repo's dev container; CI gets ~4x headroom):
 world build 1.4 s / 106 MB peak, one campaign day 3.0 s / 387 MB peak.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -31,12 +32,15 @@ from repro import build_world, run_campaign
 from repro.exec import canonical_store_digest, fork_available
 from repro.measure.campaign import run_campaign_checkpointed
 from repro.measure.path import PathPlanner, PlannedPath
-from repro.net.routing import (
-    clear_route_cache,
-    compute_routes,
-    compute_routes_reference,
-)
+from repro.net.routing import clear_route_cache, compute_routes
 from repro.resolve.pyasn import PyASNResolver
+
+# The legacy side of the A/B runs the parity oracles under tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from oracles.lpm import ReferencePyASN  # noqa: E402
+from oracles.planner import ReferencePlanner  # noqa: E402
+from oracles.routing import compute_routes_reference  # noqa: E402
 
 FULL_SEED = 7
 FULL_SCALE = 1.0
@@ -219,8 +223,8 @@ def test_hot_path_speedup(results):
 
     # -- resolution: the day's unique hop addresses through both engines.
     announcements = list(topo.registry.prefix_table())
-    trie = PyASNResolver(announcements, engine="trie")
-    array = PyASNResolver(announcements, engine="array")
+    trie = ReferencePyASN(announcements)
+    array = PyASNResolver(announcements)
     array.lookup(int(addresses[0]))  # compile outside the timed region
     start = time.perf_counter()
     trie_asns = trie.lookup_many(addresses)
@@ -239,14 +243,13 @@ def test_hot_path_speedup(results):
     ]
 
     def planner(legacy: bool) -> PathPlanner:
-        return PathPlanner(
+        return (ReferencePlanner if legacy else PathPlanner)(
             topology=topo,
             wans=world.wans,
             region_addresses=world.region_addresses,
             config=world.config,
             countries=world.countries,
             pair_entropy=world.rngs.seed,
-            legacy_prep=legacy,
         )
 
     legacy_planner = planner(True)

@@ -73,18 +73,6 @@ def test_ping_throughput(benchmark, world):
     assert len(block) == 50
 
 
-def test_ping_throughput_scalar(benchmark, world):
-    """The pre-batch scalar path, kept for speedup comparison."""
-    probe = world.speedchecker.probes[0]
-    region = world.catalog.all()[0]
-
-    def ping_all():
-        for _ in range(50):
-            world.engine.ping(probe, region, samples=4)
-
-    benchmark(ping_all)
-
-
 def test_traceroute_resolution_throughput(benchmark, world, dataset):
     """The campaign's traceroutes in one ``resolve_many`` batch, as the
     experiments resolve them, with a cold address cache every round."""

@@ -48,8 +48,8 @@ class World:
             wans=self.wans,
             region_addresses=self.region_addresses,
             config=self.config,
-            rng=self.rngs.stream("planner"),
             countries=self.countries,
+            pair_entropy=self.rngs.seed,
         )
         self.engine = MeasurementEngine(
             planner=self.planner,

@@ -48,7 +48,7 @@ class StudyContext:
                 self.world.topology.registry,
                 self.world.topology.ixps,
                 rib_coverage=self._rib_coverage,
-                rng=self.world.rngs.stream("resolver"),
+                rng=self.world.rngs.fork("resolver", 0),
             )
         return self._resolver
 

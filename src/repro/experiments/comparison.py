@@ -33,7 +33,7 @@ def run_fig5(world, dataset=None, context: Optional[StudyContext] = None) -> Exp
     """Fig. 5: Speedchecker-minus-Atlas latency differences per continent."""
     dataset = require_dataset(dataset, "fig5")
     differences = platform_differences(
-        dataset, world.rngs.stream("experiment.fig5")
+        dataset, world.rngs.fork("experiment.fig5", 0)
     )
     data = {
         continent.value: {
@@ -54,7 +54,7 @@ def run_fig16(world, dataset=None, context: Optional[StudyContext] = None) -> Ex
     """Fig. 16: the same comparison restricted to matched <city, ASN>."""
     dataset = require_dataset(dataset, "fig16")
     differences = matched_city_asn_differences(
-        dataset, world.rngs.stream("experiment.fig16")
+        dataset, world.rngs.fork("experiment.fig16", 0)
     )
     data = {
         continent.value: {

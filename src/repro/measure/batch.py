@@ -295,9 +295,11 @@ def execute_traceroute_batch(
     icmp_probability: Dict[object, float] = {}
     cycle_multiplier: Dict[int, float] = {}
 
-    # One array draw decides every trace's access switch (a wireless
-    # probe occasionally measures over the other medium; see
-    # MeasurementEngine.measurement_access).
+    # One array draw decides every trace's access switch: a wireless
+    # probe measures over the other medium (WiFi <-> cellular) when its
+    # draw falls below the access-switch probability, which flips the
+    # traceroute's first-hop signature (a section-5 caveat); wired
+    # probes never switch.
     switch_p = config.last_mile.access_switch_probability
     access_draws = rng.random(n).tolist()
     # Per-request access resolution branches on probe state; the draws

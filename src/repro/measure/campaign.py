@@ -277,13 +277,13 @@ def _run_atlas(
 
 # -- checkpointed campaigns ----------------------------------------------
 #
-# The classic run_campaign() draws every stochastic decision from two
-# long-lived streams, so day k's randomness depends on every draw of
-# days 0..k-1 and the run cannot be split.  The checkpointed runner
-# makes each (platform, day) *unit* a pure function of (seed, config,
-# unit id): scheduling, availability and measurement noise come from
-# per-unit ``RngStreams.fork`` streams, and path planning uses the
-# planner's pair-deterministic mode.  Completed units are flushed to a
+# The classic run_campaign() draws its scheduling, availability and
+# measurement noise from long-lived streams, so day k's randomness
+# depends on every draw of days 0..k-1 and the run cannot be split.
+# The checkpointed runner makes each (platform, day) *unit* a pure
+# function of (seed, config, unit id): those draws come from per-unit
+# ``RngStreams.fork`` streams, and path planning is pair-deterministic
+# (as for every planner).  Completed units are flushed to a
 # :class:`~repro.store.warehouse.DatasetStore` and journaled, so an
 # interrupted run resumed later produces a byte-identical store.
 
@@ -317,14 +317,13 @@ def plan_units(days: int, platforms: Sequence[str]) -> List[str]:
 def _checkpoint_engine(
     world: "World", route_policy: Optional[PathSelectionPolicy] = None
 ) -> MeasurementEngine:
-    """An engine whose path planning is pair-deterministic.
+    """An engine with its own pair-deterministic planner.
 
-    The world's own planner consumes a shared sequential stream, which
-    would make planned paths depend on plan order -- fatal for resume.
-    This engine plans each (probe, region) pair from a generator derived
-    from the pair's stable name, so paths are identical no matter which
-    units ran before.  The engine's fallback stream is never used: every
-    batch call below passes an explicit per-unit generator.
+    It plans the same paths as the world's planner, but keeps its own
+    caches: the measurement service runs concurrent jobs on one cached
+    world in bridge threads, and a planner per run keeps their caches
+    apart.  The engine's fallback stream is never used: every batch call
+    below passes an explicit per-unit generator.
 
     ``route_policy`` threads a path-selection policy into the planner
     (the network-fault runner installs a
@@ -860,12 +859,17 @@ def run_intercontinental_study(
 
     For every listed country, the available Speedchecker probes ping the
     nearest region of every provider in each target continent -- the
-    paper's setup for probes in under-provisioned continents.
+    paper's setup for probes in under-provisioned continents.  Probe
+    picks and measurement noise come from generators forked for the
+    listed countries, and every request goes through one
+    :meth:`~MeasurementEngine.ping_batch` call, so the dataset is a pure
+    function of (seed, arguments).
     """
-    dataset = MeasurementDataset()
-    engine = world.engine
+    stream = f"intercontinental.{'.'.join(countries)}"
+    rng = world.rngs.fork(f"{stream}.probes", 0)
+    samples = world.config.campaign.pings_per_request
     catalog = world.catalog
-    rng = world.rngs.stream(f"intercontinental.{'.'.join(countries)}")
+    requests: List[PingRequest] = []
     for iso in countries:
         probes = world.speedchecker.probes_in_country(iso)
         if len(probes) > max_probes_per_country:
@@ -889,15 +893,21 @@ def run_intercontinental_study(
                     targets[(nearest.provider_code, nearest.region_id)] = nearest
             for round_index in range(rounds):
                 for region in targets.values():
-                    dataset.add_ping(
-                        engine.ping(
-                            probe,
-                            region,
+                    requests.append(
+                        PingRequest(
+                            probe=probe,
+                            region=region,
                             protocol=Protocol.TCP,
-                            samples=world.config.campaign.pings_per_request,
+                            samples=samples,
                             day=round_index,
                         )
                     )
+    dataset = MeasurementDataset()
+    dataset.add_ping_block(
+        world.engine.ping_batch(
+            requests, rng=world.rngs.fork(f"{stream}.engine", 0)
+        )
+    )
     return dataset
 
 
@@ -913,35 +923,50 @@ def run_case_study(
     Used by the peering case studies (DE->UK, JP->IN, UA->UK, BH->IN of
     Figs. 12/13/17/18): every Speedchecker probe in ``source_country``
     pings and traceroutes every cloud region located in ``dest_country``,
-    ``rounds`` times.
+    ``rounds`` times.  Probe picks and measurement noise come from
+    generators forked for the country pair, and the study issues one
+    :meth:`~MeasurementEngine.ping_batch` and one
+    :meth:`~MeasurementEngine.traceroute_batch` call, so the dataset is
+    a pure function of (seed, arguments).
     """
-    dataset = MeasurementDataset()
-    engine = world.engine
-    rng = world.rngs.stream(f"case.{source_country}.{dest_country}")
+    stream = f"case.{source_country}.{dest_country}"
     probes = world.speedchecker.probes_in_country(source_country)
     if max_probes is not None and len(probes) > max_probes:
-        picks = rng.choice(len(probes), size=max_probes, replace=False)
+        picks = world.rngs.fork(f"{stream}.probes", 0).choice(
+            len(probes), size=max_probes, replace=False
+        )
         probes = [probes[int(i)] for i in picks]
     regions = [
         region for region in world.catalog.all() if region.country == dest_country
     ]
     if not regions:
         raise ValueError(f"no cloud regions in {dest_country!r}")
+    samples = world.config.campaign.pings_per_request
+    requests: List[PingRequest] = []
+    traces: List[TraceRequest] = []
     for round_index in range(rounds):
         for probe in probes:
             for region in regions:
-                dataset.add_ping(
-                    engine.ping(
-                        probe,
-                        region,
+                requests.append(
+                    PingRequest(
+                        probe=probe,
+                        region=region,
                         protocol=Protocol.TCP,
-                        samples=world.config.campaign.pings_per_request,
+                        samples=samples,
                         day=round_index,
                     )
                 )
-                dataset.add_traceroute(
-                    engine.traceroute(
-                        probe, region, protocol=Protocol.ICMP, day=round_index
+                traces.append(
+                    TraceRequest(
+                        probe=probe,
+                        region=region,
+                        protocol=Protocol.ICMP,
+                        day=round_index,
                     )
                 )
+    engine_rng = world.rngs.fork(f"{stream}.engine", 0)
+    dataset = MeasurementDataset()
+    dataset.add_ping_block(world.engine.ping_batch(requests, rng=engine_rng))
+    for measurement in world.engine.traceroute_batch(traces, rng=engine_rng):
+        dataset.add_traceroute(measurement)
     return dataset

@@ -113,27 +113,6 @@ class MeasurementEngine:
         self._lastmile_cache[key] = model
         return model
 
-    # Backwards-compatible private alias.
-    _lastmile_model = lastmile_model
-
-    def measurement_access(self, probe: Probe) -> AccessKind:
-        """The access medium used for one measurement.
-
-        Android devices occasionally switch between WiFi and cellular
-        mid-study (a section-5 caveat); the switch flips the traceroute's
-        first-hop signature and produces classification false positives.
-        """
-        if not probe.access.is_wireless:
-            return probe.access
-        if self._rng.random() >= self._config.last_mile.access_switch_probability:
-            return probe.access
-        if probe.access is AccessKind.HOME_WIFI:
-            return AccessKind.CELLULAR
-        return AccessKind.HOME_WIFI
-
-    # Backwards-compatible private alias.
-    _measurement_access = measurement_access
-
     def _meta(self, probe: Probe, region: CloudRegion, day: int) -> MeasurementMeta:
         return build_meta(probe, region, day)
 
@@ -182,7 +161,8 @@ class MeasurementEngine:
         process is drawn as NumPy arrays over all samples at once.
         Returns a columnar :class:`PingBlock`; feed it to
         :meth:`MeasurementDataset.add_ping_block`.  ``rng`` overrides the
-        engine's stream (used by checkpointed campaign units).
+        engine's stream (used by checkpointed campaign units and the
+        focused studies).
         """
         return execute_ping_batch(self, requests, rng=rng)
 
@@ -218,7 +198,7 @@ class MeasurementEngine:
         request: every hop of every trace is sampled as flat NumPy
         arrays.  Returns the :class:`TracerouteMeasurement` list in
         request order.  ``rng`` overrides the engine's stream (used by
-        checkpointed campaign units).
+        checkpointed campaign units and the focused studies).
         """
         return execute_traceroute_batch(self, requests, rng=rng)
 

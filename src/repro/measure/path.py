@@ -26,7 +26,7 @@ import numpy as np
 from repro.cloud.regions import CloudRegion
 from repro.cloud.wan import PrivateWAN
 from repro.core.config import SimulationConfig
-from repro.core.rng import DerivedLanes, DerivedStreams, name_digest
+from repro.core.rng import DerivedStreams, name_digest
 from repro.core.topology import Topology
 from repro.core.units import one_way_fiber_ms
 from repro.geo.continents import Continent
@@ -246,34 +246,6 @@ def effective_stretch(
     return path_config.public_stretch + extra * path_config.public_stretch_per_extra_as
 
 
-def effective_jitter_sigma(
-    interconnect: InterconnectKind,
-    distance_km: float,
-    wan: PrivateWAN,
-    source_continent: Continent,
-    config: SimulationConfig,
-) -> float:
-    """Multiplicative RTT jitter sigma for an interconnect class.
-
-    Public paths accumulate queueing variance with distance; private WANs
-    keep it flat.  This asymmetry reproduces the paper's Fig. 13b (direct
-    peering shrinks latency variation over long Asian paths) without
-    materially moving the EU medians of Fig. 12b.
-    """
-    path_config = config.path_model
-    on_net = config.private_wan_advantage and wan.covers(source_continent)
-    if interconnect.is_direct and on_net:
-        return path_config.private_jitter_sigma
-    if interconnect is InterconnectKind.PRIVATE and on_net:
-        return 0.5 * (
-            path_config.private_jitter_sigma + path_config.public_jitter_sigma
-        )
-    return (
-        path_config.public_jitter_sigma
-        + (distance_km / 1000.0) * path_config.public_jitter_sigma_per_1000km
-    )
-
-
 #: Geographic share of the end-to-end path carried by the cloud AS, by
 #: interconnect class (ingress locality: direct paths enter the WAN near
 #: the user; public paths only near the datacenter).
@@ -319,11 +291,12 @@ class _RouteMeta(NamedTuple):
     continent, region) -- many probes share one entry, so the planner
     computes routing, interconnect classification, stretch geography and
     the fixed RTT overheads once per (ISP, country, region) instead of
-    once per (probe, region) pair.  ``sigma_base``/``sigma_per_1000km``
-    linearize :func:`effective_jitter_sigma` so the only per-probe terms
-    left are the great-circle distance and the RNG draws.
-    ``count_scales``/``count_bases`` are :func:`_hop_counts` per AS with
-    the draw factored out: ``count = base + int(u * scale)``.
+    once per (probe, region) pair.  The jitter sigma is
+    ``sigma_base + distance / 1000 * sigma_per_1000km``, so the only
+    per-probe terms left are the great-circle distance and the RNG
+    draws.  ``count_scales``/``count_bases`` give each AS's hop count as
+    ``base + int(u * scale)`` for its uniform draw ``u``
+    (:func:`_hop_count_terms`).
     """
 
     as_path: Tuple[int, ...]
@@ -341,19 +314,15 @@ class _RouteMeta(NamedTuple):
 class PathPlanner:
     """Builds and caches :class:`PlannedPath` objects.
 
-    Two randomness disciplines are supported:
-
-    - *sequential* (``rng=...``): all paths draw from one shared stream
-      in planning order -- the historical mode, where the result of a
-      plan depends on every plan that preceded it;
-    - *pair-deterministic* (``pair_entropy=...``): every (probe, region)
-      pair draws from its own stream, the generator derived from the
-      entropy and a stable digest of the pair key, so a planned path is
-      a pure function of (entropy, probe, region) regardless of planning
-      order.  This is what makes checkpointed campaigns resumable: a
-      resumed process replans only the remaining units yet produces
-      bit-identical paths.  A batch derives the draws of all its new
-      pairs in array passes (:class:`~repro.core.rng.DerivedStreams`).
+    Planning is pair-deterministic: every (probe, region) pair draws
+    from its own stream, the generator derived from ``pair_entropy`` and
+    a stable digest of the pair key, so a planned path is a pure
+    function of (entropy, probe, region) whatever was planned before it.
+    This is what makes checkpointed campaigns resumable -- a resumed
+    process replans only the remaining units yet produces bit-identical
+    paths -- and experiments independent of which ran first.  A batch
+    derives the draws of all its new pairs in array passes
+    (:class:`~repro.core.rng.DerivedStreams`).
     """
 
     def __init__(
@@ -362,34 +331,16 @@ class PathPlanner:
         wans: Dict[str, PrivateWAN],
         region_addresses: Dict[Tuple[str, str], int],
         config: SimulationConfig,
-        rng: Optional[np.random.Generator] = None,
-        countries: Optional[CountryRegistry] = None,
-        pair_entropy: Optional[int] = None,
-        legacy_prep: bool = False,
+        countries: CountryRegistry,
+        pair_entropy: int,
         route_policy: Optional[PathSelectionPolicy] = None,
     ) -> None:
-        if rng is None and pair_entropy is None:
-            raise ValueError("PathPlanner needs either rng or pair_entropy")
-        if legacy_prep and route_policy is not None:
-            raise ValueError(
-                "legacy_prep is a parity reference and cannot carry a "
-                "route policy"
-            )
         self._topology = topology
         self._wans = wans
         self._region_addresses = region_addresses
         self._config = config
-        self._rng = rng
-        self._pair_entropy = pair_entropy
-        self._pair_streams = (
-            None if pair_entropy is None else DerivedStreams(pair_entropy)
-        )
+        self._pair_streams = DerivedStreams(pair_entropy)
         self._countries = countries
-        #: ``True`` pins preparation to the uncached per-pair reference
-        #: path (:meth:`_prepare_legacy`) -- the pre-optimization
-        #: baseline the full-scale benchmark and parity tests compare
-        #: against.  Both modes produce bit-identical preps.
-        self._legacy_prep = legacy_prep
         #: Pluggable path selection.  ``None`` (and a policy sitting at
         #: its baseline token) plans exactly like the historical planner
         #: and shares the same cache entries; any other policy state
@@ -487,10 +438,6 @@ class PathPlanner:
 
     def _ensure_policy(self) -> PathSelectionPolicy:
         if self._route_policy is None:
-            if self._legacy_prep:
-                raise RuntimeError(
-                    "legacy_prep planners cannot install a route policy"
-                )
             self._route_policy = PathSelectionPolicy()
         return self._route_policy
 
@@ -644,9 +591,12 @@ class PathPlanner:
         )
         stretch = self._adjust_stretch_for_geography(stretch, probe, region, wan)
         path_config = self._config.path_model
-        # Linearized effective_jitter_sigma: base + (distance/1000) * slope
-        # evaluates to bit-identical floats for every interconnect class
-        # (the on-net classes have slope 0, and x + 0.0 == x).
+        # Jitter sigma: base + (distance/1000) * slope.  Public paths
+        # accumulate queueing variance with distance; private WANs keep
+        # it flat (slope 0, and x + 0.0 == x).  This asymmetry reproduces
+        # the paper's Fig. 13b (direct peering shrinks latency variation
+        # over long Asian paths) without materially moving the EU
+        # medians of Fig. 12b.
         on_net = self._config.private_wan_advantage and wan.covers(
             probe.continent
         )
@@ -700,41 +650,24 @@ class PathPlanner:
         the great-circle distance and the distance-dependent jitter sigma
         remain per pair.  ``tokens`` are the caller-resolved scope tokens
         (``None`` for baseline planning).  Each pair draws one uniform per
-        AS for its hop counts, then one per hop for its addresses: in
-        pair mode these are the first draws of the pair's own stream, all
-        pairs' in two array passes; in sequential mode every count draw
-        of the batch precedes every address draw on the shared stream.
-        Produces preps and draws bit-identical to
-        :meth:`_prepare_legacy`.
+        AS for its hop counts, then one per hop for its addresses, as the
+        first draws of its own stream; every pair's draws come from two
+        array passes.  The per-pair reference in
+        ``tests/oracles/planner.py`` produces bit-identical preps and draws.
         """
-        if self._legacy_prep:
-            prepared = [self._prepare_legacy(probe, region) for probe, region in pairs]
-            address_draws = np.concatenate(
-                [generator.random(prep.total_hops) for prep, generator in prepared]
-            )
-            return [prep for prep, _ in prepared], address_draws
         metas = [
             self._route_meta(probe, region, token)
             for (probe, region), token in zip(pairs, tokens)
         ]
         n_systems = np.array([len(meta.systems) for meta in metas])
-        lanes: Optional[DerivedLanes] = None
-        if self._pair_streams is not None:
-            digests = [self._pair_digest(probe, region) for probe, region in pairs]
-            lanes = self._pair_streams.lanes(np.array(digests, dtype=np.uint64))
-            count_draws = lanes.random(np.zeros_like(n_systems), n_systems)
-        else:
-            assert self._rng is not None
-            count_draws = self._rng.random(int(n_systems.sum()))
+        digests = [self._pair_digest(probe, region) for probe, region in pairs]
+        lanes = self._pair_streams.lanes(np.array(digests, dtype=np.uint64))
+        count_draws = lanes.random(np.zeros_like(n_systems), n_systems)
         scales = np.array([scale for meta in metas for scale in meta.count_scales])
         bases = np.array([base for meta in metas for base in meta.count_bases])
         counts = bases + (count_draws * scales).astype(np.int64)
         total_hops = np.add.reduceat(counts, np.cumsum(n_systems) - n_systems)
-        if lanes is not None:
-            address_draws = lanes.random(n_systems, total_hops)
-        else:
-            assert self._rng is not None
-            address_draws = self._rng.random(int(total_hops.sum()))
+        address_draws = lanes.random(n_systems, total_hops)
         count_list = counts.tolist()
         preps: List[_PathPrep] = []
         start = 0
@@ -766,76 +699,6 @@ class PathPlanner:
             )
             start = end
         return preps, address_draws
-
-    def _prepare_legacy(
-        self, probe: Probe, region: CloudRegion
-    ) -> Tuple[_PathPrep, np.random.Generator]:
-        """The original uncached per-pair preparation (parity reference),
-        with the generator that continues the pair's draws: one
-        ``SeedSequence`` and ``Generator`` per pair in pair mode, the
-        shared stream in sequential mode."""
-        topology = self._topology
-        provider_code = region.provider_code
-        network = topology.network_code(provider_code)
-        as_path = topology.as_path(probe.isp_asn, provider_code, probe.continent)
-        if as_path is None:
-            raise RuntimeError(
-                f"no route from AS{probe.isp_asn} to provider {provider_code}"
-            )
-        interconnect = classify_interconnect(as_path, topology, provider_code)
-        wan = self._wans[network]
-        distance = probe.location.distance_km(region.location)
-        stretch = effective_stretch(
-            interconnect, len(as_path) - 2, wan, probe.continent, self._config
-        )
-        stretch = self._adjust_stretch_for_geography(stretch, probe, region, wan)
-        sigma = effective_jitter_sigma(
-            interconnect, distance, wan, probe.continent, self._config
-        )
-        path_config = self._config.path_model
-        intermediates = max(0, len(as_path) - 2)
-        # Fixed (distance-independent) overheads: the serving ISP's
-        # aggregation core, plus detours at every inter-domain handoff.
-        fixed_rtt = (
-            path_config.isp_core_rtt_ms
-            + intermediates * path_config.per_intermediate_as_rtt_ms
-        )
-        # Hop counts per AS.  The cloud AS carries a geography share that
-        # depends on ingress locality; the remainder splits evenly.
-        registry = topology.registry
-        cloud_share = _CLOUD_GEO_SHARE[interconnect]
-        systems = [registry.get(asn) for asn in as_path]
-        if self._pair_entropy is not None:
-            digest = name_digest(
-                f"path.{probe.probe_id}.{provider_code}.{region.region_id}"
-            )
-            pair_rng = np.random.default_rng(
-                np.random.SeedSequence(
-                    entropy=self._pair_entropy, spawn_key=(digest,)
-                )
-            )
-        else:
-            assert self._rng is not None
-            pair_rng = self._rng
-        counts = _hop_counts(systems, cloud_share, pair_rng)
-        prep = _PathPrep(
-            probe=probe,
-            region=region,
-            as_path=as_path,
-            interconnect=interconnect,
-            distance=distance,
-            stretch=stretch,
-            sigma=sigma,
-            systems=systems,
-            counts=counts,
-            fixed_rtt=fixed_rtt,
-            total_hops=sum(counts),
-            two_way_fiber=2.0 * one_way_fiber_ms(distance, stretch),
-            dest_address=self._region_addresses[
-                (provider_code, region.region_id)
-            ],
-        )
-        return prep, pair_rng
 
     def _place_hops(
         self, preps: Sequence[_PathPrep], draws: np.ndarray
@@ -1024,12 +887,10 @@ class PathPlanner:
         terrestrial backhaul penalty (intra-African detours via Europe).
         """
         path_config = self._config.path_model
-        src_island = dst_island = False
-        if self._countries is not None:
-            src = self._countries.find(probe.country)
-            dst = self._countries.find(region.country)
-            src_island = src.island if src else False
-            dst_island = dst.island if dst else False
+        src = self._countries.find(probe.country)
+        dst = self._countries.find(region.country)
+        src_island = src.island if src else False
+        dst_island = dst.island if dst else False
         submarine = (
             src_island
             or dst_island
@@ -1046,12 +907,21 @@ class PathPlanner:
             )
         return stretch
 
+
 def _hop_count_terms(
     systems: Sequence[AS], cloud_share: float
 ) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
-    """Per-AS ``(scale, base)`` of :func:`_hop_counts` with the draw
-    factored out: an AS exposes ``base + int(u * scale)`` routers for its
-    uniform draw ``u``."""
+    """Per-AS ``(scale, base)`` of the routers each AS on a path exposes:
+    ``base + int(u * scale)`` for the AS's uniform draw ``u``.
+
+    An AS exposes more routers when it carries more of the geographic
+    distance: the cloud AS carries ``cloud_share`` and the others split
+    the remainder evenly.  Cloud WANs that ingress near the user expose
+    their internal backbone routers along most of the path, which is
+    what drives the >60% pervasiveness of hypergiants in the paper's
+    Fig. 11.  ``int(u * scale)`` is distributed like an integer draw
+    from ``[0, scale)``.
+    """
     other_share = (1.0 - cloud_share) / max(1, len(systems) - 1)
     cloud_base = 2 + int(round(5 * max(0.0, min(1.0, cloud_share))))
     other_base = 2 + int(round(3 * max(0.0, min(1.0, other_share))))
@@ -1063,35 +933,3 @@ def _hop_count_terms(
         for system in systems
     )
     return scales, bases
-
-
-def _hop_counts(
-    systems: Sequence[AS], cloud_share: float, rng: np.random.Generator
-) -> List[int]:
-    """Routers exposed by each AS on a path (more when an AS carries
-    more of the geographic distance).
-
-    Cloud WANs that ingress near the user expose their internal backbone
-    routers along most of the path, which is what drives the >60%
-    pervasiveness of hypergiants in the paper's Fig. 11.  One uniform
-    draw covers the whole path; ``lo + floor(u * (hi - lo))`` reproduces
-    the per-AS ``rng.integers(lo, hi)`` distribution.
-    """
-    other_share = (1.0 - cloud_share) / max(1, len(systems) - 1)
-    draws = rng.random(len(systems)).tolist()
-    counts: List[int] = []
-    for draw, autonomous_system in zip(draws, systems):
-        if autonomous_system.kind is ASKind.CLOUD:
-            share = max(0.0, min(1.0, cloud_share))
-            base = 2 + int(draw * 3.0)
-            extra = int(round(5 * share))
-        elif autonomous_system.kind is ASKind.ACCESS:
-            share = max(0.0, min(1.0, other_share))
-            base = 2 + int(draw * 2.0)
-            extra = int(round(3 * share))
-        else:
-            share = max(0.0, min(1.0, other_share))
-            base = 2 + int(draw * 3.0)
-            extra = int(round(3 * share))
-        counts.append(base + extra)
-    return counts

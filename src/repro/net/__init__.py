@@ -10,7 +10,6 @@ from repro.net.routing import (
     RoutingTable,
     clear_route_cache,
     compute_routes,
-    compute_routes_reference,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "RoutingTable",
     "clear_route_cache",
     "compute_routes",
-    "compute_routes_reference",
     "format_ip",
     "is_private_ip",
     "parse_ip",

@@ -13,17 +13,14 @@ Routes are computed per destination with the classic three-stage sweep
 the set of valley-free best paths.  A plain shortest-path mode is provided
 as an ablation (``RoutePolicy.SHORTEST``).
 
-Two implementations of the valley-free sweep exist:
-
-- :func:`_valley_free_routes_arrays` (the default behind
-  :func:`compute_routes`) runs all three stages as batched NumPy passes
-  over the graph's CSR adjacency arrays -- level-synchronous BFS over
-  provider edges, one vectorized peer-edge relaxation, and a bucketed
-  (Dial-style) BFS for provider propagation;
-- :func:`compute_routes_reference` keeps the original per-node Python
-  sweep.  It is the parity oracle: ``tests/unit/test_routing.py``
-  asserts the two produce entry-for-entry identical tables, and the
-  full-scale benchmark uses it as the pre-optimization baseline.
+:func:`_valley_free_routes_arrays` (behind :func:`compute_routes`) runs
+all three stages as batched NumPy passes over the graph's CSR adjacency
+arrays -- level-synchronous BFS over provider edges, one vectorized
+peer-edge relaxation, and a bucketed (Dial-style) BFS for provider
+propagation.  The original per-node Python sweep is the parity oracle
+in ``tests/oracles/routing.py``: parity tests assert the two produce
+entry-for-entry identical tables, and the full-scale benchmark uses it
+as the pre-optimization baseline.
 
 Computed tables are also memoized in a process-wide cache keyed by
 (adjacency digest, destination, policy), so every world built on the
@@ -34,7 +31,6 @@ them per (provider network, continent) scope.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
@@ -342,17 +338,6 @@ def table_uses_edges(
     )
 
 
-def compute_routes_reference(
-    graph: RelationshipGraph,
-    destination: int,
-    policy: RoutePolicy = RoutePolicy.VALLEY_FREE,
-) -> RoutingTable:
-    """The original per-node Python sweep (parity oracle, uncached)."""
-    if policy is RoutePolicy.SHORTEST:
-        return _shortest_routes(graph, destination)
-    return _valley_free_routes(graph, destination)
-
-
 def _gather(
     offsets: np.ndarray, targets: np.ndarray, rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -377,8 +362,8 @@ def _valley_free_routes_arrays(
 ) -> ArrayRoutingTable:
     """The three-stage valley-free sweep as batched array passes.
 
-    Produces entries identical to :func:`_valley_free_routes`, including
-    every tie-break: stage 1 keeps the lowest-ASN customer among
+    Produces entries identical to the per-node reference sweep
+    (``tests/oracles/routing.py``), including every tie-break: stage 1 keeps the lowest-ASN customer among
     equally-short cone routes, stage 2 takes the lexicographic minimum of
     (distance, neighbor ASN) over peer candidates, and stage 3 settles
     provider routes level-by-level keeping the lowest-ASN provider at the
@@ -487,107 +472,6 @@ def _valley_free_routes_arrays(
         distance=final_dist,
         class_code=class_code,
     )
-
-
-def _valley_free_routes(
-    graph: RelationshipGraph, destination: int
-) -> RoutingTable:
-    entries: Dict[int, RouteEntry] = {}
-
-    # Stage 1 -- customer routes: every AS whose customer cone contains the
-    # destination hears the route from a customer.  These are the ancestors
-    # of the destination along provider edges.
-    customer_dist: Dict[int, int] = {destination: 0}
-    queue = deque([destination])
-    while queue:
-        current = queue.popleft()
-        for provider in sorted(graph.providers_of(current)):
-            if provider in customer_dist:
-                continue
-            customer_dist[provider] = customer_dist[current] + 1
-            entries[provider] = RouteEntry(
-                current, customer_dist[provider], RouteClass.CUSTOMER
-            )
-            queue.append(provider)
-    # Re-sweep stage 1 for shortest customer routes: BFS above already
-    # yields shortest distances because all edges have unit weight, but an
-    # AS may have several customers in the cone; pick the lowest-ASN
-    # next hop among equally-short options for determinism.
-    for asn in list(entries):
-        best = entries[asn]
-        for customer in sorted(graph.customers_of(asn)):
-            dist = customer_dist.get(customer)
-            if dist is None:
-                continue
-            if dist + 1 < best.distance or (
-                dist + 1 == best.distance and customer < best.next_hop
-            ):
-                best = RouteEntry(customer, dist + 1, RouteClass.CUSTOMER)
-        entries[asn] = best
-
-    # Stage 2 -- peer routes: one settlement-free hop into the customer
-    # cone.  Customer routes always win over peer routes at the same AS.
-    for asn_with_route in sorted(customer_dist):
-        for peer in sorted(graph.peers_of(asn_with_route)):
-            if peer == destination or peer in customer_dist:
-                continue
-            candidate = RouteEntry(
-                asn_with_route,
-                customer_dist[asn_with_route] + 1,
-                RouteClass.PEER,
-            )
-            existing = entries.get(peer)
-            if (
-                existing is None
-                or candidate.distance < existing.distance
-                or (
-                    candidate.distance == existing.distance
-                    and candidate.next_hop < existing.next_hop
-                )
-            ):
-                entries[peer] = candidate
-
-    # Stage 3 -- provider routes: any AS holding a route exports it to its
-    # customers; distances accumulate.  Dijkstra over customer edges with
-    # the stage-1/2 holders as multi-source seeds.
-    seeds = []
-    for asn, entry in entries.items():
-        seeds.append((entry.distance, asn))
-    seeds.append((0, destination))
-    heap = [(dist, asn) for dist, asn in sorted(seeds)]
-    settled_provider_dist: Dict[int, int] = {}
-    while heap:
-        dist, asn = heapq.heappop(heap)
-        if settled_provider_dist.get(asn, dist + 1) <= dist:
-            continue
-        settled_provider_dist[asn] = dist
-        for customer in sorted(graph.customers_of(asn)):
-            candidate_dist = dist + 1
-            existing = entries.get(customer)
-            if existing is not None and existing.route_class in (
-                RouteClass.CUSTOMER,
-                RouteClass.PEER,
-            ):
-                # Customer/peer routes always beat provider routes, and the
-                # AS will not switch -- but it still propagates its *best*
-                # route downward, which is the existing one (already seeded).
-                continue
-            if customer == destination:
-                continue
-            if (
-                existing is None
-                or candidate_dist < existing.distance
-                or (
-                    candidate_dist == existing.distance
-                    and asn < existing.next_hop
-                )
-            ):
-                entries[customer] = RouteEntry(
-                    asn, candidate_dist, RouteClass.PROVIDER
-                )
-                heapq.heappush(heap, (candidate_dist, customer))
-
-    return RoutingTable(destination, entries)
 
 
 def _shortest_routes(graph: RelationshipGraph, destination: int) -> RoutingTable:

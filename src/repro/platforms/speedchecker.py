@@ -63,7 +63,6 @@ class SpeedcheckerPlatform:
             config.platforms.speedchecker_daily_quota, minimum=50
         )
         self._used_today = 0
-        self._snapshots: List[VPSnapshot] = []
 
     # -- fleet inventory ---------------------------------------------------
 
@@ -99,7 +98,7 @@ class SpeedcheckerPlatform:
     def snapshot(
         self, day: int, hour: int, rng: Optional[np.random.Generator] = None
     ) -> VPSnapshot:
-        """Record the currently-connected probe set (4-hourly API sweep).
+        """The currently-connected probe set (4-hourly API sweep).
 
         One vectorized availability draw covers the whole fleet instead
         of one scalar draw per probe.  ``rng`` overrides the platform's
@@ -113,13 +112,7 @@ class SpeedcheckerPlatform:
             self._probes[i].probe_id
             for i in np.flatnonzero(draws < self._availability)
         ]
-        record = VPSnapshot(day=day, hour=hour, probe_ids=connected)
-        self._snapshots.append(record)
-        return record
-
-    @property
-    def snapshots(self) -> List[VPSnapshot]:
-        return list(self._snapshots)
+        return VPSnapshot(day=day, hour=hour, probe_ids=connected)
 
     def connected_in_country(
         self, iso: str, snapshot: VPSnapshot

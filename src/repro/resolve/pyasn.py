@@ -1,18 +1,16 @@
 """Longest-prefix-match IP-to-ASN resolution (the PyASN equivalent).
 
 The paper resolves traceroute hops to ASNs with PyASN over a RouteViews
-RIB snapshot (section 3.3).  This module implements the same mechanism
-twice:
-
-- :class:`PrefixArrayTable` (the default engine) holds one sorted
-  integer array of masked prefix bases per prefix length and answers a
-  longest match with at most one binary search per populated length --
-  the pure-NumPy analogue of cidt-public-clouds' compiled graph helper.
-  :meth:`PrefixArrayTable.lookup_many` resolves a whole address batch
-  with one ``np.searchsorted`` per length.
-- :class:`PrefixTrie` is the original binary radix trie, kept as the
-  reference engine: parity tests assert both engines return identical
-  matches, duplicate inserts included.
+RIB snapshot (section 3.3).  :class:`PyASNResolver` looks addresses up
+in a :class:`PrefixArrayTable`, which holds one sorted integer array of
+masked prefix bases per prefix length and answers a longest match with
+at most one binary search per populated length -- the pure-NumPy
+analogue of cidt-public-clouds' compiled graph helper.
+:meth:`PrefixArrayTable.match_many` resolves a whole address batch with
+one ``np.searchsorted`` per length.  :class:`PrefixTrie` is a binary
+radix trie: the Team Cymru stand-in uses it, and the per-address
+reference in ``tests/oracles/lpm.py`` walks it to check the array table
+match for match, duplicate inserts included.
 
 Like a real RIB snapshot, the table may be incomplete -- the loader can
 drop a configurable fraction of announcements, which is what exercises
@@ -164,21 +162,13 @@ class PrefixArrayTable:
 
 
 class PyASNResolver:
-    """IP-to-ASN resolver over a (possibly incomplete) RIB snapshot.
-
-    ``engine`` picks the lookup structure: ``"array"`` (default) is the
-    sorted-array table with batch lookups, ``"trie"`` the original radix
-    trie kept as the parity reference.  Both see the identical
-    post-coverage announcement sequence, so which addresses resolve --
-    and to which ASN -- never depends on the engine.
-    """
+    """IP-to-ASN resolver over a (possibly incomplete) RIB snapshot."""
 
     def __init__(
         self,
         announcements: Iterable[Tuple[IPv4Prefix, int]],
         coverage: float = 1.0,
         rng: Optional[np.random.Generator] = None,
-        engine: str = "array",
     ):
         """``coverage`` < 1 drops a random share of announcements,
         simulating an incomplete RIB snapshot."""
@@ -186,21 +176,13 @@ class PyASNResolver:
             raise ValueError(f"coverage must be in (0, 1], got {coverage}")
         if coverage < 1.0 and rng is None:
             raise ValueError("an rng is required when coverage < 1")
-        if engine not in ("array", "trie"):
-            raise ValueError(f"unknown resolver engine {engine!r}")
-        self._table: "PrefixArrayTable | PrefixTrie"
-        self._table = PrefixArrayTable() if engine == "array" else PrefixTrie()
-        self._engine = engine
+        self._table = PrefixArrayTable()
         self._dropped = 0
         for prefix, asn in announcements:
             if coverage < 1.0 and rng.random() >= coverage:
                 self._dropped += 1
                 continue
             self._table.insert(prefix, asn)
-
-    @property
-    def engine(self) -> str:
-        return self._engine
 
     @property
     def announcement_count(self) -> int:
@@ -218,17 +200,6 @@ class PyASNResolver:
     def lookup_many(
         self, addresses: "np.ndarray | Sequence[int]"
     ) -> np.ndarray:
-        """ASNs announcing each address (``-1`` = not in the table).
-
-        One vectorized pass on the array engine; the trie engine falls
-        back to per-address lookups (reference behaviour for parity
-        tests).
-        """
-        if isinstance(self._table, PrefixArrayTable):
-            return self._table.match_many(addresses)[0]
-        results = np.full(len(addresses), -1, dtype=np.int64)
-        for i, address in enumerate(addresses):
-            match = self._table.longest_match(int(address))
-            if match is not None:
-                results[i] = match[0]
-        return results
+        """ASNs announcing each address (``-1`` = not in the table), in
+        one vectorized pass."""
+        return self._table.match_many(addresses)[0]

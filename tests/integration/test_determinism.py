@@ -2,8 +2,14 @@
 
 import hashlib
 
+import pytest
 
 from repro import build_world, run_campaign
+from repro.experiments import StudyContext, run_experiment
+
+#: The experiments that measure their own requests (the Fig. 6 sweeps
+#: and the four peering case studies), in registry order.
+FOCUSED_STUDIES = ("fig6a", "fig6b", "fig12", "fig13", "fig17", "fig18")
 
 
 def dataset_digest(dataset) -> str:
@@ -49,3 +55,39 @@ class TestDeterminism:
         assert [p.public_address for p in a.speedchecker.probes] == [
             p.public_address for p in b.speedchecker.probes
         ]
+
+
+class TestExperimentPurity:
+    """An experiment renders the same whatever ran before it on a world."""
+
+    def test_focused_studies_ignore_run_order(self, world, dataset):
+        def renders(order):
+            context = StudyContext(world, dataset)
+            return {
+                experiment_id: run_experiment(
+                    experiment_id, world, dataset, context=context
+                ).render()
+                for experiment_id in order
+            }
+
+        assert renders(FOCUSED_STUDIES) == renders(FOCUSED_STUDIES[::-1])
+
+    @pytest.mark.parametrize("experiment_id", ("fig5", "fig16"))
+    def test_platform_comparison_repeats(self, experiment_id, world, dataset):
+        first, second = (
+            run_experiment(
+                experiment_id, world, dataset, context=StudyContext(world, dataset)
+            ).render()
+            for _ in range(2)
+        )
+        assert first == second
+
+    def test_study_contexts_drop_the_same_rib_announcements(self, world, dataset):
+        """Both resolvers miss the same prefixes, so they fall back to
+        Cymru for the same addresses."""
+        queries = []
+        for _ in range(2):
+            context = StudyContext(world, dataset)
+            assert context.resolved_traces
+            queries.append(context.resolver.cymru_query_count)
+        assert queries[0] == queries[1] > 0

@@ -1,13 +1,13 @@
 """Batch-vs-scalar parity of the full-scale substrate.
 
 The scale=1.0 fast path rests on three vectorized replacements whose
-pre-optimization implementations stay in-tree as oracles: the valley-free
-array sweep (vs :func:`compute_routes_reference`), the sorted-array LPM
-resolver (vs ``engine="trie"``), and the planner's route-meta cache (vs
-``legacy_prep=True``).  These tests pin each pair bit-identical -- on
-the real topology, on adversarial random graphs, and on the batch
-boundary cases (empty batch, single element, duplicates) that the
-benchmark workloads never hit.
+pre-optimization implementations are the oracles in ``tests/oracles/``:
+the valley-free array sweep (vs ``oracles.routing``), the sorted-array
+LPM resolver (vs ``oracles.lpm``), and the planner's route-meta cache
+and batched draws (vs ``oracles.planner``).  These tests pin each pair
+bit-identical -- on the real topology, on adversarial random graphs, and
+on the batch boundary cases (empty batch, single element, duplicates)
+that the benchmark workloads never hit.
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.lpm import ReferencePyASN
+from oracles.planner import ReferencePlanner
+from oracles.routing import compute_routes_reference
+
 from repro.measure.path import PathPlanner, PlannedPath
 from repro.net.ip import IPv4Prefix, parse_ip
 from repro.net.relationships import RelationshipGraph
-from repro.net.routing import (
-    RoutePolicy,
-    clear_route_cache,
-    compute_routes,
-    compute_routes_reference,
-)
+from repro.net.routing import RoutePolicy, clear_route_cache, compute_routes
 from repro.resolve.pyasn import PyASNResolver
 
 
@@ -126,10 +125,7 @@ ANNOUNCEMENTS = [
 
 def both_engines(announcements):
     parsed = [(IPv4Prefix.parse(p), asn) for p, asn in announcements]
-    return (
-        PyASNResolver(parsed, engine="trie"),
-        PyASNResolver(parsed, engine="array"),
-    )
+    return ReferencePyASN(parsed), PyASNResolver(parsed)
 
 
 class TestResolverEngineParity:
@@ -199,15 +195,14 @@ def paths_identical(a, b):
 
 @pytest.fixture(scope="module")
 def planners(world):
-    def make(legacy):
-        return PathPlanner(
+    def make(reference):
+        return (ReferencePlanner if reference else PathPlanner)(
             topology=world.topology,
             wans=world.wans,
             region_addresses=world.region_addresses,
             config=world.config,
             countries=world.countries,
             pair_entropy=world.rngs.seed,
-            legacy_prep=legacy,
         )
 
     return make
@@ -225,12 +220,12 @@ def sample_pairs(world):
 class TestPlannerParity:
     def test_cached_prep_matches_legacy(self, planners, sample_pairs):
         """Route-meta cached preparation is bit-identical to the
-        per-pair legacy path, across probes, providers and regions."""
-        legacy = planners(True)
+        per-pair reference, across probes, providers and regions."""
+        reference = planners(True)
         cached = planners(False)
         for probe, region in sample_pairs:
             assert paths_identical(
-                cached.plan(probe, region), legacy.plan(probe, region)
+                cached.plan(probe, region), reference.plan(probe, region)
             ), (probe.probe_id, region.region_id)
 
     def test_plan_many_matches_scalar_plan(self, planners, world):
@@ -261,27 +256,6 @@ class TestPlannerParity:
             expected = alone[(probe.probe_id, region.region_id)]
             assert paths_identical(one, expected)
             assert paths_identical(other, expected)
-
-    def test_sequential_batch_matches_legacy(self, world, sample_pairs):
-        """The shared-stream mode draws every hop count of a batch before
-        its addresses, as the per-pair legacy preparation does."""
-
-        def planner(legacy):
-            return PathPlanner(
-                topology=world.topology,
-                wans=world.wans,
-                region_addresses=world.region_addresses,
-                config=world.config,
-                countries=world.countries,
-                rng=np.random.default_rng(5),
-                legacy_prep=legacy,
-            )
-
-        cached, legacy = planner(False), planner(True)
-        for start in (0, 1, 31):
-            chunk = sample_pairs[start : start + 40]
-            for one, other in zip(cached.plan_many(chunk), legacy.plan_many(chunk)):
-                assert paths_identical(one, other)
 
     def test_empty_batch(self, planners):
         assert planners(False).plan_many([]) == []

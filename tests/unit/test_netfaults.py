@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from oracles.routing import compute_routes_reference
+
 from repro import build_world
 from repro.geo.continents import Continent
 from repro.measure.campaign import run_campaign_checkpointed
@@ -15,7 +17,7 @@ from repro.measure.pathpolicy import (
     FailoverPathPolicy,
     PathSelectionPolicy,
 )
-from repro.net.routing import compute_routes_reference, table_uses_edges
+from repro.net.routing import table_uses_edges
 from repro.netfaults import (
     LINK_FAILURE,
     PEERING_FLAP,

@@ -50,12 +50,6 @@ class TestSnapshots:
         second = set(platform.snapshot(1, 4).probe_ids)
         assert first != second
 
-    def test_snapshots_recorded(self, fresh_world):
-        platform = fresh_world.speedchecker
-        before = len(platform.snapshots)
-        platform.snapshot(2, 0)
-        assert len(platform.snapshots) == before + 1
-
     def test_connected_in_country(self, fresh_world):
         platform = fresh_world.speedchecker
         snapshot = platform.snapshot(3, 0)
