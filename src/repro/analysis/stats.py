@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import List, Sequence
 
 import numpy as np
@@ -120,10 +121,9 @@ def required_sample_size(
 
 
 def _z_score(confidence: float) -> float:
-    """Two-sided z-score via the inverse error function."""
-    from scipy.special import erfinv  # local import: scipy is heavy
-
-    return float(math.sqrt(2.0) * erfinv(confidence))
+    """Two-sided z-score: the standard normal's ``(1 + confidence) / 2``
+    quantile."""
+    return NormalDist().inv_cdf((1.0 + confidence) / 2.0)
 
 
 def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:

@@ -6,9 +6,9 @@ cloud reachability when the network underneath the measurement fleet
 misbehaves?*  Each experiment runs a short checkpointed campaign under a
 seeded :class:`~repro.netfaults.config.NetworkFaultConfig`, then reads
 the result back exclusively through :mod:`repro.query` epoch/outage
-filters -- and cross-checks every query against the record-at-a-time
-oracle, so the experiments double as an end-to-end parity gate for the
-dynamic-topology provenance columns.
+filters.  The queries are built by :func:`failover_specs` and
+:func:`pathdiv_specs`, which the test suite shares to check every one
+against the record-at-a-time oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.netfaults.config import NetworkFaultConfig
 from repro.netfaults.events import SLOTS_PER_DAY
 from repro.netfaults.plan import NetworkFaultPlan
 from repro.query.builder import execute
-from repro.query.oracle import oracle_execute
 from repro.query.spec import QuerySpec
 
 #: The event mix both experiments inject: roughly 4-5 events per day
@@ -46,24 +45,29 @@ EXPERIMENT_DAYS = 2
 HOURS_PER_SLOT = 24.0 / SLOTS_PER_DAY
 
 
-def _parity_query(store, spec: QuerySpec) -> List[Dict[str, Any]]:
-    """Execute a query and fail loudly unless engine == oracle.
-
-    The experiments are the acceptance harness for epoch/outage
-    provenance, so every table they print has been produced twice --
-    once by the vectorized scan, once by the reference implementation --
-    and compared exactly.
-    """
-    engine = execute(store, spec, workers=1, cache=False)
-    oracle = oracle_execute(store, spec)
-    if engine.rows != oracle.rows:
-        raise AssertionError(
-            f"query engine and oracle disagree for spec {spec.canonical()}"
-        )
-    return engine.rows
+def failover_specs() -> Tuple[QuerySpec, QuerySpec, QuerySpec]:
+    """The queries :func:`run_failover` reads: RTT sums per (provider,
+    outage) and per (region, outage), and rows per (day, epoch)."""
+    rtt_sums = ("count", "samples", "sum", "mean")
+    return (
+        QuerySpec(group_by=("provider", "outage"), aggregates=rtt_sums),
+        QuerySpec(group_by=("region", "outage"), aggregates=rtt_sums),
+        QuerySpec(group_by=("day", "epoch"), aggregates=("count",)),
+    )
 
 
-def _netfault_study(
+def pathdiv_specs() -> Tuple[QuerySpec, QuerySpec]:
+    """The queries :func:`run_pathdiv` reads: traces per (provider,
+    epoch) and pings per provider."""
+    return (
+        QuerySpec(
+            kind="traces", group_by=("provider", "epoch"), aggregates=("count",)
+        ),
+        QuerySpec(group_by=("provider",), aggregates=("count",)),
+    )
+
+
+def netfault_study(
     world,
 ) -> Tuple[NetworkFaultPlan, "tempfile.TemporaryDirectory", Any]:
     """Run the shared netfault campaign; returns (plan, tmpdir, store).
@@ -120,28 +124,14 @@ def run_failover(
     Injects the standard event mix, then compares per-provider mean
     RTTs of rows that rode a re-converged path (``outage >= 0``)
     against rows on baseline routes (``outage == -1``), all through
-    epoch/outage-filtered queries with oracle parity.
+    epoch/outage-filtered queries.
     """
     del dataset, context  # runs its own campaign under network faults
-    plan, tmpdir, store = _netfault_study(world)
+    plan, tmpdir, store = netfault_study(world)
     with tmpdir:
-        provider_rows = _parity_query(
-            store,
-            QuerySpec(
-                group_by=("provider", "outage"),
-                aggregates=("count", "samples", "sum", "mean"),
-            ),
-        )
-        region_rows = _parity_query(
-            store,
-            QuerySpec(
-                group_by=("region", "outage"),
-                aggregates=("count", "samples", "sum", "mean"),
-            ),
-        )
-        epoch_rows = _parity_query(
-            store,
-            QuerySpec(group_by=("day", "epoch"), aggregates=("count",)),
+        provider_rows, region_rows, epoch_rows = (
+            execute(store, spec, workers=1, cache=False).rows
+            for spec in failover_specs()
         )
 
     def inflation(rows: List[Dict[str, Any]], key: str) -> Dict[str, Any]:
@@ -248,22 +238,14 @@ def run_pathdiv(
     For every (probe ISP, continent, provider) pair, counts the
     distinct AS-level paths selected across the run's routing epochs
     and how often the pair went unreachable; measurement-side coverage
-    comes from epoch-grouped trace queries with oracle parity.
+    comes from epoch-grouped trace queries.
     """
     del dataset, context
-    plan, tmpdir, store = _netfault_study(world)
+    plan, tmpdir, store = netfault_study(world)
     with tmpdir:
-        trace_rows = _parity_query(
-            store,
-            QuerySpec(
-                kind="traces",
-                group_by=("provider", "epoch"),
-                aggregates=("count",),
-            ),
-        )
-        dropped_free = _parity_query(
-            store,
-            QuerySpec(group_by=("provider",), aggregates=("count",)),
+        trace_rows, dropped_free = (
+            execute(store, spec, workers=1, cache=False).rows
+            for spec in pathdiv_specs()
         )
     isps_by_continent: Dict[Any, set] = {}
     for platform in (world.speedchecker, world.atlas):

@@ -20,7 +20,6 @@ across units.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -30,7 +29,7 @@ from repro.faults.errors import FsyncFailure, PlatformError, PlatformTimeout, To
 from repro.faults.plan import AttemptFaults
 from repro.measure.batch import PingRequest, TraceRequest
 from repro.measure.engine import BatchEngine
-from repro.measure.results import PingBlock, TracerouteMeasurement
+from repro.measure.results import PingBlock, TraceBlock
 from repro.platforms.probe import Probe
 from repro.platforms.protocols import AtlasLike, SpeedcheckerLike
 from repro.platforms.speedchecker import VPSnapshot
@@ -236,7 +235,7 @@ class FaultyEngine:
         self,
         requests: Sequence[TraceRequest],
         rng: Optional[np.random.Generator] = None,
-    ) -> List[TracerouteMeasurement]:
+    ) -> TraceBlock:
         batch = list(requests)
         if self._disconnect_victim is not None:
             survivors = [
@@ -249,25 +248,53 @@ class FaultyEngine:
                     f"trace-drop:{len(batch) - len(survivors)}"
                 )
             batch = survivors
-        records = self._inner.traceroute_batch(batch, rng=rng)
+        block = self._inner.traceroute_batch(batch, rng=rng)
         config = self._faults.config
-        if config.trace_truncation_rate > 0.0 and records:
-            draws = self._faults.measure.random(len(records))
+        if config.trace_truncation_rate > 0.0 and len(block):
+            draws = self._faults.measure.random(len(block))
+            kept = np.diff(block.hop_offsets)
             truncated = 0
-            for index, record in enumerate(records):
-                if draws[index] >= config.trace_truncation_rate:
+            for index in np.flatnonzero(
+                draws < config.trace_truncation_rate
+            ).tolist():
+                hops = int(kept[index])
+                if hops <= 1:
                     continue
-                hops = record.hops
-                if len(hops) <= 1:
-                    continue
-                keep = 1 + int(self._faults.measure.integers(len(hops) - 1))
-                records[index] = dataclasses.replace(
-                    record, hops=hops[:keep]
-                )
+                kept[index] = 1 + int(self._faults.measure.integers(hops - 1))
                 truncated += 1
             if truncated:
+                block = _truncate_traces(block, kept)
                 self._faults.record(f"trace-truncated:{truncated}")
-        return records
+        return block
+
+
+def _truncate_traces(block: TraceBlock, kept: np.ndarray) -> TraceBlock:
+    """``block`` with trace ``i`` cut to its first ``kept[i]`` hops.
+
+    Rows, tables and provenance columns are kept; only the hop offsets
+    shorten and the cut hops leave the hop columns.
+    """
+    starts = block.hop_offsets[:-1]
+    lengths = np.diff(block.hop_offsets)
+    trace_of = np.repeat(np.arange(len(block)), lengths)
+    keep = np.arange(block.hop_count) - starts[trace_of] < kept[trace_of]
+    hop_offsets = np.zeros(len(block) + 1, np.int64)
+    np.cumsum(kept, out=hop_offsets[1:])
+    return TraceBlock(
+        probes=block.probes,
+        regions=block.regions,
+        probe_codes=block.probe_codes,
+        region_codes=block.region_codes,
+        days=block.days,
+        protocol_codes=block.protocol_codes,
+        source_addresses=block.source_addresses,
+        dest_addresses=block.dest_addresses,
+        hop_offsets=hop_offsets,
+        hop_addresses=block.hop_addresses[keep],
+        hop_rtts=block.hop_rtts[keep],
+        epochs=block.epochs,
+        outage_ids=block.outage_ids,
+    )
 
 
 class FaultyFileOps(FileOps):

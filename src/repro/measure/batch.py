@@ -8,17 +8,22 @@ equivalent: a whole request list is planned, grouped by forwarding path,
 and *all* jitter / congestion / ICMP-penalty / last-mile noise for every
 sample of every request is drawn as a handful of NumPy arrays.
 
-The result is a columnar :class:`~repro.measure.results.PingBlock` --
-no per-request :class:`~repro.measure.results.PingMeasurement` objects
-are allocated on the hot path; analysis code materializes the record
-view lazily via :meth:`MeasurementDataset.pings`.
+The results are columnar: a :class:`~repro.measure.results.PingBlock`
+per ping batch and a :class:`~repro.measure.results.TraceBlock` per
+traceroute batch.  No per-request
+:class:`~repro.measure.results.PingMeasurement` or
+:class:`~repro.measure.results.TracerouteMeasurement` is allocated on
+the way to the dataset or the store; analysis code materializes the
+record views lazily via :meth:`MeasurementDataset.pings` and
+:meth:`MeasurementDataset.traceroutes`.
 
 Determinism: the draw order inside a batch is fixed (core-path arrays
 first, then last-mile arrays -- see
-:func:`repro.measure.latency.sample_path_rtt_block`), so the same seed
-and the same request list always produce an identical block.  The batch
-path is *distributionally* equivalent to the scalar path (same noise
-processes, different stream consumption); the KS-equivalence tests in
+:func:`repro.measure.latency.sample_path_rtt_block` and
+:func:`execute_traceroute_batch`), so the same seed and the same request
+list always produce an identical block.  The batch path is
+*distributionally* equivalent to the scalar path (same noise processes,
+different stream consumption); the KS-equivalence tests in
 ``tests/unit/test_batch.py`` guard that property.
 """
 
@@ -42,9 +47,7 @@ from repro.measure.results import (
     PROTOCOL_CODES,
     PingBlock,
     Protocol,
-    TraceHop,
-    TracerouteMeasurement,
-    build_meta,
+    TraceBlock,
 )
 from repro.platforms.probe import Probe
 
@@ -259,41 +262,67 @@ def execute_traceroute_batch(
     engine: "MeasurementEngine",
     requests: Sequence["TraceRequest"],
     rng: Optional[np.random.Generator] = None,
-) -> List[TracerouteMeasurement]:
+) -> TraceBlock:
     """Execute a traceroute batch in one vectorized pass.
 
-    Phase 1 walks the request list once: paths are planned (cached), the
-    per-trace last-mile is drawn, and home probes behind a NAT router get
-    their private first hop.  Phase 2 samples jitter / congestion / ICMP
-    penalty / control-plane processing for *every hop of every trace* as
-    flat arrays, then slices the results back into per-trace hop lists.
+    Phase 1 walks the request list once: paths are planned (cached),
+    probe/region codes are interned in first-seen order, the per-trace
+    last-mile is drawn, and home probes behind a NAT router are marked
+    for their private first hop.  Phase 2 samples jitter / congestion /
+    ICMP penalty / control-plane processing for *every hop of every
+    trace* as flat arrays, silences unresponsive hops in place, and
+    inserts the router hops at their traces' hop offsets -- the result
+    is the columnar :class:`TraceBlock`, with no per-trace record built.
 
-    ``rng`` overrides the engine's measurement stream (see
-    :func:`execute_ping_batch`).
+    Draw order (fixed): access-switch uniforms, air / bufferbloat / wire
+    noise, the router exponential (one each per trace), the per-hop core
+    RTTs of :func:`sample_hop_rtt_block`, then one unresponsive uniform
+    per planned hop.  ``rng`` overrides the engine's measurement stream
+    (see :func:`execute_ping_batch`).
     """
     n = len(requests)
     if n == 0:
-        return []
+        return TraceBlock(
+            probes=[],
+            regions=[],
+            probe_codes=np.empty(0, np.int32),
+            region_codes=np.empty(0, np.int32),
+            days=np.empty(0, np.int32),
+            protocol_codes=np.empty(0, np.uint8),
+            source_addresses=np.empty(0, np.int64),
+            dest_addresses=np.empty(0, np.int64),
+            hop_offsets=np.zeros(1, np.int64),
+            hop_addresses=np.empty(0, np.int64),
+            hop_rtts=np.empty(0, np.float64),
+        )
     config = engine.config
     if rng is None:
         rng = engine.rng
-    path_config = config.path_model
-    unresponsive_p = path_config.hop_unresponsive_probability
+    unresponsive_p = config.path_model.hop_unresponsive_probability
 
     # Plan (or fetch) every trace's path first so the planner's own RNG
     # draws stay grouped ahead of the measurement draws below.
     paths = engine.planner.plan_many(
         [(request.probe, request.region) for request in requests]
     )
-    accesses: List[AccessKind] = []
-    lastmile_rows: List[Tuple[float, ...]] = []
-    sigma = np.empty(n)
-    congestion_p = np.empty(n)
-    icmp_p = np.empty(n)
-    icmp_mask = np.empty(n, bool)
-    counts = np.empty(n, np.int64)
+    probes: List[Probe] = []
+    probe_codes_by_id: Dict[str, int] = {}
+    regions: List[CloudRegion] = []
+    region_codes_by_key: Dict[Tuple[str, str], int] = {}
     icmp_probability: Dict[object, float] = {}
     cycle_multiplier: Dict[int, float] = {}
+    lastmile_rows: List[Tuple[float, ...]] = []
+    probe_code_list: List[int] = []
+    region_code_list: List[int] = []
+    day_list: List[int] = []
+    proto_list: List[int] = []
+    source_list: List[int] = []
+    dest_list: List[int] = []
+    count_list: List[int] = []
+    routed_list: List[bool] = []
+    sigma_list: List[float] = []
+    congestion_list: List[float] = []
+    icmp_p_list: List[float] = []
 
     # One array draw decides every trace's access switch: a wireless
     # probe measures over the other medium (WiFi <-> cellular) when its
@@ -302,12 +331,12 @@ def execute_traceroute_batch(
     # probes never switch.
     switch_p = config.last_mile.access_switch_probability
     access_draws = rng.random(n).tolist()
-    # Per-request access resolution branches on probe state; the draws
-    # it consumes are already a single array pull above.
+    # Per-request access resolution and code interning branch on probe
+    # state; the draws they consume are already a single array pull.
     for i, request in enumerate(requests):  # repro-lint: disable=PERF001
         probe = request.probe
+        region = request.region
         path = paths[i]
-        counts[i] = path.hop_count
         access = probe.access
         if access.is_wireless and access_draws[i] < switch_p:
             access = (
@@ -315,28 +344,58 @@ def execute_traceroute_batch(
                 if access is AccessKind.HOME_WIFI
                 else AccessKind.HOME_WIFI
             )
-        accesses.append(access)
         lastmile_rows.append(
             engine.lastmile_model(probe, access).batch_params()
         )
+        # Hop 1 is the home router, reached over the WiFi air segment,
+        # for a probe measuring over WiFi from behind a NAT.
+        routed_list.append(
+            access is AccessKind.HOME_WIFI
+            and (
+                probe.access is not AccessKind.HOME_WIFI
+                or probe.device_address != probe.public_address
+            )
+        )
+
+        probe_code = probe_codes_by_id.get(probe.probe_id)
+        if probe_code is None:
+            probe_code = len(probes)
+            probes.append(probe)
+            probe_codes_by_id[probe.probe_id] = probe_code
+        region_key = (region.provider_code, region.region_id)
+        region_code = region_codes_by_key.get(region_key)
+        if region_code is None:
+            region_code = len(regions)
+            regions.append(region)
+            region_codes_by_key[region_key] = region_code
+        probe_code_list.append(probe_code)
+        region_code_list.append(region_code)
 
         day = request.day
         multiplier = cycle_multiplier.get(day)
         if multiplier is None:
             multiplier = congestion_cycle_multiplier(day, config)
             cycle_multiplier[day] = multiplier
-        is_icmp = request.protocol is Protocol.ICMP
-        if is_icmp:
+        if request.protocol is Protocol.ICMP:
             penalty = icmp_probability.get(probe.continent)
             if penalty is None:
                 penalty = icmp_penalty_probability_for(probe.continent, config)
                 icmp_probability[probe.continent] = penalty
         else:
             penalty = 0.0
-        sigma[i] = path.jitter_sigma
-        congestion_p[i] = path.congestion_probability * multiplier
-        icmp_p[i] = penalty
-        icmp_mask[i] = is_icmp
+        day_list.append(day)
+        proto_list.append(PROTOCOL_CODES[request.protocol])
+        source_list.append(probe.device_address)
+        dest_list.append(path.dest_address)
+        count_list.append(path.hop_count)
+        sigma_list.append(path.jitter_sigma)
+        congestion_list.append(path.congestion_probability * multiplier)
+        icmp_p_list.append(penalty)
+
+    protocol_codes = np.array(proto_list, np.uint8)
+    dest_addresses = np.array(dest_list, np.int64)
+    counts = np.array(count_list, np.int64)
+    routed = np.array(routed_list, bool)
 
     # One last-mile draw per trace (all traces at once; draw order is
     # air noise, bufferbloat uniforms, wire noise, router processing).
@@ -356,7 +415,7 @@ def execute_traceroute_batch(
     lastmile_total = air + wire
     # Hop-1 home-router RTT for probes measuring from behind a NAT: the
     # WiFi air segment plus the router's own processing.
-    router_rtts = np.round(air + rng.exponential(0.3, n), 3).tolist()
+    router_rtts = np.round(air + rng.exponential(0.3, n), 3)
 
     # -- phase 2: one vectorized pass over every hop of every trace ---------
     total = int(counts.sum())
@@ -368,52 +427,49 @@ def execute_traceroute_batch(
     )
     hop_core = sample_hop_rtt_block(
         base,
-        sigma[hop_of],
-        congestion_p[hop_of],
-        icmp_mask[hop_of],
-        icmp_p[hop_of],
+        np.array(sigma_list, np.float64)[hop_of],
+        np.array(congestion_list, np.float64)[hop_of],
+        (protocol_codes == PROTOCOL_CODES[Protocol.ICMP])[hop_of],
+        np.array(icmp_p_list, np.float64)[hop_of],
         config,
         rng,
     )
-    rtts = np.round(lastmile_total[hop_of] + hop_core, 3).tolist()
-    unresponsive_draws = rng.random(total).tolist()
+    rtts = np.round(lastmile_total[hop_of] + hop_core, 3)
+    planned = np.fromiter(
+        (address for path in paths for address in path.hop_addresses),
+        np.int64,
+        count=total,
+    )
+    # An unresponsive hop keeps its slot, encoded in-band; the
+    # destination always answers.
+    silenced = (rng.random(total) < unresponsive_p) & (
+        planned != dest_addresses[hop_of]
+    )
+    hop_addresses = np.where(silenced, TraceBlock.NO_ADDRESS, planned)
+    hop_rtts = np.where(silenced, np.nan, rtts)
 
-    results: List[TracerouteMeasurement] = []
-    position = 0
-    # Assembly of ragged per-trace hop lists from the flat column draws
-    # above -- the numeric work is already vectorized, this loop only
-    # slices it back into TracerouteMeasurement objects.
-    for i, (request, path, access) in enumerate(  # repro-lint: disable=PERF001
-        zip(requests, paths, accesses)
-    ):
-        probe = request.probe
-        hops: List[TraceHop] = []
-        behind_router = access is AccessKind.HOME_WIFI and (
-            probe.access is not AccessKind.HOME_WIFI
-            or probe.device_address != probe.public_address
-        )
-        if behind_router:
-            # Hop 1: the home router, reached over the WiFi air segment.
-            hops.append(
-                TraceHop(address=HOME_ROUTER_ADDRESS, rtt_ms=router_rtts[i])
-            )
-        dest_address = path.dest_address
-        for address in path.hop_addresses:
-            if (
-                address != dest_address
-                and unresponsive_draws[position] < unresponsive_p
-            ):
-                hops.append(TraceHop(address=None, rtt_ms=None))
-            else:
-                hops.append(TraceHop(address=address, rtt_ms=rtts[position]))
-            position += 1
-        results.append(
-            TracerouteMeasurement(
-                meta=build_meta(request.probe, request.region, request.day),
-                protocol=request.protocol,
-                source_address=request.probe.device_address,
-                dest_address=dest_address,
-                hops=tuple(hops),
-            )
-        )
-    return results
+    # Router hops go in front of their trace's planned hops: one
+    # insertion at each routed trace's planned-hop offset.
+    planned_offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(counts, out=planned_offsets[1:])
+    router_at = planned_offsets[:-1][routed]
+    hop_offsets = planned_offsets
+    if len(router_at):
+        hop_addresses = np.insert(hop_addresses, router_at, HOME_ROUTER_ADDRESS)
+        hop_rtts = np.insert(hop_rtts, router_at, router_rtts[routed])
+        hop_offsets = np.zeros(n + 1, np.int64)
+        np.cumsum(counts + routed, out=hop_offsets[1:])
+
+    return TraceBlock(
+        probes=probes,
+        regions=regions,
+        probe_codes=np.array(probe_code_list, np.int32),
+        region_codes=np.array(region_code_list, np.int32),
+        days=np.array(day_list, np.int32),
+        protocol_codes=protocol_codes,
+        source_addresses=np.array(source_list, np.int64),
+        dest_addresses=dest_addresses,
+        hop_offsets=hop_offsets,
+        hop_addresses=hop_addresses,
+        hop_rtts=hop_rtts,
+    )

@@ -43,13 +43,7 @@ from repro.measure.engine import BatchEngine, MeasurementEngine
 from repro.measure.path import PathPlanner
 from repro.measure.pathpolicy import FailoverPathPolicy, PathSelectionPolicy
 from repro.measure.resilience import CommitHook, UnitResult, execute_plan
-from repro.measure.results import (
-    MeasurementDataset,
-    Protocol,
-    TraceBlock,
-    TracerouteMeasurement,
-    trace_block_from_records,
-)
+from repro.measure.results import MeasurementDataset, Protocol
 from repro.netfaults.config import NetworkFaultConfig, netfault_digest
 from repro.netfaults.engine import NetfaultEngine, find_netfault_engine
 from repro.netfaults.plan import NetworkFaultPlan
@@ -221,8 +215,7 @@ def _run_speedchecker(
             continue
         platform.charge(len(requests))
         dataset.add_ping_block(engine.ping_batch(requests))
-        for measurement in engine.traceroute_batch(traces):
-            dataset.add_traceroute(measurement)
+        dataset.add_trace_block(engine.traceroute_batch(traces))
 
 
 def _run_atlas(
@@ -271,8 +264,7 @@ def _run_atlas(
             for (probe, region), draw in zip(pairs, traceroute_draws)
             if draw < campaign.traceroute_share
         ]
-        for measurement in engine.traceroute_batch(traces):
-            dataset.add_traceroute(measurement)
+        dataset.add_trace_block(engine.traceroute_batch(traces))
 
 
 # -- checkpointed campaigns ----------------------------------------------
@@ -370,19 +362,6 @@ def _prewarm_route_tables(world: "World") -> int:
             world.topology.routes_for(network, continent)
             count += 1
     return count
-
-
-def _trace_block(
-    requests: Sequence[TraceRequest],
-    records: Sequence[TracerouteMeasurement],
-) -> TraceBlock:
-    """Columnarize a unit's traceroutes, interning the real objects."""
-    probes_by_id = {req.probe.probe_id: req.probe for req in requests}
-    regions_by_key = {
-        (req.region.provider_code, req.region.region_id): req.region
-        for req in requests
-    }
-    return trace_block_from_records(records, probes_by_id, regions_by_key)
 
 
 def _speedchecker_unit(
@@ -488,13 +467,9 @@ def _speedchecker_unit(
         netfault.take_events()
     engine_rng = rngs.fork("checkpoint.speedchecker.engine", day)
     ping_block = engine.ping_batch(issued_requests, rng=engine_rng)
-    records = engine.traceroute_batch(issued_traces, rng=engine_rng)
-    trace_block = _trace_block(issued_traces, records)
+    trace_block = engine.traceroute_batch(issued_traces, rng=engine_rng)
     netfault_events: List[str] = []
     if netfault is not None:
-        annotations = netfault.last_trace_annotations
-        if annotations is not None:
-            trace_block.epochs, trace_block.outage_ids = annotations
         netfault_events = netfault.take_events()
     return UnitResult(
         ping_block=ping_block,
@@ -552,13 +527,9 @@ def _atlas_unit(
         for (probe, region), draw in zip(pairs, traceroute_draws)
         if draw < campaign.traceroute_share
     ]
-    records = engine.traceroute_batch(traces, rng=engine_rng)
-    trace_block = _trace_block(traces, records)
+    trace_block = engine.traceroute_batch(traces, rng=engine_rng)
     netfault_events: List[str] = []
     if netfault is not None:
-        annotations = netfault.last_trace_annotations
-        if annotations is not None:
-            trace_block.epochs, trace_block.outage_ids = annotations
         netfault_events = netfault.take_events()
     return UnitResult(
         ping_block=ping_block,
@@ -967,6 +938,5 @@ def run_case_study(
     engine_rng = world.rngs.fork(f"{stream}.engine", 0)
     dataset = MeasurementDataset()
     dataset.add_ping_block(world.engine.ping_batch(requests, rng=engine_rng))
-    for measurement in world.engine.traceroute_batch(traces, rng=engine_rng):
-        dataset.add_traceroute(measurement)
+    dataset.add_trace_block(world.engine.traceroute_batch(traces, rng=engine_rng))
     return dataset

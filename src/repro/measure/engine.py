@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import typing
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.measure.results import (
     PingBlock,
     PingMeasurement,
     Protocol,
+    TraceBlock,
     TracerouteMeasurement,
     build_meta,
 )
@@ -58,7 +59,7 @@ class BatchEngine(typing.Protocol):
         self,
         requests: Sequence[TraceRequest],
         rng: Optional[np.random.Generator] = None,
-    ) -> List[TracerouteMeasurement]: ...
+    ) -> TraceBlock: ...
 
 
 class MeasurementEngine:
@@ -185,20 +186,22 @@ class MeasurementEngine:
         request = TraceRequest(
             probe=probe, region=region, protocol=Protocol(protocol), day=day
         )
-        return execute_traceroute_batch(self, [request])[0]
+        return execute_traceroute_batch(self, [request]).record(0)
 
     def traceroute_batch(
         self,
         requests: Sequence[TraceRequest],
         rng: Optional[np.random.Generator] = None,
-    ) -> List[TracerouteMeasurement]:
+    ) -> TraceBlock:
         """Execute a whole traceroute batch in one vectorized pass.
 
         The fast-path equivalent of calling :meth:`traceroute` once per
         request: every hop of every trace is sampled as flat NumPy
-        arrays.  Returns the :class:`TracerouteMeasurement` list in
-        request order.  ``rng`` overrides the engine's stream (used by
-        checkpointed campaign units and the focused studies).
+        arrays.  Returns a columnar :class:`TraceBlock`, one row per
+        request in request order; feed it to
+        :meth:`MeasurementDataset.add_trace_block`.  ``rng`` overrides
+        the engine's stream (used by checkpointed campaign units and the
+        focused studies).
         """
         return execute_traceroute_batch(self, requests, rng=rng)
 

@@ -146,6 +146,19 @@ def build_meta(probe: Probe, region: "CloudRegion", day: int) -> MeasurementMeta
     )
 
 
+def _metas_by_key(
+    probes: Sequence[Probe],
+    regions: Sequence[CloudRegion],
+    keys: Sequence[Tuple[int, int, int]],
+) -> Dict[Tuple[int, int, int], MeasurementMeta]:
+    """One :class:`MeasurementMeta` per distinct (probe code, region
+    code, day) key of a block."""
+    return {
+        key: build_meta(probes[key[0]], regions[key[1]], key[2])
+        for key in dict.fromkeys(keys)
+    }
+
+
 class PingBlock:
     """One batch of ping requests in columnar form.
 
@@ -226,9 +239,32 @@ class PingBlock:
         )
 
     def records(self) -> List[PingMeasurement]:
-        """All record views, materialized once and cached."""
+        """All record views, materialized once and cached.
+
+        One pass over the block's columns as Python lists; rows of one
+        (probe, region, day) share a single :class:`MeasurementMeta`.
+        """
         if self._records is None:
-            self._records = [self.record(i) for i in range(len(self))]
+            keys = list(
+                zip(
+                    self.probe_codes.tolist(),
+                    self.region_codes.tolist(),
+                    self.days.tolist(),
+                )
+            )
+            metas = _metas_by_key(self.probes, self.regions, keys)
+            offsets = self.sample_offsets.tolist()
+            values = self.sample_values.tolist()
+            self._records = [
+                PingMeasurement(
+                    meta=metas[key],
+                    protocol=PROTOCOL_BY_CODE[protocol_code],
+                    samples=tuple(values[lo:hi]),
+                )
+                for key, protocol_code, lo, hi in zip(
+                    keys, self.protocol_codes.tolist(), offsets, offsets[1:]
+                )
+            ]
         return self._records
 
     def validate(self) -> None:
@@ -524,9 +560,47 @@ class TraceBlock:
         )
 
     def records(self) -> List[TracerouteMeasurement]:
-        """All record views, materialized once and cached."""
+        """All record views, materialized once and cached.
+
+        One pass over the block's columns as Python lists; rows of one
+        (probe, region, day) share a single :class:`MeasurementMeta`.
+        """
         if self._records is None:
-            self._records = [self.record(i) for i in range(len(self))]
+            keys = list(
+                zip(
+                    self.probe_codes.tolist(),
+                    self.region_codes.tolist(),
+                    self.days.tolist(),
+                )
+            )
+            metas = _metas_by_key(self.probes, self.regions, keys)
+            offsets = self.hop_offsets.tolist()
+            silent = TraceHop(address=None, rtt_ms=None)
+            hops = [
+                silent
+                if address == TraceBlock.NO_ADDRESS
+                else TraceHop(address=address, rtt_ms=rtt)
+                for address, rtt in zip(
+                    self.hop_addresses.tolist(), self.hop_rtts.tolist()
+                )
+            ]
+            self._records = [
+                TracerouteMeasurement(
+                    meta=metas[key],
+                    protocol=PROTOCOL_BY_CODE[protocol_code],
+                    source_address=source,
+                    dest_address=dest,
+                    hops=tuple(hops[lo:hi]),
+                )
+                for key, protocol_code, source, dest, lo, hi in zip(
+                    keys,
+                    self.protocol_codes.tolist(),
+                    self.source_addresses.tolist(),
+                    self.dest_addresses.tolist(),
+                    offsets,
+                    offsets[1:],
+                )
+            ]
         return self._records
 
     def validate(self) -> None:
@@ -833,10 +907,11 @@ class MeasurementDataset:
         predicate: Optional[Callable[[PingMeasurement], bool]] = None,
     ) -> Iterator[PingMeasurement]:
         """Iterate pings (scalar records first, then columnar blocks)."""
+        wanted = None if protocol is None else Protocol(protocol)
         for measurement in self._iter_all_pings():
             if platform is not None and measurement.meta.platform != platform:
                 continue
-            if protocol is not None and measurement.protocol is not Protocol(protocol):
+            if wanted is not None and measurement.protocol is not wanted:
                 continue
             if predicate is not None and not predicate(measurement):
                 continue
@@ -853,10 +928,11 @@ class MeasurementDataset:
         predicate: Optional[Callable[[TracerouteMeasurement], bool]] = None,
     ) -> Iterator[TracerouteMeasurement]:
         """Iterate traceroutes (scalar records first, then columnar blocks)."""
+        wanted = None if protocol is None else Protocol(protocol)
         for measurement in self._iter_all_traceroutes():
             if platform is not None and measurement.meta.platform != platform:
                 continue
-            if protocol is not None and measurement.protocol is not Protocol(protocol):
+            if wanted is not None and measurement.protocol is not wanted:
                 continue
             if predicate is not None and not predicate(measurement):
                 continue

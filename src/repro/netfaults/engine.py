@@ -26,16 +26,32 @@ by :meth:`take_events`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 import numpy as np
 
+from repro.cloud.regions import CloudRegion
 from repro.measure.batch import PingRequest, TraceRequest
 from repro.measure.engine import BatchEngine
 from repro.measure.pathpolicy import FailoverPathPolicy
-from repro.measure.results import PingBlock, TracerouteMeasurement
+from repro.measure.results import (
+    PING_COLUMN_DTYPES,
+    TRACE_COLUMN_DTYPES,
+    PingBlock,
+    TraceBlock,
+)
 from repro.netfaults.events import SLOTS_PER_DAY, DayTimeline, NetworkEvent
 from repro.netfaults.plan import NetworkFaultPlan
+from repro.platforms.probe import Probe
 
 #: Per-request annotation: (epoch, outage event id or -1).
 _Annotation = Tuple[int, int]
@@ -47,7 +63,7 @@ def find_netfault_engine(engine: object) -> Optional["NetfaultEngine"]:
     Campaign units receive the engine behind zero or more wrappers
     (e.g. :class:`repro.faults.injectors.FaultyEngine`); this walks the
     conventional ``_inner`` links so units can drain the netfault
-    journal and trace annotations without knowing the wrapping order.
+    journal without knowing the wrapping order.
     """
     current: object = engine
     for _ in range(8):
@@ -59,28 +75,39 @@ def find_netfault_engine(engine: object) -> Optional["NetfaultEngine"]:
     return None
 
 
-def _merge_ping_blocks(
-    segments: Sequence[PingBlock],
+#: Per block kind: its column schema and the offsets column in it.
+_BLOCK_SCHEMAS: Dict[type, Tuple[Dict[str, np.dtype], str]] = {
+    PingBlock: (PING_COLUMN_DTYPES, "sample_offsets"),
+    TraceBlock: (TRACE_COLUMN_DTYPES, "hop_offsets"),
+}
+
+_Block = TypeVar("_Block", PingBlock, TraceBlock)
+
+
+def _merge_blocks(
+    kind: Type[_Block],
+    segments: Sequence[_Block],
     epochs: np.ndarray,
     outage_ids: np.ndarray,
-) -> PingBlock:
-    """Concatenate per-segment blocks into one, re-interning codes.
+) -> _Block:
+    """Concatenate per-segment blocks of one kind, re-interning codes.
 
     Probe/region tables are re-interned in first-seen order over the
     concatenated rows -- the same order a single-segment batch would
-    have produced -- and sample offsets are shifted into one flat
-    sample array.
+    have produced -- and offsets are shifted into one flat value array.
+    Every other column concatenates as it is.
     """
-    probes: List[object] = []
+    schema, offsets_name = _BLOCK_SCHEMAS[kind]
+    probes: List[Probe] = []
     probe_code_by_id: Dict[str, int] = {}
-    regions: List[object] = []
+    regions: List[CloudRegion] = []
     region_code_by_key: Dict[Tuple[str, str], int] = {}
-    probe_cols: List[np.ndarray] = []
-    region_cols: List[np.ndarray] = []
-    day_cols: List[np.ndarray] = []
-    proto_cols: List[np.ndarray] = []
-    value_cols: List[np.ndarray] = []
-    offset_cols: List[np.ndarray] = [np.zeros(1, np.int64)]
+    columns: Dict[str, List[np.ndarray]] = {
+        name: [np.empty(0, dtype)]
+        for name, dtype in schema.items()
+        if name != offsets_name
+    }
+    offsets: List[np.ndarray] = [np.zeros(1, np.int64)]
     shift = 0
     for block in segments:
         probe_remap = np.empty(max(len(block.probes), 1), np.int32)
@@ -100,32 +127,21 @@ def _merge_ping_blocks(
                 regions.append(region)
                 region_code_by_key[key] = code
             region_remap[local] = code
-        probe_cols.append(probe_remap[block.probe_codes])
-        region_cols.append(region_remap[block.region_codes])
-        day_cols.append(block.days)
-        proto_cols.append(block.protocol_codes)
-        value_cols.append(block.sample_values)
-        offset_cols.append(block.sample_offsets[1:] + shift)
-        shift += int(block.sample_offsets[-1])
-    return PingBlock(
+        for name, parts in columns.items():
+            parts.append(getattr(block, name))
+        columns["probe_codes"][-1] = probe_remap[block.probe_codes]
+        columns["region_codes"][-1] = region_remap[block.region_codes]
+        block_offsets = getattr(block, offsets_name)
+        offsets.append(block_offsets[1:] + shift)
+        shift += int(block_offsets[-1])
+    merged = {name: np.concatenate(parts) for name, parts in columns.items()}
+    merged[offsets_name] = np.concatenate(offsets)
+    return kind(
         probes=probes,
         regions=regions,
-        probe_codes=np.concatenate(probe_cols)
-        if probe_cols
-        else np.empty(0, np.int32),
-        region_codes=np.concatenate(region_cols)
-        if region_cols
-        else np.empty(0, np.int32),
-        days=np.concatenate(day_cols) if day_cols else np.empty(0, np.int32),
-        protocol_codes=np.concatenate(proto_cols)
-        if proto_cols
-        else np.empty(0, np.uint8),
-        sample_values=np.concatenate(value_cols)
-        if value_cols
-        else np.empty(0, np.float64),
-        sample_offsets=np.concatenate(offset_cols),
         epochs=epochs,
         outage_ids=outage_ids,
+        **merged,
     )
 
 
@@ -154,12 +170,6 @@ class NetfaultEngine:
         #: provider code -> network code (the topology is fixed for the
         #: engine's lifetime, so this never invalidates).
         self._network_of: Dict[str, str] = {}
-        #: (epochs, outage_ids) of the most recent traceroute batch's
-        #: returned records, in record order; the campaign executor
-        #: attaches these to the trace block it builds.
-        self.last_trace_annotations: Optional[
-            Tuple[np.ndarray, np.ndarray]
-        ] = None
 
     @property
     def inner(self) -> BatchEngine:
@@ -363,12 +373,19 @@ class NetfaultEngine:
 
     # -- batch surface -----------------------------------------------------
 
-    def ping_batch(
+    def _execute(
         self,
-        requests: Sequence[PingRequest],
-        rng: Optional[np.random.Generator] = None,
-    ) -> PingBlock:
-        blocks: List[PingBlock] = []
+        kind: Type[_Block],
+        execute: Callable[..., _Block],
+        requests: Sequence,
+        rng: Optional[np.random.Generator],
+    ) -> _Block:
+        """Run ``execute`` on each epoch segment's survivors; one block.
+
+        The block carries every surviving row's (epoch, outage id) in
+        its ``epochs`` / ``outage_ids`` columns.
+        """
+        blocks: List[_Block] = []
         annotations: List[_Annotation] = []
         try:
             for start, end, day, epoch in self._segments(requests):
@@ -380,7 +397,7 @@ class NetfaultEngine:
                 )
                 self._journal(timeline, effects)
                 if survivors:
-                    blocks.append(self._inner.ping_batch(survivors, rng=rng))
+                    blocks.append(execute(survivors, rng=rng))
                     annotations.extend(notes)
         finally:
             self._policy.set_view(None)
@@ -395,36 +412,23 @@ class NetfaultEngine:
             block.epochs = epochs
             block.outage_ids = outage_ids
             return block
-        return _merge_ping_blocks(blocks, epochs, outage_ids)
+        return _merge_blocks(kind, blocks, epochs, outage_ids)
+
+    def ping_batch(
+        self,
+        requests: Sequence[PingRequest],
+        rng: Optional[np.random.Generator] = None,
+    ) -> PingBlock:
+        return self._execute(PingBlock, self._inner.ping_batch, requests, rng)
 
     def traceroute_batch(
         self,
         requests: Sequence[TraceRequest],
         rng: Optional[np.random.Generator] = None,
-    ) -> List[TracerouteMeasurement]:
-        records: List[TracerouteMeasurement] = []
-        annotations: List[_Annotation] = []
-        try:
-            for start, end, day, epoch in self._segments(requests):
-                timeline = self._plan.timeline(day)
-                view = self._plan.view(timeline.removed_edges(epoch))
-                self._policy.set_view(view)
-                survivors, notes, effects = self._filter_segment(
-                    requests[start:end], timeline, epoch, view
-                )
-                self._journal(timeline, effects)
-                if survivors:
-                    records.extend(
-                        self._inner.traceroute_batch(survivors, rng=rng)
-                    )
-                    annotations.extend(notes)
-        finally:
-            self._policy.set_view(None)
-        self.last_trace_annotations = (
-            np.array([note[0] for note in annotations], np.int32),
-            np.array([note[1] for note in annotations], np.int32),
+    ) -> TraceBlock:
+        return self._execute(
+            TraceBlock, self._inner.traceroute_batch, requests, rng
         )
-        return records
 
     def __repr__(self) -> str:
         return f"NetfaultEngine(plan={self._plan!r})"

@@ -21,6 +21,11 @@ from repro.analysis.nearest import (
     nearest_samples_by_country,
 )
 from repro.analysis.temporal import temporal_report
+from repro.experiments.netfault_exp import (
+    failover_specs,
+    netfault_study,
+    pathdiv_specs,
+)
 from repro.experiments.stats_exp import run_stats
 from repro.measure.results import Protocol
 from repro.query import TRACE_KIND, QuerySpec, build_plan, execute
@@ -122,6 +127,30 @@ class TestEngineOracleParity:
         assert not plan.scanned
         plan = build_plan(parity_store, QuerySpec(day_range=(0, 0)))
         assert plan.scanned and plan.pruned
+
+
+@pytest.fixture(scope="module")
+def netfault_store(parity_world):
+    """The campaign the ``failover`` and ``pathdiv`` experiments query."""
+    _, tmpdir, store = netfault_study(parity_world)
+    with tmpdir:
+        yield store
+
+
+class TestNetfaultExperimentParity:
+    """The dynamic-topology experiments read their tables with the
+    engine alone; every query they issue must equal the oracle's."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        failover_specs() + pathdiv_specs(),
+        ids=lambda s: s.digest()[:10],
+    )
+    def test_engine_equals_oracle(self, netfault_store, spec):
+        engine = execute(netfault_store, spec, workers=1, cache=False)
+        oracle = oracle_execute(netfault_store, spec)
+        assert engine.rows
+        assert engine.rows == oracle.rows
 
 
 class TestPipelineParity:

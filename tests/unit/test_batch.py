@@ -103,7 +103,8 @@ class TestBatchScalarEquivalence:
             ]
         )
         path = world.engine.planned_path(probe, region)
-        for trace in traces:
+        assert len(traces) == 20
+        for trace in traces.records():
             assert trace.protocol is Protocol.ICMP
             assert trace.dest_address == path.dest_address
             # Responsive hops carry the planned addresses in order; the
@@ -170,7 +171,10 @@ class TestBatchEdgeCases:
         assert block.records() == []
 
     def test_empty_traceroute_batch(self, world):
-        assert world.engine.traceroute_batch([]) == []
+        block = world.engine.traceroute_batch([])
+        assert len(block) == 0
+        assert block.hop_count == 0
+        assert block.records() == []
 
     def test_rejects_nonpositive_samples(self, world):
         region = next(iter(world.catalog))
@@ -197,17 +201,18 @@ class TestBlockBackedDatasetIO:
         ]
         dataset = MeasurementDataset()
         dataset.add_ping_block(world.engine.ping_batch(requests))
-        for trace in world.engine.traceroute_batch(
-            [
-                TraceRequest(
-                    probe=requests[0].probe,
-                    region=region,
-                    protocol=Protocol.ICMP,
-                    day=0,
-                )
-            ]
-        ):
-            dataset.add_traceroute(trace)
+        dataset.add_trace_block(
+            world.engine.traceroute_batch(
+                [
+                    TraceRequest(
+                        probe=requests[0].probe,
+                        region=region,
+                        protocol=Protocol.ICMP,
+                        day=0,
+                    )
+                ]
+            )
+        )
 
         path = tmp_path / "block_backed.jsonl"
         save_dataset(dataset, path)
@@ -218,3 +223,4 @@ class TestBlockBackedDatasetIO:
         restored = list(loaded.pings())
         assert [p.samples for p in restored] == [p.samples for p in original]
         assert [p.meta for p in restored] == [p.meta for p in original]
+        assert list(loaded.traceroutes()) == list(dataset.traceroutes())

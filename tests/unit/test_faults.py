@@ -34,6 +34,7 @@ from repro.measure.results import (
     TracerouteMeasurement,
     build_meta,
     ping_block_from_records,
+    trace_block_from_records,
 )
 from repro.platforms.atlas import AtlasPlatform
 from repro.platforms.probe import Probe
@@ -92,20 +93,22 @@ class StubEngine:
 
     def traceroute_batch(self, requests, rng=None):
         self.trace_requests = list(requests)
-        return [
-            TracerouteMeasurement(
-                meta=build_meta(r.probe, r.region, r.day),
-                protocol=r.protocol,
-                source_address=167772161,
-                dest_address=167772999,
-                hops=(
-                    TraceHop(address=167772162, rtt_ms=4.5),
-                    TraceHop(address=167772500, rtt_ms=11.0),
-                    TraceHop(address=167772999, rtt_ms=31.125),
-                ),
-            )
-            for r in self.trace_requests
-        ]
+        return trace_block_from_records(
+            [
+                TracerouteMeasurement(
+                    meta=build_meta(r.probe, r.region, r.day),
+                    protocol=r.protocol,
+                    source_address=167772161,
+                    dest_address=167772999,
+                    hops=(
+                        TraceHop(address=167772162, rtt_ms=4.5),
+                        TraceHop(address=167772500, rtt_ms=11.0),
+                        TraceHop(address=167772999, rtt_ms=31.125),
+                    ),
+                )
+                for r in self.trace_requests
+            ]
+        )
 
 
 class TestFaultConfig:
@@ -345,8 +348,9 @@ class TestFaultyEngine:
         assert len(block) == len(requests)
         assert inner.ping_requests == requests
         traces = _trace_requests()
-        records = engine.traceroute_batch(traces)
-        assert len(records) == len(traces)
+        block = engine.traceroute_batch(traces)
+        assert len(block) == len(traces)
+        assert block.hop_count == 3 * len(traces)
         assert inner.trace_requests == traces
 
     def test_reply_loss_rate_one_drops_everything(self):
@@ -375,7 +379,7 @@ class TestFaultyEngine:
             r for r in inner.ping_requests if r.probe.probe_id == victim
         ]
         assert len(surviving_of_victim) == kept
-        records = engine.traceroute_batch(_trace_requests())
+        records = engine.traceroute_batch(_trace_requests()).records()
         assert all(
             r.meta.probe_id != victim for r in records
         )
@@ -385,7 +389,7 @@ class TestFaultyEngine:
         inner = StubEngine()
         faults = _faults(FaultConfig(trace_truncation_rate=1.0))
         engine = FaultyEngine(inner, faults)
-        records = engine.traceroute_batch(_trace_requests())
+        records = engine.traceroute_batch(_trace_requests()).records()
         assert len(records) == 2
         for record in records:
             assert 1 <= len(record.hops) < 3
@@ -397,7 +401,7 @@ class TestFaultyEngine:
         for _ in range(2):
             engine = FaultyEngine(StubEngine(), _faults(config))
             block = engine.ping_batch(_ping_requests())
-            records = engine.traceroute_batch(_trace_requests())
+            records = engine.traceroute_batch(_trace_requests()).records()
             blocks.append((len(block), tuple(len(r.hops) for r in records)))
         assert blocks[0] == blocks[1]
 

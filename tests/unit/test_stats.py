@@ -1,5 +1,7 @@
 """Tests for repro.analysis.stats."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.analysis.stats import (
     percentile,
     required_sample_size,
 )
+from repro.experiments import run_experiment
 
 sample_lists = st.lists(
     st.floats(min_value=0.1, max_value=1e4, allow_nan=False),
@@ -100,10 +103,27 @@ class TestFractionBelow:
             fraction_below([], 1.0)
 
 
+@pytest.fixture()
+def without_scipy(monkeypatch):
+    """Make every ``import scipy...`` fail, as on a numpy-only install."""
+    names = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+    for name in set(names) | {"scipy", "scipy.special"}:
+        monkeypatch.setitem(sys.modules, name, None)
+
+
 class TestRequiredSampleSize:
     def test_paper_parameters_give_2401(self):
         # Paper section 3.3: 95% confidence, 2% margin => >2400.
         assert required_sample_size(0.95, 0.02) == 2401
+
+    def test_needs_only_declared_dependencies(self, without_scipy, world, dataset):
+        with pytest.raises(ImportError):
+            import scipy.special  # noqa: F401
+        assert required_sample_size(0.95, 0.02) == 2401
+        assert required_sample_size(0.95, 0.05) == 385
+        assert required_sample_size(0.99, 0.02) == 4147
+        result = run_experiment("stats", world, dataset)
+        assert result.data["paper_requirement"] == 2401
 
     def test_wider_margin_needs_fewer(self):
         assert required_sample_size(0.95, 0.05) < required_sample_size(0.95, 0.02)
