@@ -74,9 +74,9 @@ def test_ping_throughput(benchmark, world):
 
 
 def test_traceroute_resolution_throughput(benchmark, world, dataset):
-    """The campaign's traceroutes in one ``resolve_many`` batch, as the
-    experiments resolve them, with a cold address cache every round."""
-    traces = list(dataset.traceroutes())
+    """The campaign's traceroutes resolved block by block into one
+    ``ResolvedTraceBlock``, as the experiments resolve them, with a cold
+    address table every round."""
 
     def fresh_resolver():
         resolver = TracerouteResolver(
@@ -87,12 +87,12 @@ def test_traceroute_resolution_throughput(benchmark, world, dataset):
         return (resolver,), {}
 
     def resolve_all(resolver):
-        return resolver.resolve_many(traces)
+        return resolver.resolve_dataset(dataset)
 
     resolved = benchmark.pedantic(
         resolve_all, setup=fresh_resolver, rounds=5, iterations=1
     )
-    assert len(resolved) == len(traces)
+    assert len(resolved) == dataset.traceroute_count
 
 
 def test_campaign_day_throughput(benchmark, world):

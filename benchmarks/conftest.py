@@ -67,8 +67,9 @@ def store_dir(dataset, tmp_path_factory):
 @pytest.fixture(scope="session")
 def context(world, dataset):
     context = StudyContext(world, dataset)
-    # Resolve traceroutes once up-front so individual benches measure the
-    # per-figure analysis, not the shared resolution pass.
+    # Resolve traceroutes into the shared resolved block once up-front so
+    # individual benches measure the per-figure group-bys, not the
+    # resolution pass.
     context.resolved_traces
     return context
 

@@ -38,12 +38,7 @@ def main() -> None:
 
     cloud_samples = nearest_samples_by_continent(dataset, "speedchecker")
     lastmile = extract_last_mile(context.resolved_traces)
-    wireless_floor = {}
-    for sample in lastmile:
-        if sample.category in (HOME_USR_ISP, CELL):
-            wireless_floor.setdefault(sample.continent, []).append(
-                sample.latency_ms
-            )
+    wireless = np.isin(lastmile.categories, (HOME_USR_ISP, CELL))
 
     rows = []
     for continent in CONTINENTS:
@@ -51,8 +46,8 @@ def main() -> None:
         if not samples:
             continue
         values = np.asarray(samples)
-        floor = wireless_floor.get(continent)
-        floor_median = float(np.median(floor)) if floor else float("nan")
+        floor = lastmile.latency_ms[wireless & (lastmile.continents == continent.value)]
+        floor_median = float(np.median(floor)) if floor.size else float("nan")
         rows.append(
             [
                 continent_name(continent),

@@ -13,13 +13,20 @@ the responding hop sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.analysis.peering import DIRECT, ONE_IXP, classify_trace
-from repro.cloud.providers import network_operator
-from repro.resolve.pipeline import ResolvedTrace
+from repro.analysis.peering import (
+    CATEGORIES,
+    DIRECT,
+    ONE_IXP,
+    UNCLASSIFIED,
+    classify_traces,
+    trace_networks,
+)
+from repro.measure.results import TraceBlock
+from repro.resolve.pipeline import ResolvedTraceBlock, first_per_row
 
 
 @dataclass(frozen=True)
@@ -34,23 +41,31 @@ class IngressStats:
     median_ingress_depth: float
 
 
-def ingress_depth(trace: ResolvedTrace, cloud_asn: int) -> Optional[float]:
-    """Relative position of the first provider-owned hop, or ``None``.
+def ingress_depths(traces: ResolvedTraceBlock) -> np.ndarray:
+    """Per trace: the relative position of the first hop owned by the
+    target's cloud network, or ``NaN``.
 
     Computed over responding hops only; a value near 0 means the traffic
-    entered the provider's network right after the serving ISP.
+    entered the provider's network right after the serving ISP.  Traces
+    with fewer than two responding hops, or none owned by the cloud
+    network, have no depth.
     """
-    responded = [hop for hop in trace.hops if hop.responded]
-    if len(responded) < 2:
-        return None
-    for index, hop in enumerate(responded):
-        if hop.asn == cloud_asn:
-            return index / (len(responded) - 1)
-    return None
+    n = len(traces)
+    _, cloud = trace_networks(traces)
+    responded = np.flatnonzero(traces.traces.hop_addresses != TraceBlock.NO_ADDRESS)
+    owner = traces.hop_traces()[responded]
+    counts = np.bincount(owner, minlength=n)
+    rank = np.arange(len(responded)) - (np.cumsum(counts) - counts)[owner]
+    owned = traces.hop_asns[responded] == cloud[owner]
+    first = first_per_row(owner[owned], rank[owned], n)
+    depths = np.full(n, np.nan)
+    found = (counts >= 2) & (first >= 0)
+    depths[found] = first[found] / (counts[found] - 1)
+    return depths
 
 
 def ingress_by_interconnect(
-    traces: Iterable[ResolvedTrace],
+    traces: ResolvedTraceBlock,
     min_traces: int = 10,
 ) -> Dict[str, IngressStats]:
     """Ingress depth grouped by interconnect class (direct vs transited).
@@ -59,22 +74,15 @@ def ingress_by_interconnect(
     WAN near the user (low depth); transited paths ingress near the
     datacenter (high depth).
     """
-    groups: Dict[str, List[float]] = {"direct": [], "intermediate": []}
-    for trace in traces:
-        category = classify_trace(trace)
-        if category is None:
-            continue
-        network = network_operator(trace.meta.provider_code)
-        depth = ingress_depth(trace, network.asn)
-        if depth is None:
-            continue
-        group = "direct" if category in (DIRECT, ONE_IXP) else "intermediate"
-        groups[group].append(depth)
+    categories = classify_traces(traces)
+    depths = ingress_depths(traces)
+    usable = (categories != UNCLASSIFIED) & ~np.isnan(depths)
+    direct = np.isin(categories, (CATEGORIES.index(DIRECT), CATEGORIES.index(ONE_IXP)))
     result: Dict[str, IngressStats] = {}
-    for group, depths in groups.items():
-        if len(depths) < min_traces:
+    for group, members in (("direct", direct), ("intermediate", ~direct)):
+        values = depths[usable & members]
+        if len(values) < min_traces:
             continue
-        values = np.asarray(depths)
         result[group] = IngressStats(
             group=group,
             trace_count=int(values.size),

@@ -7,9 +7,11 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.cloud.providers import network_operator
+from repro.analysis.peering import trace_networks
+from repro.analysis.stats import group_rows
 from repro.geo.continents import Continent
-from repro.resolve.pipeline import ResolvedTrace
+from repro.measure.results import TraceBlock
+from repro.resolve.pipeline import ResolvedTraceBlock
 
 
 @dataclass(frozen=True)
@@ -23,8 +25,25 @@ class PervasivenessEntry:
     median_share: float
 
 
+def provider_hop_shares(traces: ResolvedTraceBlock) -> np.ndarray:
+    """Per trace: the share of responding routers owned by the target's
+    cloud network, ``NaN`` when no hop responded."""
+    n = len(traces)
+    _, cloud = trace_networks(traces)
+    owner = traces.hop_traces()
+    responded = traces.traces.hop_addresses != TraceBlock.NO_ADDRESS
+    counts = np.bincount(owner[responded], minlength=n)
+    owned = np.bincount(
+        owner[responded & (traces.hop_asns == cloud[owner])], minlength=n
+    )
+    shares = np.full(n, np.nan)
+    some = counts > 0
+    shares[some] = owned[some] / counts[some]
+    return shares
+
+
 def pervasiveness_by_provider(
-    traces: Iterable[ResolvedTrace],
+    traces: ResolvedTraceBlock,
     min_traces: int = 5,
 ) -> List[PervasivenessEntry]:
     """Fig. 11: ratio of provider-owned routers to path length.
@@ -33,23 +52,22 @@ def pervasiveness_by_provider(
     whose ASN is the provider's network, averaged per (provider,
     continent of the probe).
     """
-    grouped: Dict[Tuple[str, Continent], List[float]] = {}
-    for trace in traces:
-        network = network_operator(trace.meta.provider_code)
-        share = trace.provider_hop_share(network.asn)
-        if share is None:
-            continue
-        key = (network.code, trace.meta.continent)
-        grouped.setdefault(key, []).append(share)
+    shares = provider_hop_shares(traces)
+    measured = ~np.isnan(shares)
+    shares = shares[measured]
+    networks, _ = trace_networks(traces)
+    groups = group_rows(
+        networks[measured], traces.probe_column("continent")[measured]
+    )
     entries: List[PervasivenessEntry] = []
-    for (code, continent), shares in sorted(grouped.items()):
-        if len(shares) < min_traces:
+    for (code, continent), rows in sorted(groups, key=lambda group: group[0]):
+        if len(rows) < min_traces:
             continue
-        values = np.asarray(shares, dtype=float)
+        values = shares[rows]
         entries.append(
             PervasivenessEntry(
                 provider_code=code,
-                continent=continent,
+                continent=Continent(continent),
                 trace_count=int(values.size),
                 mean_share=float(values.mean()),
                 median_share=float(np.median(values)),

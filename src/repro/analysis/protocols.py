@@ -8,14 +8,14 @@ Speedchecker).  Medians per pair are summarized per continent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.analysis.stats import BoxStats
+from repro.analysis.stats import BoxStats, group_rows
 from repro.geo.continents import Continent
-from repro.measure.results import MeasurementDataset, Protocol
-from repro.resolve.pipeline import ResolvedTrace
+from repro.measure.results import PROTOCOL_CODES, MeasurementDataset, Protocol
+from repro.resolve.pipeline import ResolvedTraceBlock
 
 PairKey = Tuple[str, str, str]  # (country, provider_code, region_id)
 
@@ -34,7 +34,7 @@ class ProtocolComparison:
 
 def protocol_comparison(
     dataset: MeasurementDataset,
-    traces: Iterable[ResolvedTrace],
+    traces: ResolvedTraceBlock,
     platform: str = "speedchecker",
     min_samples_per_pair: int = 4,
 ) -> Dict[Continent, ProtocolComparison]:
@@ -56,20 +56,23 @@ def protocol_comparison(
         continents[key] = meta.continent
 
     icmp_by_probe: Dict[PairKey, Dict[str, List[float]]] = {}
-    for trace in traces:
-        meta = trace.meta
-        if meta.platform != platform:
-            continue
-        if trace.measurement.protocol is not Protocol.ICMP:
-            continue
-        rtt = trace.end_to_end_rtt_ms
-        if rtt is None:
-            continue
-        key = (meta.country, meta.provider_code, meta.region_id)
-        icmp_by_probe.setdefault(key, {}).setdefault(meta.probe_id, []).append(
-            rtt
+    rtts = traces.end_to_end_rtts
+    icmp = np.flatnonzero(
+        (traces.probe_column("platform") == platform)
+        & (traces.traces.protocol_codes == PROTOCOL_CODES[Protocol.ICMP])
+        & ~np.isnan(rtts)
+    )
+    probes, regions = traces.traces.probes, traces.traces.regions
+    groups = group_rows(
+        traces.traces.probe_codes[icmp], traces.traces.region_codes[icmp]
+    )
+    for (probe_code, region_code), rows in groups:
+        probe, region = probes[probe_code], regions[region_code]
+        key = (probe.country, region.provider_code, region.region_id)
+        icmp_by_probe.setdefault(key, {}).setdefault(probe.probe_id, []).extend(
+            rtts[icmp[rows]].tolist()
         )
-        continents[key] = meta.continent
+        continents[key] = probe.continent
 
     tcp_samples: Dict[PairKey, List[float]] = {}
     icmp_samples: Dict[PairKey, List[float]] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import List, Sequence
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -82,6 +82,35 @@ def coefficient_of_variation(samples: Sequence[float]) -> float:
     if mean <= 0:
         raise ValueError(f"Cv requires a positive mean, got {mean}")
     return float(values.std()) / mean
+
+
+def group_rows(*columns: np.ndarray) -> List[Tuple[Tuple[Any, ...], np.ndarray]]:
+    """Group row indices by the tuple of their values in ``columns``.
+
+    Returns ``(key, rows)`` pairs in the order each key first occurs,
+    with each group's rows ascending: the groups, and the order of their
+    values, that a dict of lists filled row by row would hold.  Key
+    parts are Python scalars.
+    """
+    size = len(columns[0])
+    if size == 0:
+        return []
+    combined = np.zeros(size, np.int64)
+    for column in columns:
+        _, codes = np.unique(column, return_inverse=True)
+        combined = combined * (int(codes.max()) + 1) + codes
+    _, first, inverse = np.unique(combined, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    labels = rank[inverse]
+    groups = np.split(
+        np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1]
+    )
+    heads = np.sort(first)
+    return [
+        (tuple(column[head].item() for column in columns), rows)
+        for head, rows in zip(heads.tolist(), groups)
+    ]
 
 
 def fraction_below(samples: Sequence[float], threshold: float) -> float:

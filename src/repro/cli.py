@@ -6,7 +6,8 @@ Subcommands::
     python -m repro list                        # registered experiments
     python -m repro campaign --days 14 -o d.jsonl.gz
     python -m repro experiment fig4 [--dataset d.jsonl.gz]
-    python -m repro reproduce [--days 21]       # every artifact
+    python -m repro reproduce [--days 21] [--dataset d.jsonl.gz]
+                                                # every artifact
 
 All subcommands accept ``--seed`` and ``--scale``.
 """
@@ -153,6 +154,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_world_arguments(reproduce)
     reproduce.add_argument("--days", type=int, default=21)
+    reproduce.add_argument(
+        "--dataset",
+        default=None,
+        help=(
+            "dataset file or store run directory from 'repro campaign' "
+            "(collected fresh if omitted)"
+        ),
+    )
 
     takeaways = subparsers.add_parser(
         "takeaways", help="check the paper's takeaway boxes against a study"
@@ -278,15 +287,13 @@ def _command_experiment(args) -> int:
     world = build_world(seed=args.seed, scale=args.scale)
     info = experiment_info(args.experiment_id)
     dataset = None
-    if info.needs_dataset:
-        if args.dataset:
-            dataset = _load_any_dataset(args.dataset)
-        else:
-            print(
-                f"Collecting a fresh {args.days}-day dataset ...",
-                file=sys.stderr,
-            )
-            dataset = run_campaign(world, days=args.days)
+    # A given dataset reaches world-only experiments too (``stats`` then
+    # reports how many countries clear its bar), as in ``reproduce``.
+    if args.dataset:
+        dataset = _load_any_dataset(args.dataset)
+    elif info.needs_dataset:
+        print(f"Collecting a fresh {args.days}-day dataset ...", file=sys.stderr)
+        dataset = run_campaign(world, days=args.days)
     result = run_experiment(args.experiment_id, world, dataset)
     print(result.render())
     return 0
@@ -295,7 +302,10 @@ def _command_experiment(args) -> int:
 def _command_reproduce(args) -> int:
     world = build_world(seed=args.seed, scale=args.scale)
     print(world.summary(), file=sys.stderr)
-    dataset = run_campaign(world, days=args.days)
+    if args.dataset:
+        dataset = _load_any_dataset(args.dataset)
+    else:
+        dataset = run_campaign(world, days=args.days)
     context = StudyContext(world, dataset)
     for experiment_id in EXPERIMENT_IDS:
         print()

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.analysis.nearest import NearestMap, nearest_by_probe
 from repro.measure.results import MeasurementDataset, Protocol
-from repro.resolve.pipeline import ResolvedTrace, TracerouteResolver
+from repro.resolve.pipeline import ResolvedTraceBlock, TracerouteResolver
 
 
 @dataclass
@@ -38,7 +38,7 @@ class StudyContext:
         self.dataset = dataset
         self._rib_coverage = rib_coverage
         self._resolver: Optional[TracerouteResolver] = None
-        self._resolved: Optional[List[ResolvedTrace]] = None
+        self._resolved: Optional[ResolvedTraceBlock] = None
         self._nearest: Dict[str, NearestMap] = {}
 
     @property
@@ -53,17 +53,15 @@ class StudyContext:
         return self._resolver
 
     @property
-    def resolved_traces(self) -> List[ResolvedTrace]:
+    def resolved_traces(self) -> ResolvedTraceBlock:
         """Every traceroute of the dataset, resolved (cached)."""
         if self._resolved is None:
-            self._resolved = self.resolver.resolve_many(
-                list(self.dataset.traceroutes())
-            )
+            self._resolved = self.resolver.resolve_dataset(self.dataset)
         return self._resolved
 
-    def resolve(self, dataset: MeasurementDataset) -> List[ResolvedTrace]:
+    def resolve(self, dataset: MeasurementDataset) -> ResolvedTraceBlock:
         """Resolve an auxiliary dataset (e.g. a peering case study)."""
-        return self.resolver.resolve_many(list(dataset.traceroutes()))
+        return self.resolver.resolve_dataset(dataset)
 
     def nearest(self, platform: str) -> NearestMap:
         """Per-probe nearest-DC map for a platform (cached)."""

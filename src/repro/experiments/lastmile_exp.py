@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.analysis.lastmile import (
     ATLAS,
     CELL,
@@ -14,8 +16,8 @@ from repro.analysis.lastmile import (
     cv_by_continent,
     cv_by_country,
     extract_last_mile,
-    filter_to_nearest,
     share_by_continent,
+    towards_nearest,
 )
 from repro.analysis.report import format_table
 from repro.experiments.common import ExperimentResult, StudyContext, require_dataset
@@ -73,10 +75,9 @@ def run_fig7b(world, dataset=None, context: Optional[StudyContext] = None) -> Ex
     }
     global_medians: Dict[str, float] = {}
     for category in (HOME_USR_ISP, CELL, HOME_RTR_ISP, ATLAS):
-        values = [s.latency_ms for s in samples if s.category == category]
-        if values:
-            values.sort()
-            global_medians[category] = values[len(values) // 2]
+        values = np.sort(samples.latency_ms[samples.categories == category])
+        if values.size:
+            global_medians[category] = float(values[len(values) // 2])
     return ExperimentResult(
         experiment_id="fig7b",
         title="Absolute last-mile latency [ms]",
@@ -125,23 +126,25 @@ def run_fig19(world, dataset=None, context: Optional[StudyContext] = None) -> Ex
     """Fig. 19: last-mile share towards the *closest* datacenter."""
     dataset = require_dataset(dataset, "fig19")
     ctx = _context(world, dataset, context)
-    nearest = ctx.nearest("speedchecker")
-    traces = filter_to_nearest(ctx.resolved_traces, nearest)
-    samples = extract_last_mile(traces)
+    traces = ctx.resolved_traces
+    samples = extract_last_mile(
+        traces, keep=towards_nearest(traces, ctx.nearest("speedchecker"))
+    )
     stats = share_by_continent(samples, categories=(HOME_USR_ISP, CELL), min_samples=3)
     data = {
         (continent.value, category): box.median
         for (continent, category), box in stats.items()
     }
-    global_values = [
-        100.0 * s.share_of_total
-        for s in samples
-        if s.share_of_total is not None and s.category in (HOME_USR_ISP, CELL)
-    ]
+    global_values = np.sort(
+        100.0
+        * samples.share_of_total[
+            np.isin(samples.categories, (HOME_USR_ISP, CELL))
+            & ~np.isnan(samples.share_of_total)
+        ]
+    )
     global_median = None
-    if global_values:
-        global_values.sort()
-        global_median = global_values[len(global_values) // 2]
+    if global_values.size:
+        global_median = float(global_values[len(global_values) // 2])
     return ExperimentResult(
         experiment_id="fig19",
         title="Last-mile share towards the nearest datacenter [%]",

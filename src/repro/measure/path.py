@@ -534,7 +534,7 @@ class PathPlanner:
         # Final assembly slices the vectorized hop columns back into
         # ragged per-path tuples; the arithmetic already ran above.
         for j, prep in enumerate(preps):  # repro-lint: disable=PERF001
-            columns, base_rtt = self._assemble(
+            columns, base_rtt = self._hop_columns(
                 prep, lat_list, lon_list, rtt_list, addr_list, offsets[j]
             )
             path = self._finalize(prep, columns, base_rtt)
@@ -784,7 +784,7 @@ class PathPlanner:
             offsets.tolist(),
         )
 
-    def _assemble(
+    def _hop_columns(
         self,
         prep: _PathPrep,
         lat_list: List[float],

@@ -867,11 +867,14 @@ class MeasurementDataset:
         self._trace_store.append_block(block)
 
     def extend(self, other: "MeasurementDataset") -> None:
-        """Merge another dataset into this one."""
-        self._pings.extend(other._pings)
-        self._ping_store.extend(other._ping_store)
-        self._traceroutes.extend(other._traceroutes)
-        self._trace_store.extend(other._trace_store)
+        """Merge another dataset -- in memory or a store view -- into this
+        one, through its public read API."""
+        self._pings.extend(other.iter_scalar_pings())
+        for ping_block in other.iter_ping_blocks():
+            self.add_ping_block(ping_block)
+        self._traceroutes.extend(other.iter_scalar_traceroutes())
+        for trace_block in other.iter_trace_blocks():
+            self.add_trace_block(trace_block)
 
     # -- access ------------------------------------------------------------
 

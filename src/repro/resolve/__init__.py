@@ -3,7 +3,7 @@
 from repro.resolve.cymru import CymruResolver
 from repro.resolve.geoip import GeoIPDatabase
 from repro.resolve.peeringdb import PeeringDBRecord, SyntheticPeeringDB
-from repro.resolve.pipeline import ResolvedHop, ResolvedTrace, TracerouteResolver
+from repro.resolve.pipeline import ResolvedTraceBlock, TracerouteResolver
 from repro.resolve.pyasn import PrefixTrie, PyASNResolver
 
 __all__ = [
@@ -12,8 +12,7 @@ __all__ = [
     "PeeringDBRecord",
     "PrefixTrie",
     "PyASNResolver",
-    "ResolvedHop",
-    "ResolvedTrace",
+    "ResolvedTraceBlock",
     "SyntheticPeeringDB",
     "TracerouteResolver",
 ]

@@ -15,21 +15,24 @@ For every raw traceroute the pipeline:
    the paper warns about;
 5. extracts the last-mile RTT segments (USR-ISP and RTR-ISP).
 
-Steps 1 and 2 depend only on the hop address, so a batch classifies each
-distinct address once, in NumPy, and steps 3 to 5 read that
-classification per hop.  The per-hop reference implementation the batch
-path must match lives with the tests (``tests/oracles/resolver.py``).
+Steps 1 and 2 depend only on the hop address, so the resolver classifies
+each distinct address once in its lifetime, in NumPy, and keeps the
+result in a sorted address table.  Steps 3 to 5 are array passes over a
+whole :class:`~repro.measure.results.TraceBlock`, so resolution makes no
+Python object per trace or per hop.  The per-record reference
+implementation the block path must match lives with the tests
+(``tests/oracles/resolver.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from enum import Enum
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.gcpause import gc_paused
-from repro.measure.results import TracerouteMeasurement
+from repro.measure.results import TraceBlock, trace_block_from_records
 from repro.net.asn import ASRegistry
 from repro.net.ip import private_mask
 from repro.net.ixp import IXPRegistry
@@ -44,110 +47,210 @@ from repro.resolve.pyasn import PyASNResolver
 #: longitudinal datasets.
 DEFAULT_RESOLVER_SEED = 0
 
+#: ASN column value of a hop without one: unresponsive, private, on an
+#: IXP peering LAN, or unresolved.
+NO_ASN = -1
 
-class ResolvedHop(NamedTuple):
-    """One traceroute hop after resolution.
+#: Labels of the :attr:`ResolvedTraceBlock.inferred_access` codes; ``-1``
+#: means the first responding hop was neither private nor inside the
+#: serving ISP, or no hop responded.
+INFERRED_ACCESS = ("home", "cell")
+HOME, CELL = range(len(INFERRED_ACCESS))
 
-    A named tuple rather than a dataclass, like
-    :class:`~repro.measure.results.TraceHop`: resolution allocates one
-    per hop of every trace.
+
+@dataclass(frozen=True, eq=False)
+class ResolvedTraceBlock:
+    """Resolved traceroutes in columnar form, one row per trace of
+    :attr:`traces`.
+
+    Hop columns run parallel to ``traces.hop_addresses``; the AS path and
+    the IXP sightings are ragged columns indexed by per-trace offsets,
+    like the hops.  RTT columns hold ``NaN`` where a trace has no such
+    RTT.
     """
 
-    address: Optional[int]
-    rtt_ms: Optional[float]
-    asn: Optional[int]
-    is_private: bool
-    ixp_id: Optional[int]
-    resolved_by: str
-
-    @property
-    def responded(self) -> bool:
-        return self.address is not None
-
-
-#: What resolution learns from a hop address alone:
-#: ``(asn, is_private, ixp_id, resolved_by)``, the last four fields of
-#: :class:`ResolvedHop`.
-HopKind = Tuple[Optional[int], bool, Optional[int], str]
-
-_PRIVATE: HopKind = (None, True, None, "private")
-_UNRESOLVED: HopKind = (None, False, None, "none")
-#: Every unresponsive hop resolves to this one value.
-_UNRESPONSIVE = ResolvedHop(None, None, None, False, None, "none")
-
-
-@dataclass(frozen=True)
-class ResolvedTrace:
-    """A traceroute after the full resolution pipeline."""
-
-    measurement: TracerouteMeasurement
-    hops: Tuple[ResolvedHop, ...]
-    #: AS-level path with private hops and IXPs removed, consecutive
-    #: duplicates collapsed.
-    as_path: Tuple[int, ...]
-    #: IXP ids observed, keyed by the index in :attr:`as_path` *after*
-    #: which the IXP hop appeared.
-    ixp_after_index: Tuple[Tuple[int, int], ...]
-    #: ``"home"`` (private first hop), ``"cell"`` (ISP first hop), or
-    #: ``None`` when the first hop did not respond / resolve.
-    inferred_access: Optional[str]
+    #: The raw traceroutes: probe/region tables, per-trace identity
+    #: columns and the hop columns.
+    traces: TraceBlock
+    #: Per hop: the resolved ASN, or :data:`NO_ASN`.
+    hop_asns: np.ndarray
+    #: Per hop: the address is private (home LAN, CGN).
+    hop_private: np.ndarray
+    #: Per hop: the id of the IXP whose peering LAN holds the address,
+    #: or ``-1``.
+    hop_ixp_ids: np.ndarray
+    #: The AS path of trace ``i`` is ``as_path_asns[o[i]:o[i + 1]]``:
+    #: private, IXP and unresolved hops dropped, repeats collapsed.
+    as_path_offsets: np.ndarray
+    as_path_asns: np.ndarray
+    #: IXP sightings of trace ``i`` are rows ``o[i]:o[i + 1]`` of
+    #: ``ixp_positions`` (the index in the trace's AS path *after* which
+    #: the IXP hop appeared) and ``ixp_ids``.
+    ixp_offsets: np.ndarray
+    ixp_positions: np.ndarray
+    ixp_ids: np.ndarray
+    #: Codes into :data:`INFERRED_ACCESS`, ``-1`` when not inferred.
+    inferred_access: np.ndarray
     #: RTT to the home router (home probes only).
-    router_rtt_ms: Optional[float]
+    router_rtts: np.ndarray
     #: RTT to the first hop inside the serving ISP's AS.
-    usr_isp_rtt_ms: Optional[float]
+    usr_isp_rtts: np.ndarray
+    #: RTT of the destination hop, when the trace reached it.
+    end_to_end_rtts: np.ndarray
 
-    @property
-    def meta(self):
-        return self.measurement.meta
+    def __len__(self) -> int:
+        return len(self.traces)
 
-    @property
-    def reached(self) -> bool:
-        return self.measurement.reached
+    def probe_column(self, attribute: str) -> np.ndarray:
+        """Per-trace values of one probe attribute (enums as values)."""
+        return _table_column(self.traces.probes, attribute)[self.traces.probe_codes]
 
-    @property
-    def end_to_end_rtt_ms(self) -> Optional[float]:
-        return self.measurement.end_to_end_rtt_ms
+    def region_column(self, attribute: str) -> np.ndarray:
+        """Per-trace values of one target-region attribute."""
+        return _table_column(self.traces.regions, attribute)[
+            self.traces.region_codes
+        ]
 
-    @property
-    def rtr_isp_rtt_ms(self) -> Optional[float]:
-        """Wired segment of the home last mile (USR-ISP minus the air leg)."""
-        if self.router_rtt_ms is None or self.usr_isp_rtt_ms is None:
-            return None
-        return max(0.0, self.usr_isp_rtt_ms - self.router_rtt_ms)
+    def hop_traces(self) -> np.ndarray:
+        """The trace row of every hop."""
+        return _owners(self.traces.hop_offsets)
 
-    def provider_hop_share(self, cloud_asn: int) -> Optional[float]:
-        """Share of responding routers owned by the cloud network
-        (the paper's pervasiveness metric, Fig. 11)."""
-        responded = [hop for hop in self.hops if hop.responded]
-        if not responded:
-            return None
-        owned = sum(1 for hop in responded if hop.asn == cloud_asn)
-        return owned / len(responded)
+    def path_traces(self) -> np.ndarray:
+        """The trace row of every AS path entry."""
+        return _owners(self.as_path_offsets)
 
-    def intermediate_asns(self, isp_asn: int, cloud_asn: int) -> Optional[List[int]]:
-        """ASes strictly between the serving ISP and the cloud network.
+    @classmethod
+    def concatenate(
+        cls, blocks: Sequence["ResolvedTraceBlock"]
+    ) -> "ResolvedTraceBlock":
+        """One block holding ``blocks``' rows in order.
 
-        Returns ``None`` when either end is missing from the AS path
-        (unresponsive edge hops) -- such paths are excluded from peering
-        classification, as in the paper.
+        Probes are interned by probe id and regions by (provider, region
+        id), the first table row of each winning.  The netfault
+        provenance columns are not carried over.
         """
-        if cloud_asn not in self.as_path:
-            return None
-        cloud_index = max(
-            i for i, asn in enumerate(self.as_path) if asn == cloud_asn
+        if len(blocks) == 1:
+            return blocks[0]
+        probe_index: Dict[str, int] = {}
+        region_index: Dict[Tuple[str, str], int] = {}
+        probe_table: List = []
+        region_table: List = []
+        probe_codes, region_codes = [], []
+        for block in blocks:
+            trace = block.traces
+            probe_map = [
+                _intern(probe_index, probe_table, probe.probe_id, probe)
+                for probe in trace.probes
+            ]
+            region_map = [
+                _intern(
+                    region_index,
+                    region_table,
+                    (region.provider_code, region.region_id),
+                    region,
+                )
+                for region in trace.regions
+            ]
+            probe_codes.append(np.asarray(probe_map, np.int32)[trace.probe_codes])
+            region_codes.append(
+                np.asarray(region_map, np.int32)[trace.region_codes]
+            )
+
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(block, name) for block in blocks])
+
+        def joined_traces(name: str) -> np.ndarray:
+            return np.concatenate([getattr(block.traces, name) for block in blocks])
+
+        traces = TraceBlock(
+            probes=probe_table,
+            regions=region_table,
+            probe_codes=np.concatenate(probe_codes),
+            region_codes=np.concatenate(region_codes),
+            days=joined_traces("days"),
+            protocol_codes=joined_traces("protocol_codes"),
+            source_addresses=joined_traces("source_addresses"),
+            dest_addresses=joined_traces("dest_addresses"),
+            hop_offsets=_join_offsets([b.traces.hop_offsets for b in blocks]),
+            hop_addresses=joined_traces("hop_addresses"),
+            hop_rtts=joined_traces("hop_rtts"),
         )
-        if isp_asn in self.as_path:
-            isp_index = self.as_path.index(isp_asn)
-        elif self.as_path and self.as_path[0] != cloud_asn:
-            # The ISP's own routers were unresponsive; treat the first
-            # observed AS as the serving side (a known methodology
-            # artifact the paper acknowledges).
-            isp_index = 0
-        else:
-            return None
-        if isp_index >= cloud_index:
-            return []
-        return list(self.as_path[isp_index + 1 : cloud_index])
+        return cls(
+            traces=traces,
+            hop_asns=joined("hop_asns"),
+            hop_private=joined("hop_private"),
+            hop_ixp_ids=joined("hop_ixp_ids"),
+            as_path_offsets=_join_offsets([b.as_path_offsets for b in blocks]),
+            as_path_asns=joined("as_path_asns"),
+            ixp_offsets=_join_offsets([b.ixp_offsets for b in blocks]),
+            ixp_positions=joined("ixp_positions"),
+            ixp_ids=joined("ixp_ids"),
+            inferred_access=joined("inferred_access"),
+            router_rtts=joined("router_rtts"),
+            usr_isp_rtts=joined("usr_isp_rtts"),
+            end_to_end_rtts=joined("end_to_end_rtts"),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ResolvedTraceBlock(traces={len(self)}, "
+            f"hops={self.traces.hop_count})"
+        )
+
+
+def _table_column(table: Sequence, attribute: str) -> np.ndarray:
+    values = [getattr(row, attribute) for row in table]
+    return np.asarray([v.value if isinstance(v, Enum) else v for v in values])
+
+
+def _intern(codes: Dict, table: List, key, row) -> int:
+    code = codes.get(key)
+    if code is None:
+        code = codes[key] = len(table)
+        table.append(row)
+    return code
+
+
+def _join_offsets(offsets: Sequence[np.ndarray]) -> np.ndarray:
+    """Offsets of ragged columns laid end to end."""
+    return _offsets(np.concatenate([np.diff(part) for part in offsets]))
+
+
+def _owners(offsets: np.ndarray) -> np.ndarray:
+    """The row owning each entry of a ragged column."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate([np.zeros(1, np.int64), np.cumsum(counts, dtype=np.int64)])
+
+
+def first_per_row(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The first of ``values`` for each of ``n`` rows, ``-1`` where a row
+    has none; ``rows`` must be nondecreasing."""
+    out = np.full(n, -1, np.int64)
+    head = np.ones(len(rows), bool)
+    head[1:] = rows[1:] != rows[:-1]
+    out[rows[head]] = values[head]
+    return out
+
+
+def last_per_row(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The last of ``values`` for each of ``n`` rows, ``-1`` where a row
+    has none; ``rows`` must be nondecreasing."""
+    out = np.full(n, -1, np.int64)
+    tail = np.ones(len(rows), bool)
+    tail[:-1] = rows[1:] != rows[:-1]
+    out[rows[tail]] = values[tail]
+    return out
+
+
+def _at(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]``, ``NaN`` where ``index`` is ``-1``."""
+    out = np.full(len(index), np.nan)
+    found = index >= 0
+    out[found] = values[index[found]]
+    return out
 
 
 class TracerouteResolver:
@@ -172,124 +275,139 @@ class TracerouteResolver:
         )
         self._cymru = CymruResolver(registry)
         self._ixps = ixps
-        self._kinds: Dict[int, HopKind] = {}
+        # The classified addresses, sorted, with their classification.
+        self._addresses = np.empty(0, np.int64)
+        self._asns = np.empty(0, np.int64)
+        self._private = np.empty(0, bool)
+        self._ixp_ids = np.empty(0, np.int64)
 
     @property
     def cymru_query_count(self) -> int:
         return self._cymru.query_count
 
-    def resolve_many(
-        self, measurements: Sequence[TracerouteMeasurement]
-    ) -> List[ResolvedTrace]:
-        """Run the pipeline over a traceroute batch.
+    def resolve_many(self, block: TraceBlock) -> ResolvedTraceBlock:
+        """Run the pipeline over a traceroute block, in array passes.
 
-        Every hop address the resolver has not seen before is classified
-        once for the whole batch: a private-range mask, an IXP peering-LAN
-        lookup, then one vectorized longest-prefix-match pass over the
-        remaining public addresses, with per-address Cymru queries only
-        for its misses.  Each trace is then assembled from the cached
-        classifications.
+        Hop addresses the resolver has not seen before are classified
+        first (:meth:`_learn`); every hop then reads its classification
+        from the address table.  The first responding hop decides the
+        last mile: private -> *home* (its RTT is the router RTT), inside
+        the serving ISP -> *cell*.  The USR-ISP RTT is that of the first
+        hop inside the serving ISP.  The AS path drops private, IXP and
+        unresolved hops and collapses repeats; an IXP hop is recorded
+        after the AS it followed.
         """
-        kinds = self._kinds
-        with gc_paused():
-            fresh = {
-                address
-                for measurement in measurements
-                for address, _ in measurement.hops
-                if address not in kinds
-            }
-            fresh.discard(None)
-            if fresh:
-                self._classify(
-                    np.sort(np.fromiter(fresh, dtype=np.int64, count=len(fresh)))
-                )
-            return [self._assemble(measurement) for measurement in measurements]
+        n = len(block)
+        addresses = block.hop_addresses
+        rtts = block.hop_rtts
+        responded = np.flatnonzero(addresses != TraceBlock.NO_ADDRESS)
+        self._learn(np.unique(addresses[responded]))
+        where = np.searchsorted(self._addresses, addresses[responded])
+        hop_asns = np.full(len(addresses), NO_ASN, np.int64)
+        hop_asns[responded] = self._asns[where]
+        hop_private = np.zeros(len(addresses), bool)
+        hop_private[responded] = self._private[where]
+        hop_ixp_ids = np.full(len(addresses), -1, np.int64)
+        hop_ixp_ids[responded] = self._ixp_ids[where]
 
-    def resolve(self, measurement: TracerouteMeasurement) -> ResolvedTrace:
-        """Run the pipeline over one raw traceroute."""
-        return self.resolve_many([measurement])[0]
+        owner = _owners(block.hop_offsets)
+        isp = np.asarray([p.isp_asn for p in block.probes], np.int64)[
+            block.probe_codes
+        ]
 
-    def _classify(self, addresses: np.ndarray) -> None:
-        """Cache the :data:`HopKind` of each (uncached, distinct) address.
+        first = first_per_row(owner[responded], responded, n)
+        has_first = np.flatnonzero(first >= 0)
+        first = first[has_first]
+        home = hop_private[first]
+        cell = ~home & (hop_asns[first] == isp[has_first])
+        inferred_access = np.full(n, -1, np.int8)
+        inferred_access[has_first[home]] = HOME
+        inferred_access[has_first[cell]] = CELL
+        router_rtts = np.full(n, np.nan)
+        router_rtts[has_first[home]] = rtts[first[home]]
+
+        in_isp = np.flatnonzero(hop_asns == isp[owner])
+        usr_isp_rtts = _at(rtts, first_per_row(owner[in_isp], in_isp, n))
+
+        lengths = np.diff(block.hop_offsets)
+        last = np.where(lengths > 0, block.hop_offsets[1:] - 1, -1)
+        reached = last >= 0
+        reached[reached] = addresses[last[reached]] == block.dest_addresses[reached]
+        end_to_end_rtts = _at(rtts, np.where(reached, last, -1))
+
+        on_path = np.flatnonzero(hop_asns != NO_ASN)
+        path_owner = owner[on_path]
+        path_asns = hop_asns[on_path]
+        keep = np.ones(len(on_path), bool)
+        keep[1:] = (path_owner[1:] != path_owner[:-1]) | (
+            path_asns[1:] != path_asns[:-1]
+        )
+        path_hops = on_path[keep]
+        as_path_offsets = _offsets(np.bincount(path_owner[keep], minlength=n))
+
+        ixp_hops = np.flatnonzero(hop_ixp_ids >= 0)
+        ixp_owner = owner[ixp_hops]
+        path_so_far = np.searchsorted(path_hops, ixp_hops) - as_path_offsets[ixp_owner]
+        seen = path_so_far > 0
+
+        return ResolvedTraceBlock(
+            traces=block,
+            hop_asns=hop_asns,
+            hop_private=hop_private,
+            hop_ixp_ids=hop_ixp_ids,
+            as_path_offsets=as_path_offsets,
+            as_path_asns=path_asns[keep],
+            ixp_offsets=_offsets(np.bincount(ixp_owner[seen], minlength=n)),
+            ixp_positions=path_so_far[seen] - 1,
+            ixp_ids=hop_ixp_ids[ixp_hops[seen]],
+            inferred_access=inferred_access,
+            router_rtts=router_rtts,
+            usr_isp_rtts=usr_isp_rtts,
+            end_to_end_rtts=end_to_end_rtts,
+        )
+
+    def resolve_dataset(self, dataset) -> ResolvedTraceBlock:
+        """Every traceroute of a dataset, resolved block by block in the
+        dataset's traceroute order: its scalar records (as one block)
+        first, then its columnar blocks."""
+        blocks: List[TraceBlock] = []
+        scalar = list(dataset.iter_scalar_traceroutes())
+        if scalar:
+            blocks.append(trace_block_from_records(scalar))
+        blocks.extend(dataset.iter_trace_blocks())
+        if not blocks:
+            blocks.append(trace_block_from_records([]))
+        return ResolvedTraceBlock.concatenate(
+            [self.resolve_many(block) for block in blocks]
+        )
+
+    def _learn(self, distinct: np.ndarray) -> None:
+        """Classify the addresses of ``distinct`` (sorted, unique) that
+        the table lacks, and add them to it.
 
         Private space wins over an IXP LAN, and an IXP LAN over the
-        RIB, so only public non-IXP addresses reach the table lookup.
+        RIB, so only public non-IXP addresses reach the table lookup,
+        and only its misses reach Cymru.
         """
-        private = private_mask(addresses)
-        ixp_ids = self._ixps.ixp_ids_for(addresses)
+        at = np.searchsorted(self._addresses, distinct)
+        known = np.zeros(len(distinct), bool)
+        inside = at < len(self._addresses)
+        known[inside] = self._addresses[at[inside]] == distinct[inside]
+        fresh = distinct[~known]
+        if not fresh.size:
+            return
+        private = private_mask(fresh)
+        ixp_ids = np.where(private, -1, self._ixps.ixp_ids_for(fresh))
         public = ~private & (ixp_ids < 0)
-        asns = np.full(addresses.shape, -1, dtype=np.int64)
+        asns = np.full(fresh.shape, NO_ASN, np.int64)
         if public.any():
-            asns[public] = self._pyasn.lookup_many(addresses[public])
-        kinds = self._kinds
-        for address, is_private, ixp_id, asn in zip(
-            addresses.tolist(), private.tolist(), ixp_ids.tolist(), asns.tolist()
-        ):
-            if is_private:
-                kinds[address] = _PRIVATE
-            elif ixp_id >= 0:
-                kinds[address] = (None, False, ixp_id, "ixp")
-            elif asn >= 0:
-                kinds[address] = (asn, False, None, "pyasn")
-            else:
-                fallback = self._cymru.lookup(address)
-                kinds[address] = (
-                    _UNRESOLVED if fallback is None else (fallback, False, None, "cymru")
-                )
-
-    def _assemble(self, measurement: TracerouteMeasurement) -> ResolvedTrace:
-        """Steps 3-5 for one trace, from cached hop classifications.
-
-        The AS path drops private, IXP and unresolved hops and collapses
-        repeats; an IXP hop is recorded after the AS it followed.  The
-        first responding hop decides the last mile: private -> *home*
-        (its RTT is the router RTT), inside the serving ISP -> *cell*.
-        The USR-ISP RTT is that of the first hop inside the serving ISP.
-        """
-        kinds = self._kinds
-        isp_asn = measurement.meta.isp_asn
-        hops: List[ResolvedHop] = []
-        as_path: List[int] = []
-        ixp_after: List[Tuple[int, int]] = []
-        inferred: Optional[str] = None
-        router_rtt: Optional[float] = None
-        usr_isp_rtt: Optional[float] = None
-        first = True
-        isp_seen = False
-        for address, rtt_ms in measurement.hops:
-            if address is None:
-                hops.append(_UNRESPONSIVE)
-                continue
-            asn, is_private, ixp_id, resolved_by = kinds[address]
-            hops.append(
-                ResolvedHop(address, rtt_ms, asn, is_private, ixp_id, resolved_by)
-            )
-            if first:
-                first = False
-                if is_private:
-                    inferred = "home"
-                    router_rtt = rtt_ms
-                elif asn == isp_asn:
-                    inferred = "cell"
-            if not isp_seen and asn == isp_asn:
-                isp_seen = True
-                usr_isp_rtt = rtt_ms
-            if is_private:
-                continue
-            if ixp_id is not None:
-                if as_path:
-                    ixp_after.append((len(as_path) - 1, ixp_id))
-                continue
-            if asn is None:
-                continue
-            if not as_path or as_path[-1] != asn:
-                as_path.append(asn)
-        return ResolvedTrace(
-            measurement=measurement,
-            hops=tuple(hops),
-            as_path=tuple(as_path),
-            ixp_after_index=tuple(ixp_after),
-            inferred_access=inferred,
-            router_rtt_ms=router_rtt,
-            usr_isp_rtt_ms=usr_isp_rtt,
-        )
+            asns[public] = self._pyasn.lookup_many(fresh[public])
+        for index in np.flatnonzero(public & (asns == NO_ASN)).tolist():
+            fallback = self._cymru.lookup(int(fresh[index]))
+            if fallback is not None:
+                asns[index] = fallback
+        at = at[~known]
+        self._addresses = np.insert(self._addresses, at, fresh)
+        self._asns = np.insert(self._asns, at, asns)
+        self._private = np.insert(self._private, at, private)
+        self._ixp_ids = np.insert(self._ixp_ids, at, ixp_ids)

@@ -46,7 +46,27 @@ def context(world, dataset):
 
 @pytest.fixture(scope="session")
 def resolved_traces(context):
+    """The shared dataset's traceroutes as one resolved block."""
     return context.resolved_traces
+
+
+@pytest.fixture(scope="session")
+def reference_resolver(world):
+    """The per-record reference resolver, seeded like the shared context's."""
+    from oracles.resolver import ReferenceResolver
+
+    return ReferenceResolver(
+        world.topology.registry,
+        world.topology.ixps,
+        rib_coverage=0.97,
+        rng=world.rngs.fork("resolver", 0),
+    )
+
+
+@pytest.fixture(scope="session")
+def oracle_traces(reference_resolver, dataset):
+    """The shared dataset's traceroutes resolved record by record."""
+    return reference_resolver.resolve_many(list(dataset.traceroutes()))
 
 
 @pytest.fixture()

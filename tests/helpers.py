@@ -27,7 +27,7 @@ def make_meta(
     region_country: str = "DE",
     region_continent: Continent = Continent.EU,
     day: int = 0,
-    city_key: Tuple[int, int] = (50, 8),
+    city_key: Tuple[int, int] = (25, 4),
 ) -> MeasurementMeta:
     return MeasurementMeta(
         probe_id=probe_id,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.experiments import EXPERIMENT_IDS
 
 
 class TestList:
@@ -61,6 +62,41 @@ class TestCampaignAndExperiment:
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
+
+
+@pytest.fixture(scope="module")
+def small_store(tmp_path_factory):
+    """A seed-3, scale-0.005, 2-day checkpointed store."""
+    run_dir = tmp_path_factory.mktemp("cli-store") / "run"
+    arguments = ["--scale", "0.005", "--seed", "3", "--days", "2"]
+    assert main(["campaign", *arguments, "--store", str(run_dir)]) == 0
+    return run_dir
+
+
+WORLD = ["--scale", "0.005", "--seed", "3"]
+
+
+class TestStoreDataset:
+    @pytest.mark.parametrize("experiment_id", ["fig6a", "fig6b"])
+    def test_intercontinental_figures_read_a_store(
+        self, small_store, experiment_id, capsys
+    ):
+        """fig6a/fig6b merge the store into the focused study's dataset."""
+        capsys.readouterr()
+        command = ["experiment", experiment_id, *WORLD]
+        assert main([*command, "--dataset", str(small_store)]) == 0
+        assert f"== {experiment_id}:" in capsys.readouterr().out
+
+    def test_reproduce_on_a_store_matches_each_experiment(self, small_store, capsys):
+        capsys.readouterr()
+        assert main(["reproduce", *WORLD, "--dataset", str(small_store)]) == 0
+        reproduced = capsys.readouterr().out
+        blocks = []
+        for experiment_id in EXPERIMENT_IDS:
+            command = ["experiment", experiment_id, *WORLD]
+            assert main([*command, "--dataset", str(small_store)]) == 0
+            blocks.append("\n" + capsys.readouterr().out)
+        assert reproduced == "".join(blocks)
 
 
 class TestTakeaways:

@@ -3,9 +3,12 @@ measurement conditions (dark traceroutes, empty RIBs, starved quotas)."""
 
 from dataclasses import replace
 
+import numpy as np
 
 from repro import SimulationConfig, build_world, run_campaign
+from repro.analysis.peering import CATEGORIES, DIRECT, ONE_IXP, classify_traces
 from repro.core.config import CampaignConfig, PathModelConfig, PlatformConfig
+from repro.measure.results import trace_block_from_records
 from repro.resolve.pipeline import TracerouteResolver
 
 SEED = 41
@@ -38,11 +41,17 @@ class TestDarkTraceroutes:
         resolver = TracerouteResolver(
             world.topology.registry, world.topology.ixps, rib_coverage=1.0
         )
-        resolved = resolver.resolve(trace)
+        resolved = resolver.resolve_many(trace_block_from_records([trace]))
         # Home probes still classify from their (local) router hop;
         # the ISP segment is gone.
-        assert resolved.usr_isp_rtt_ms is None
-        assert resolved.intermediate_asns(probe.isp_asn, 15169) in (None, [])
+        assert np.isnan(resolved.usr_isp_rtts).all()
+        # No intermediate AS is visible: the path is direct or
+        # unclassifiable.
+        assert classify_traces(resolved).tolist()[0] in (
+            -1,
+            CATEGORIES.index(DIRECT),
+            CATEGORIES.index(ONE_IXP),
+        )
 
     def test_high_loss_campaign_still_supports_peering_analysis(self):
         world = world_with(
@@ -68,10 +77,10 @@ class TestEmptyRib:
             rng=world.rngs.fork("empty-rib", 0),
         )
         traces = list(dataset.traceroutes())[:50]
-        resolved = [resolver.resolve(trace) for trace in traces]
+        resolved = resolver.resolve_many(trace_block_from_records(traces))
         assert resolver.cymru_query_count > 0
         # AS paths still come out whole thanks to the fallback.
-        assert any(len(trace.as_path) >= 2 for trace in resolved)
+        assert (np.diff(resolved.as_path_offsets) >= 2).any()
 
 
 class TestStarvedQuota:

@@ -1,7 +1,18 @@
 """Tests for repro.resolve.pipeline (the traceroute-resolution pipeline)."""
 
+import numpy as np
 import pytest
 
+from oracles.resolver import block_rows
+
+from repro.analysis.lastmile import HOME_RTR_ISP, extract_last_mile
+from repro.analysis.peering import (
+    CATEGORIES,
+    ONE_AS,
+    UNCLASSIFIED,
+    classify_traces,
+)
+from repro.analysis.pervasiveness import provider_hop_shares
 from repro.geo.continents import Continent
 from repro.lastmile.base import AccessKind
 from repro.measure.results import (
@@ -9,9 +20,10 @@ from repro.measure.results import (
     Protocol,
     TraceHop,
     TracerouteMeasurement,
+    trace_block_from_records,
 )
 from repro.net.ip import parse_ip
-from repro.resolve.pipeline import TracerouteResolver
+from repro.resolve.pipeline import INFERRED_ACCESS, TracerouteResolver
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +51,7 @@ def synthetic_trace(world, isp, hops, device=None):
         region_country="DE",
         region_continent=Continent.EU,
         day=0,
-        city_key=(50, 8),
+        city_key=(25, 4),
     )
     return TracerouteMeasurement(
         meta=meta,
@@ -50,6 +62,18 @@ def synthetic_trace(world, isp, hops, device=None):
     )
 
 
+def resolve(resolver, trace):
+    """One trace resolved as a block of one, read back as the oracle's
+    (hops, AS path, IXP sightings, access, router, USR-ISP, end-to-end)
+    row."""
+    block = resolver.resolve_many(trace_block_from_records([trace]))
+    return block, block_rows(block)[0]
+
+
+def rtr_isp(row):
+    return max(0.0, row[5] - row[4])
+
+
 class TestSyntheticResolution:
     def test_home_classification_and_segments(self, world, resolver, de_isp):
         gcp = world.topology.registry.cloud_for_provider("GCP")
@@ -58,12 +82,12 @@ class TestSyntheticResolution:
             (de_isp.prefixes[0].address_at(40), 21.0),  # ISP edge
             (gcp.prefixes[0].address_at(500), 30.0),   # cloud
         ]
-        trace = resolver.resolve(synthetic_trace(world, de_isp, hops))
-        assert trace.inferred_access == "home"
-        assert trace.router_rtt_ms == 11.0
-        assert trace.usr_isp_rtt_ms == 21.0
-        assert trace.rtr_isp_rtt_ms == 10.0
-        assert trace.as_path == (de_isp.asn, gcp.asn)
+        _, row = resolve(resolver, synthetic_trace(world, de_isp, hops))
+        assert row[3] == "home"
+        assert row[4] == 11.0
+        assert row[5] == 21.0
+        assert rtr_isp(row) == 10.0
+        assert row[1] == (de_isp.asn, gcp.asn)
 
     def test_cell_classification(self, world, resolver, de_isp):
         gcp = world.topology.registry.cloud_for_provider("GCP")
@@ -71,12 +95,13 @@ class TestSyntheticResolution:
             (de_isp.prefixes[0].address_at(41), 18.0),
             (gcp.prefixes[0].address_at(501), 29.0),
         ]
-        trace = resolver.resolve(
-            synthetic_trace(world, de_isp, hops, device=de_isp.prefixes[0].address_at(9))
+        device = de_isp.prefixes[0].address_at(9)
+        _, row = resolve(
+            resolver, synthetic_trace(world, de_isp, hops, device=device)
         )
-        assert trace.inferred_access == "cell"
-        assert trace.router_rtt_ms is None
-        assert trace.usr_isp_rtt_ms == 18.0
+        assert row[3] == "cell"
+        assert row[4] is None
+        assert row[5] == 18.0
 
     def test_unresponsive_first_hop_unclassified(self, world, resolver, de_isp):
         gcp = world.topology.registry.cloud_for_provider("GCP")
@@ -84,8 +109,8 @@ class TestSyntheticResolution:
             (None, None),
             (gcp.prefixes[0].address_at(502), 35.0),
         ]
-        trace = resolver.resolve(synthetic_trace(world, de_isp, hops))
-        assert trace.inferred_access is None
+        _, row = resolve(resolver, synthetic_trace(world, de_isp, hops))
+        assert row[3] is None
 
     def test_ixp_hops_removed_from_as_path(self, world, resolver, de_isp):
         gcp = world.topology.registry.cloud_for_provider("GCP")
@@ -96,9 +121,9 @@ class TestSyntheticResolution:
             (ixp.lan_address_for(gcp.asn), 17.0),
             (gcp.prefixes[0].address_at(503), 25.0),
         ]
-        trace = resolver.resolve(synthetic_trace(world, de_isp, hops))
-        assert trace.as_path == (de_isp.asn, gcp.asn)
-        assert trace.ixp_after_index == ((0, ixp.ixp_id),)
+        _, row = resolve(resolver, synthetic_trace(world, de_isp, hops))
+        assert row[1] == (de_isp.asn, gcp.asn)
+        assert row[2] == ((0, ixp.ixp_id),)
 
     def test_consecutive_hops_collapse(self, world, resolver, de_isp):
         gcp = world.topology.registry.cloud_for_provider("GCP")
@@ -108,8 +133,8 @@ class TestSyntheticResolution:
             (gcp.prefixes[0].address_at(504), 24.0),
             (gcp.prefixes[0].address_at(505), 25.0),
         ]
-        trace = resolver.resolve(synthetic_trace(world, de_isp, hops))
-        assert trace.as_path == (de_isp.asn, gcp.asn)
+        _, row = resolve(resolver, synthetic_trace(world, de_isp, hops))
+        assert row[1] == (de_isp.asn, gcp.asn)
 
     def test_intermediate_asns(self, world, resolver, de_isp):
         gcp = world.topology.registry.cloud_for_provider("GCP")
@@ -119,14 +144,16 @@ class TestSyntheticResolution:
             (telia.prefixes[0].address_at(60), 15.0),
             (gcp.prefixes[0].address_at(506), 26.0),
         ]
-        trace = resolver.resolve(synthetic_trace(world, de_isp, hops))
-        assert trace.intermediate_asns(de_isp.asn, gcp.asn) == [telia.asn]
+        block, row = resolve(resolver, synthetic_trace(world, de_isp, hops))
+        assert row[1] == (de_isp.asn, telia.asn, gcp.asn)
+        assert classify_traces(block).tolist() == [CATEGORIES.index(ONE_AS)]
 
     def test_intermediates_none_when_cloud_missing(self, world, resolver, de_isp):
         hops = [(de_isp.prefixes[0].address_at(61), 10.0)]
-        trace = resolver.resolve(synthetic_trace(world, de_isp, hops))
+        block, row = resolve(resolver, synthetic_trace(world, de_isp, hops))
         gcp = world.topology.registry.cloud_for_provider("GCP")
-        assert trace.intermediate_asns(de_isp.asn, gcp.asn) is None
+        assert gcp.asn not in row[1]
+        assert classify_traces(block).tolist() == [UNCLASSIFIED]
 
     def test_provider_hop_share(self, world, resolver, de_isp):
         gcp = world.topology.registry.cloud_for_provider("GCP")
@@ -136,8 +163,8 @@ class TestSyntheticResolution:
             (gcp.prefixes[0].address_at(511), 21.0),
             (gcp.prefixes[0].address_at(512), 22.0),
         ]
-        trace = resolver.resolve(synthetic_trace(world, de_isp, hops))
-        assert trace.provider_hop_share(gcp.asn) == pytest.approx(0.75)
+        block, _ = resolve(resolver, synthetic_trace(world, de_isp, hops))
+        assert provider_hop_shares(block).tolist() == [pytest.approx(0.75)]
 
 
 class TestDatasetResolution:
@@ -145,36 +172,29 @@ class TestDatasetResolution:
         assert len(resolved_traces) == dataset.traceroute_count
 
     def test_home_cell_inference_matches_access_mostly(self, resolved_traces):
-        agree = wrong = 0
-        for trace in resolved_traces:
-            if trace.meta.platform != "speedchecker":
-                continue
-            if trace.inferred_access is None:
-                continue
-            truth = (
-                "home"
-                if trace.meta.access is AccessKind.HOME_WIFI
-                else "cell"
-            )
-            if trace.inferred_access == truth:
-                agree += 1
-            else:
-                wrong += 1
+        speedchecker = resolved_traces.probe_column("platform") == "speedchecker"
+        inferred = resolved_traces.inferred_access
+        classified = speedchecker & (inferred >= 0)
+        truth = np.where(
+            resolved_traces.probe_column("access") == AccessKind.HOME_WIFI.value,
+            INFERRED_ACCESS.index("home"),
+            INFERRED_ACCESS.index("cell"),
+        )
+        agree = int((classified & (inferred == truth)).sum())
+        wrong = int((classified & (inferred != truth)).sum())
         assert agree > 0
         # VPN/CGN artifacts cause a small, nonzero false-positive rate.
         assert wrong / (agree + wrong) < 0.10
 
     def test_last_mile_rtts_consistent(self, resolved_traces):
-        for trace in resolved_traces[:500]:
-            if trace.usr_isp_rtt_ms is None or trace.router_rtt_ms is None:
-                continue
-            assert trace.rtr_isp_rtt_ms >= 0.0
+        samples = extract_last_mile(resolved_traces)
+        wired = samples.latency_ms[samples.categories == HOME_RTR_ISP]
+        assert wired.size and (wired >= 0.0).all()
 
     def test_as_paths_never_contain_private_hops(self, world, resolved_traces):
         registry = world.topology.registry
-        for trace in resolved_traces[:300]:
-            for asn in trace.as_path:
-                assert asn in registry
+        for asn in set(resolved_traces.as_path_asns.tolist()):
+            assert asn in registry
 
     def test_cymru_fallback_used_under_partial_rib(self, world, dataset):
         partial = TracerouteResolver(
@@ -183,6 +203,5 @@ class TestDatasetResolution:
             rib_coverage=0.7,
             rng=world.rngs.fork("test-partial-rib", 0),
         )
-        for trace in list(dataset.traceroutes())[:200]:
-            partial.resolve(trace)
+        partial.resolve_many(next(dataset.iter_trace_blocks()))
         assert partial.cymru_query_count > 0

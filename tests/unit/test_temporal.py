@@ -93,19 +93,18 @@ class TestCampaignTemporalBehaviour:
         """Mid-measurement WiFi/cellular switches plus CGN artifacts put
         the home/cell misclassification rate in the low single digits."""
         from repro.lastmile.base import AccessKind
+        from repro.resolve.pipeline import CELL, HOME
 
-        wrong = agree = 0
-        for trace in resolved_traces:
-            if trace.meta.platform != "speedchecker":
-                continue
-            if trace.inferred_access is None:
-                continue
-            truth = (
-                "home" if trace.meta.access is AccessKind.HOME_WIFI else "cell"
-            )
-            if trace.inferred_access == truth:
-                agree += 1
-            else:
-                wrong += 1
+        inferred = resolved_traces.inferred_access
+        classified = (
+            resolved_traces.probe_column("platform") == "speedchecker"
+        ) & (inferred >= 0)
+        truth = np.where(
+            resolved_traces.probe_column("access") == AccessKind.HOME_WIFI.value,
+            HOME,
+            CELL,
+        )
+        wrong = int((classified & (inferred != truth)).sum())
+        agree = int((classified & (inferred == truth)).sum())
         rate = wrong / max(1, wrong + agree)
         assert 0.005 < rate < 0.10
