@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.analysis.nearest import NearestMap, nearest_by_probe
 from repro.measure.results import MeasurementDataset, Protocol
 from repro.resolve.pipeline import ResolvedTraceBlock, TracerouteResolver
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.netfaults.plan import NetworkFaultPlan
+    from repro.store.warehouse import DatasetStore
 
 
 @dataclass
@@ -28,9 +33,10 @@ class ExperimentResult:
 class StudyContext:
     """Caches derived artifacts shared across experiments.
 
-    Resolving every traceroute and estimating nearest datacenters are the
-    two expensive steps of the pipeline; experiments sharing a dataset
-    should share a context so those run once.
+    Resolving every traceroute, estimating nearest datacenters and the
+    dynamic-topology experiments' netfault campaign are the expensive
+    steps of the pipeline; experiments sharing a dataset should share a
+    context so those run once.
     """
 
     def __init__(self, world, dataset: MeasurementDataset, rib_coverage: float = 0.97):
@@ -40,6 +46,8 @@ class StudyContext:
         self._resolver: Optional[TracerouteResolver] = None
         self._resolved: Optional[ResolvedTraceBlock] = None
         self._nearest: Dict[str, NearestMap] = {}
+        self._netfault: Optional[Tuple["NetworkFaultPlan", "DatasetStore"]] = None
+        self._netfault_dir: Optional[tempfile.TemporaryDirectory] = None
 
     @property
     def resolver(self) -> TracerouteResolver:
@@ -62,6 +70,18 @@ class StudyContext:
     def resolve(self, dataset: MeasurementDataset) -> ResolvedTraceBlock:
         """Resolve an auxiliary dataset (e.g. a peering case study)."""
         return self.resolver.resolve_dataset(dataset)
+
+    @property
+    def netfault_study(self) -> Tuple["NetworkFaultPlan", "DatasetStore"]:
+        """(plan, store) of the campaign the dynamic-topology experiments
+        query, run once (cached) into a temporary directory the context
+        owns until it is garbage collected."""
+        if self._netfault is None:
+            from repro.experiments.netfault_exp import netfault_study
+
+            plan, self._netfault_dir, store = netfault_study(self.world)
+            self._netfault = (plan, store)
+        return self._netfault
 
     def nearest(self, platform: str) -> NearestMap:
         """Per-probe nearest-DC map for a platform (cached)."""

@@ -3,10 +3,11 @@
 Neither artifact exists in the paper -- the paper measured a static
 week -- but both answer the question its dataset begs: *what happens to
 cloud reachability when the network underneath the measurement fleet
-misbehaves?*  Each experiment runs a short checkpointed campaign under a
-seeded :class:`~repro.netfaults.config.NetworkFaultConfig`, then reads
-the result back exclusively through :mod:`repro.query` epoch/outage
-filters.  The queries are built by :func:`failover_specs` and
+misbehaves?*  Both query one short checkpointed campaign under a seeded
+:class:`~repro.netfaults.config.NetworkFaultConfig` (run once per
+:class:`~repro.experiments.common.StudyContext`, or per experiment
+without one), reading it back exclusively through :mod:`repro.query`
+epoch/outage filters.  The queries are built by :func:`failover_specs` and
 :func:`pathdiv_specs`, which the test suite shares to check every one
 against the record-at-a-time oracle.
 """
@@ -14,7 +15,8 @@ against the record-at-a-time oracle.
 from __future__ import annotations
 
 import tempfile
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.common import ExperimentResult, StudyContext
@@ -91,6 +93,24 @@ def netfault_study(
     return plan, tmpdir, store
 
 
+@contextmanager
+def _netfault_campaign(
+    world, context: Optional[StudyContext]
+) -> Iterator[Tuple[NetworkFaultPlan, Any]]:
+    """(plan, store) of the netfault campaign an experiment queries.
+
+    Experiments sharing a context share its campaign
+    (:attr:`StudyContext.netfault_study`); without one, an experiment
+    runs its own, whose directory is removed when the block exits.
+    """
+    if context is not None:
+        yield context.netfault_study
+        return
+    plan, tmpdir, store = netfault_study(world)
+    with tmpdir:
+        yield plan, store
+
+
 def _event_schedule(plan: NetworkFaultPlan) -> List[Dict[str, Any]]:
     """The realized events with their downed/recovery accounting."""
     events: List[Dict[str, Any]] = []
@@ -126,9 +146,8 @@ def run_failover(
     against rows on baseline routes (``outage == -1``), all through
     epoch/outage-filtered queries.
     """
-    del dataset, context  # runs its own campaign under network faults
-    plan, tmpdir, store = netfault_study(world)
-    with tmpdir:
+    del dataset  # queries a campaign under network faults instead
+    with _netfault_campaign(world, context) as (plan, store):
         provider_rows, region_rows, epoch_rows = (
             execute(store, spec, workers=1, cache=False).rows
             for spec in failover_specs()
@@ -240,9 +259,8 @@ def run_pathdiv(
     and how often the pair went unreachable; measurement-side coverage
     comes from epoch-grouped trace queries.
     """
-    del dataset, context
-    plan, tmpdir, store = netfault_study(world)
-    with tmpdir:
+    del dataset
+    with _netfault_campaign(world, context) as (plan, store):
         trace_rows, dropped_free = (
             execute(store, spec, workers=1, cache=False).rows
             for spec in pathdiv_specs()

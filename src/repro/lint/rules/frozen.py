@@ -1,11 +1,13 @@
 """Frozen-world safety (``FRZ001``, ``FRZ002``).
 
-A :class:`~repro.core.world.World` and the planner's ``PlannedPath``
-objects are built once and then shared across campaigns, caches, and
-batch engines.  Mutating one mid-campaign desynchronizes every
-component that captured it (the planner cache keeps paths alive for the
-whole run), so attribute assignment on these types is only legal inside
-the types themselves and in their builder functions (``FRZ001``).
+A :class:`~repro.core.world.World` is built once and then shared across
+campaigns, caches, and batch engines; mutating it mid-campaign
+desynchronizes every component that captured it.  A ``PlannedPath`` is
+a view of one row of the planner's path table, which the batch engines
+sample directly, so a mutated view silently disagrees with what was
+measured.  Attribute assignment on these types is therefore only legal
+inside the types themselves and in their builder functions
+(``FRZ001``).
 
 The AS-level relationship graphs underneath a ``Topology`` are equally
 shared -- planner route caches, epoch views, and parity oracles all

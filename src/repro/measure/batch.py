@@ -4,9 +4,11 @@ The scalar engine executes one :meth:`~repro.measure.engine.MeasurementEngine.pi
 at a time, drawing 3-5 random numbers per RTT sample from the generator
 one call at a time.  At campaign scale that is millions of scalar RNG
 round-trips per simulated day.  This module provides the batched
-equivalent: a whole request list is planned, grouped by forwarding path,
-and *all* jitter / congestion / ICMP-penalty / last-mile noise for every
-sample of every request is drawn as a handful of NumPy arrays.
+equivalent: a whole request list is planned into the planner's
+:class:`~repro.measure.path.PathTable`, its path parameters are gathered
+from the table by row, and *all* jitter / congestion / ICMP-penalty /
+last-mile noise for every sample of every request is drawn as a handful
+of NumPy arrays.
 
 The results are columnar: a :class:`~repro.measure.results.PingBlock`
 per ping batch and a :class:`~repro.measure.results.TraceBlock` per
@@ -52,6 +54,7 @@ from repro.measure.results import (
 from repro.platforms.probe import Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.config import SimulationConfig
     from repro.measure.engine import MeasurementEngine
 
 
@@ -76,6 +79,25 @@ class TraceRequest:
     day: int = 0
 
 
+def _day_multipliers(days: np.ndarray, config: "SimulationConfig") -> np.ndarray:
+    """The weekly congestion-cycle multiplier of every request's day."""
+    unique, inverse = np.unique(days, return_inverse=True)
+    return np.array(
+        [congestion_cycle_multiplier(day, config) for day in unique.tolist()]
+    )[inverse]
+
+
+def _icmp_penalties(
+    probes: Sequence[Probe], config: "SimulationConfig"
+) -> np.ndarray:
+    """The ICMP penalty probability of every probe's continent."""
+    by_continent = {
+        continent: icmp_penalty_probability_for(continent, config)
+        for continent in dict.fromkeys(probe.continent for probe in probes)
+    }
+    return np.array([by_continent[probe.continent] for probe in probes])
+
+
 def execute_ping_batch(
     engine: "MeasurementEngine",
     requests: Sequence[PingRequest],
@@ -83,11 +105,12 @@ def execute_ping_batch(
 ) -> PingBlock:
     """Execute a request batch in one vectorized pass.
 
-    Phase 1 walks the request list once in Python: paths are planned (the
-    planner caches per pair), per-path noise parameters and per-probe
-    last-mile parameters are interned, and probe/region code columns are
-    built.  Phase 2 is pure array math over every sample of every
-    request.
+    Phase 1 plans every pair into the planner's
+    :class:`~repro.measure.path.PathTable` (cached per pair) and walks
+    the request list once to intern probe and region codes; the
+    per-request path parameters are gathered from the table by row, the
+    last-mile parameters and ICMP penalties per probe.  Phase 2 is pure
+    array math over every sample of every request.
 
     ``rng`` overrides the engine's measurement stream -- checkpointed
     campaigns pass a per-unit generator so a unit's draws are independent
@@ -108,110 +131,30 @@ def execute_ping_batch(
             sample_values=np.empty(0, np.float64),
             sample_offsets=np.zeros(1, np.int64),
         )
+    counts = np.array([request.samples for request in requests], np.int64)
+    if counts.min() < 1:
+        raise ValueError(f"samples must be >= 1, got {counts[counts < 1][0]}")
 
-    # Plan every pair in one vectorized pass; the loop below reuses the
-    # returned paths directly instead of re-probing the planner cache.
-    paths = engine.planner.plan_many(
-        [(request.probe, request.region) for request in requests]
+    planner = engine.planner
+    rows = np.array(
+        planner.plan_many([(request.probe, request.region) for request in requests]),
+        np.int64,
     )
-
-    probes: List[Probe] = []
-    probe_codes_by_id: Dict[str, int] = {}
-    regions: List[CloudRegion] = []
-    region_codes_by_key: Dict[Tuple[str, str], int] = {}
-    #: Per-probe last-mile parameters, interned by probe code.
-    lastmile_params: Dict[int, Tuple[float, float, float, float, float, float]] = {}
-    #: Per-(continent,) ICMP penalty probability and per-day congestion
-    #: cycle multiplier.
-    icmp_probability: Dict[object, float] = {}
-    cycle_multiplier: Dict[int, float] = {}
-    #: Noise-parameter rows (10 floats), interned per distinct
-    #: (probe, region, protocol, day) combination -- a batch of many
-    #: requests over few paths pays the parameter lookups only once.
-    rows: List[Tuple[float, ...]] = []
-    row_by_key: Dict[Tuple[int, int, int, int], int] = {}
-
-    probe_code_list: List[int] = []
-    region_code_list: List[int] = []
-    day_list: List[int] = []
-    proto_list: List[int] = []
-    count_list: List[int] = []
-    row_code_list: List[int] = []
-
-    # Validation plus dict-based code interning -- inherently sequential
-    # (first-seen order defines the codes the RNG draws depend on).
-    for i, request in enumerate(requests):  # repro-lint: disable=PERF001
-        if request.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {request.samples}")
-        probe = request.probe
-        region = request.region
-        probe_code = probe_codes_by_id.get(probe.probe_id)
-        if probe_code is None:
-            probe_code = len(probes)
-            probes.append(probe)
-            probe_codes_by_id[probe.probe_id] = probe_code
-            lastmile_params[probe_code] = engine.lastmile_model(probe).batch_params()
-        region_key = (region.provider_code, region.region_id)
-        region_code = region_codes_by_key.get(region_key)
-        if region_code is None:
-            region_code = len(regions)
-            regions.append(region)
-            region_codes_by_key[region_key] = region_code
-
-        proto_code = PROTOCOL_CODES[request.protocol]
-        day = request.day
-        key = (probe_code, region_code, proto_code, day)
-        row_code = row_by_key.get(key)
-        if row_code is None:
-            path = paths[i]
-            multiplier = cycle_multiplier.get(day)
-            if multiplier is None:
-                multiplier = congestion_cycle_multiplier(day, config)
-                cycle_multiplier[day] = multiplier
-            if request.protocol is Protocol.ICMP:
-                penalty = icmp_probability.get(probe.continent)
-                if penalty is None:
-                    penalty = icmp_penalty_probability_for(
-                        probe.continent, config
-                    )
-                    icmp_probability[probe.continent] = penalty
-            else:
-                penalty = 0.0
-            row_code = len(rows)
-            rows.append(
-                (
-                    path.base_path_rtt_ms,
-                    path.jitter_sigma,
-                    path.congestion_probability * multiplier,
-                    penalty,
-                )
-                + lastmile_params[probe_code]
-            )
-            row_by_key[key] = row_code
-
-        probe_code_list.append(probe_code)
-        region_code_list.append(region_code)
-        day_list.append(day)
-        proto_list.append(proto_code)
-        count_list.append(request.samples)
-        row_code_list.append(row_code)
-
-    probe_codes = np.array(probe_code_list, np.int32)
-    region_codes = np.array(region_code_list, np.int32)
-    days = np.array(day_list, np.int32)
-    protocol_codes = np.array(proto_list, np.uint8)
-    counts = np.array(count_list, np.int64)
-    per_request = np.array(rows, np.float64)[row_code_list]
-    base = per_request[:, 0]
-    sigma = per_request[:, 1]
-    congestion_p = per_request[:, 2]
-    icmp_p = per_request[:, 3]
-    air_median = per_request[:, 4]
-    air_sigma = per_request[:, 5]
-    wire_median = per_request[:, 6]
-    wire_sigma = per_request[:, 7]
-    bloat_p = per_request[:, 8]
-    bloat_x = per_request[:, 9]
+    probes, probe_codes, regions, region_codes = _intern(requests)
+    days = np.array([request.day for request in requests], np.int32)
+    protocol_codes = np.array(
+        [PROTOCOL_CODES[request.protocol] for request in requests], np.uint8
+    )
+    icmp = protocol_codes == PROTOCOL_CODES[Protocol.ICMP]
+    table = planner.table
+    base = table.base_rtt[rows]
+    sigma = table.sigma[rows]
+    congestion_p = table.congestion[rows] * _day_multipliers(days, config)
+    icmp_p = np.where(icmp, _icmp_penalties(probes, config)[probe_codes], 0.0)
+    lastmile = np.array(
+        [engine.lastmile_model(probe).batch_params() for probe in probes],
+        np.float64,
+    )[probe_codes]
 
     # -- phase 2: one vectorized pass over every sample --------------------
     offsets = np.zeros(n + 1, np.int64)
@@ -222,7 +165,7 @@ def execute_ping_batch(
         base[sample_of],
         sigma[sample_of],
         congestion_p[sample_of],
-        protocol_codes[sample_of] == PROTOCOL_CODES[Protocol.ICMP],
+        icmp[sample_of],
         icmp_p[sample_of],
         config,
         rng,
@@ -232,18 +175,13 @@ def execute_ping_batch(
     z_air = rng.standard_normal(m)
     u_bloat = rng.random(m)
     z_wire = rng.standard_normal(m)
-    air_median_s = air_median[sample_of]
-    air = np.where(
-        air_median_s > 0.0,
-        air_median_s * np.exp(air_sigma[sample_of] * z_air),
-        0.0,
-    )
-    air = np.where(u_bloat < bloat_p[sample_of], air * bloat_x[sample_of], air)
-    wire_median_s = wire_median[sample_of]
+    air_median, air_sigma, wire_median, wire_sigma, bloat_p, bloat_x = lastmile[
+        sample_of
+    ].T
+    air = np.where(air_median > 0.0, air_median * np.exp(air_sigma * z_air), 0.0)
+    air = np.where(u_bloat < bloat_p, air * bloat_x, air)
     wire = np.where(
-        wire_median_s > 0.0,
-        wire_median_s * np.exp(wire_sigma[sample_of] * z_wire),
-        0.0,
+        wire_median > 0.0, wire_median * np.exp(wire_sigma * z_wire), 0.0
     )
 
     return PingBlock(
@@ -258,6 +196,42 @@ def execute_ping_batch(
     )
 
 
+def _intern(
+    requests: Sequence[PingRequest | TraceRequest],
+) -> Tuple[List[Probe], np.ndarray, List[CloudRegion], np.ndarray]:
+    """Probe and region codes of a request list, in first-seen order
+    (the order a block lists its probes and regions in)."""
+    probes: List[Probe] = []
+    probe_codes_by_id: Dict[str, int] = {}
+    regions: List[CloudRegion] = []
+    region_codes_by_key: Dict[Tuple[str, str], int] = {}
+    probe_code_list: List[int] = []
+    region_code_list: List[int] = []
+    # Dict-based code interning is inherently sequential.
+    for request in requests:
+        probe = request.probe
+        probe_code = probe_codes_by_id.get(probe.probe_id)
+        if probe_code is None:
+            probe_code = len(probes)
+            probes.append(probe)
+            probe_codes_by_id[probe.probe_id] = probe_code
+        region = request.region
+        region_key = (region.provider_code, region.region_id)
+        region_code = region_codes_by_key.get(region_key)
+        if region_code is None:
+            region_code = len(regions)
+            regions.append(region)
+            region_codes_by_key[region_key] = region_code
+        probe_code_list.append(probe_code)
+        region_code_list.append(region_code)
+    return (
+        probes,
+        np.array(probe_code_list, np.int32),
+        regions,
+        np.array(region_code_list, np.int32),
+    )
+
+
 def execute_traceroute_batch(
     engine: "MeasurementEngine",
     requests: Sequence["TraceRequest"],
@@ -265,14 +239,16 @@ def execute_traceroute_batch(
 ) -> TraceBlock:
     """Execute a traceroute batch in one vectorized pass.
 
-    Phase 1 walks the request list once: paths are planned (cached),
-    probe/region codes are interned in first-seen order, the per-trace
-    last-mile is drawn, and home probes behind a NAT router are marked
-    for their private first hop.  Phase 2 samples jitter / congestion /
-    ICMP penalty / control-plane processing for *every hop of every
-    trace* as flat arrays, silences unresponsive hops in place, and
-    inserts the router hops at their traces' hop offsets -- the result
-    is the columnar :class:`TraceBlock`, with no per-trace record built.
+    Phase 1 plans every pair into the planner's
+    :class:`~repro.measure.path.PathTable` (cached per pair), interns
+    probe/region codes in first-seen order, draws the per-trace last
+    mile, and marks home probes behind a NAT router for their private
+    first hop.  Phase 2 gathers every trace's planned hops from the
+    table by row, samples jitter / congestion / ICMP penalty /
+    control-plane processing for *every hop of every trace* as flat
+    arrays, silences unresponsive hops in place, and inserts the router
+    hops at their traces' hop offsets -- the result is the columnar
+    :class:`TraceBlock`, with no per-trace record built.
 
     Draw order (fixed): access-switch uniforms, air / bufferbloat / wire
     noise, the router exponential (one each per trace), the per-hop core
@@ -302,27 +278,14 @@ def execute_traceroute_batch(
 
     # Plan (or fetch) every trace's path first so the planner's own RNG
     # draws stay grouped ahead of the measurement draws below.
-    paths = engine.planner.plan_many(
-        [(request.probe, request.region) for request in requests]
+    planner = engine.planner
+    rows = np.array(
+        planner.plan_many([(request.probe, request.region) for request in requests]),
+        np.int64,
     )
-    probes: List[Probe] = []
-    probe_codes_by_id: Dict[str, int] = {}
-    regions: List[CloudRegion] = []
-    region_codes_by_key: Dict[Tuple[str, str], int] = {}
-    icmp_probability: Dict[object, float] = {}
-    cycle_multiplier: Dict[int, float] = {}
+    probes, probe_codes, regions, region_codes = _intern(requests)
     lastmile_rows: List[Tuple[float, ...]] = []
-    probe_code_list: List[int] = []
-    region_code_list: List[int] = []
-    day_list: List[int] = []
-    proto_list: List[int] = []
-    source_list: List[int] = []
-    dest_list: List[int] = []
-    count_list: List[int] = []
     routed_list: List[bool] = []
-    sigma_list: List[float] = []
-    congestion_list: List[float] = []
-    icmp_p_list: List[float] = []
 
     # One array draw decides every trace's access switch: a wireless
     # probe measures over the other medium (WiFi <-> cellular) when its
@@ -331,14 +294,12 @@ def execute_traceroute_batch(
     # probes never switch.
     switch_p = config.last_mile.access_switch_probability
     access_draws = rng.random(n).tolist()
-    # Per-request access resolution and code interning branch on probe
-    # state; the draws they consume are already a single array pull.
-    for i, request in enumerate(requests):  # repro-lint: disable=PERF001
+    # Per-request access resolution branches on probe state; the draws
+    # it consumes are already a single array pull.
+    for request, draw in zip(requests, access_draws):  # repro-lint: disable=PERF001
         probe = request.probe
-        region = request.region
-        path = paths[i]
         access = probe.access
-        if access.is_wireless and access_draws[i] < switch_p:
+        if access.is_wireless and draw < switch_p:
             access = (
                 AccessKind.CELLULAR
                 if access is AccessKind.HOME_WIFI
@@ -357,44 +318,17 @@ def execute_traceroute_batch(
             )
         )
 
-        probe_code = probe_codes_by_id.get(probe.probe_id)
-        if probe_code is None:
-            probe_code = len(probes)
-            probes.append(probe)
-            probe_codes_by_id[probe.probe_id] = probe_code
-        region_key = (region.provider_code, region.region_id)
-        region_code = region_codes_by_key.get(region_key)
-        if region_code is None:
-            region_code = len(regions)
-            regions.append(region)
-            region_codes_by_key[region_key] = region_code
-        probe_code_list.append(probe_code)
-        region_code_list.append(region_code)
-
-        day = request.day
-        multiplier = cycle_multiplier.get(day)
-        if multiplier is None:
-            multiplier = congestion_cycle_multiplier(day, config)
-            cycle_multiplier[day] = multiplier
-        if request.protocol is Protocol.ICMP:
-            penalty = icmp_probability.get(probe.continent)
-            if penalty is None:
-                penalty = icmp_penalty_probability_for(probe.continent, config)
-                icmp_probability[probe.continent] = penalty
-        else:
-            penalty = 0.0
-        day_list.append(day)
-        proto_list.append(PROTOCOL_CODES[request.protocol])
-        source_list.append(probe.device_address)
-        dest_list.append(path.dest_address)
-        count_list.append(path.hop_count)
-        sigma_list.append(path.jitter_sigma)
-        congestion_list.append(path.congestion_probability * multiplier)
-        icmp_p_list.append(penalty)
-
-    protocol_codes = np.array(proto_list, np.uint8)
-    dest_addresses = np.array(dest_list, np.int64)
-    counts = np.array(count_list, np.int64)
+    days = np.array([request.day for request in requests], np.int32)
+    protocol_codes = np.array(
+        [PROTOCOL_CODES[request.protocol] for request in requests], np.uint8
+    )
+    icmp = protocol_codes == PROTOCOL_CODES[Protocol.ICMP]
+    table = planner.table
+    dest_addresses = table.dest[rows]
+    counts = table.hop_count[rows].astype(np.int64)
+    sigma = table.sigma[rows]
+    congestion_p = table.congestion[rows] * _day_multipliers(days, config)
+    icmp_p = np.where(icmp, _icmp_penalties(probes, config)[probe_codes], 0.0)
     routed = np.array(routed_list, bool)
 
     # One last-mile draw per trace (all traces at once; draw order is
@@ -418,28 +352,25 @@ def execute_traceroute_batch(
     router_rtts = np.round(air + rng.exponential(0.3, n), 3)
 
     # -- phase 2: one vectorized pass over every hop of every trace ---------
-    total = int(counts.sum())
+    planned_offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(counts, out=planned_offsets[1:])
+    total = int(planned_offsets[-1])
     hop_of = np.repeat(np.arange(n), counts)
-    base = np.fromiter(
-        (rtt for path in paths for rtt in path.hop_base_rtts),
-        np.float64,
-        count=total,
+    # Each trace's planned hops, gathered from its row's hop range.
+    planned_hops = (
+        np.arange(total) + (table.hop_start[rows] - planned_offsets[:-1])[hop_of]
     )
     hop_core = sample_hop_rtt_block(
-        base,
-        np.array(sigma_list, np.float64)[hop_of],
-        np.array(congestion_list, np.float64)[hop_of],
-        (protocol_codes == PROTOCOL_CODES[Protocol.ICMP])[hop_of],
-        np.array(icmp_p_list, np.float64)[hop_of],
+        table.hop_rtt[planned_hops],
+        sigma[hop_of],
+        congestion_p[hop_of],
+        icmp[hop_of],
+        icmp_p[hop_of],
         config,
         rng,
     )
     rtts = np.round(lastmile_total[hop_of] + hop_core, 3)
-    planned = np.fromiter(
-        (address for path in paths for address in path.hop_addresses),
-        np.int64,
-        count=total,
-    )
+    planned = table.hop_address[planned_hops]
     # An unresponsive hop keeps its slot, encoded in-band; the
     # destination always answers.
     silenced = (rng.random(total) < unresponsive_p) & (
@@ -450,8 +381,6 @@ def execute_traceroute_batch(
 
     # Router hops go in front of their trace's planned hops: one
     # insertion at each routed trace's planned-hop offset.
-    planned_offsets = np.zeros(n + 1, np.int64)
-    np.cumsum(counts, out=planned_offsets[1:])
     router_at = planned_offsets[:-1][routed]
     hop_offsets = planned_offsets
     if len(router_at):
@@ -463,11 +392,13 @@ def execute_traceroute_batch(
     return TraceBlock(
         probes=probes,
         regions=regions,
-        probe_codes=np.array(probe_code_list, np.int32),
-        region_codes=np.array(region_code_list, np.int32),
-        days=np.array(day_list, np.int32),
+        probe_codes=probe_codes,
+        region_codes=region_codes,
+        days=days,
         protocol_codes=protocol_codes,
-        source_addresses=np.array(source_list, np.int64),
+        source_addresses=np.array(
+            [request.probe.device_address for request in requests], np.int64
+        ),
         dest_addresses=dest_addresses,
         hop_offsets=hop_offsets,
         hop_addresses=hop_addresses,

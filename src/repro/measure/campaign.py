@@ -312,10 +312,11 @@ def _checkpoint_engine(
     """An engine with its own pair-deterministic planner.
 
     It plans the same paths as the world's planner, but keeps its own
-    caches: the measurement service runs concurrent jobs on one cached
-    world in bridge threads, and a planner per run keeps their caches
-    apart.  The engine's fallback stream is never used: every batch call
-    below passes an explicit per-unit generator.
+    caches and path table: the measurement service runs concurrent jobs
+    on one cached world in bridge threads, and a planner serves one
+    thread (its table's appends reallocate the columns).  The engine's
+    fallback stream is never used: every batch call below passes an
+    explicit per-unit generator.
 
     ``route_policy`` threads a path-selection policy into the planner
     (the network-fault runner installs a

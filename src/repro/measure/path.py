@@ -79,11 +79,8 @@ class InterconnectKind(str, Enum):
 class PlannedHop(NamedTuple):
     """A router (or IXP port) hop with its noise-free RTT from the ISP edge.
 
-    A named tuple of atomic fields rather than a dataclass: the planner
-    allocates one per router of every planned path, tuple construction
-    is several times cheaper, and tuples whose items are all atomic are
-    untracked by the garbage collector -- keeping the (large, permanent)
-    planner cache out of every gen-2 collection.
+    One row of a :class:`PlannedPath`'s hop columns, built on demand by
+    :attr:`PlannedPath.hops` for analysis code.
     """
 
     address: int
@@ -103,12 +100,11 @@ class PlannedHop(NamedTuple):
 class PlannedPath:
     """The planned forwarding path between a probe and a region endpoint.
 
-    Hops are stored columnar -- parallel tuples of atomic values rather
-    than one object per hop.  Exact tuples of atomics are untracked by
-    the garbage collector, which keeps the planner's (large, permanent)
-    path cache out of every gen-2 collection; the hot batch engines read
-    the columns directly and :attr:`hops` materializes the classic
-    :class:`PlannedHop` view on demand for analysis code.
+    A view of one :class:`PathTable` row, built on demand by
+    :meth:`PathPlanner.path` (and :meth:`PathPlanner.plan`) for the
+    scalar engine, analysis code and tests; the planner itself keeps no
+    ``PlannedPath``.  Hops are parallel tuples of atomic values, and
+    :attr:`hops` materializes the classic :class:`PlannedHop` rows.
     """
 
     __slots__ = (
@@ -162,18 +158,17 @@ class PlannedPath:
         self.base_path_rtt_ms = base_path_rtt_ms
         if hop_columns is None:
             hop_columns = tuple(zip(*hops)) if hops else ((),) * 7
-        self._set_columns(hop_columns)
-        self.dest_address = dest_address
-
-    def _set_columns(self, columns: HopColumns) -> None:
         #: Columnar hop storage, ISP edge first, endpoint last.
-        self.hop_addresses = columns[0]
-        self.hop_asns = columns[1]
-        self.hop_kinds = columns[2]
-        self.hop_lats = columns[3]
-        self.hop_lons = columns[4]
-        self.hop_base_rtts = columns[5]
-        self.hop_ixp_ids = columns[6]
+        (
+            self.hop_addresses,
+            self.hop_asns,
+            self.hop_kinds,
+            self.hop_lats,
+            self.hop_lons,
+            self.hop_base_rtts,
+            self.hop_ixp_ids,
+        ) = hop_columns
+        self.dest_address = dest_address
 
     @property
     def hops(self) -> Tuple[PlannedHop, ...]:
@@ -204,6 +199,124 @@ class PlannedPath:
             f"PlannedPath(probe_id={self.probe_id!r}, "
             f"region_id={self.region_id!r}, hops={self.hop_count})"
         )
+
+
+#: Sentinel of the hop ASN column where a :class:`PlannedHop` has no ASN
+#: (an IXP port).
+NO_ASN = -1
+
+#: Sentinel of the hop IXP-id column off an exchange fabric.
+NO_IXP = -1
+
+#: Labels of the hop kind column's codes: the AS kinds, then IXP ports.
+HOP_KINDS: Tuple[str, ...] = tuple(str(kind) for kind in ASKind) + ("ixp",)
+_KIND_CODES = {kind: code for code, kind in enumerate(ASKind)}
+_IXP_KIND = len(ASKind)
+
+#: (name, dtype) of the per-path and the per-hop columns of a PathTable.
+_PATH_COLUMNS = (
+    ("base_rtt", np.float64),
+    ("sigma", np.float64),
+    ("congestion", np.float64),
+    ("dest", np.int64),
+    ("hop_start", np.int64),
+    ("hop_count", np.int32),
+    ("distance", np.float64),
+    ("meta", np.int32),
+)
+_HOP_COLUMNS = (
+    ("hop_address", np.int64),
+    ("hop_asn", np.int64),
+    ("hop_kind", np.uint8),
+    ("hop_lat", np.float64),
+    ("hop_lon", np.float64),
+    ("hop_rtt", np.float64),
+    ("hop_ixp", np.int32),
+)
+
+
+class PathTable:
+    """Append-only columnar storage of planned paths, one row per path.
+
+    Per path: the noise-free RTT to the endpoint (``base_rtt``), the
+    jitter sigma, the congestion probability, the destination address,
+    the path's first hop and hop count in the per-hop columns, the
+    great-circle distance, and the index of its route meta in the
+    planner (``meta``), plus the probe id in :attr:`probe_ids`.  Per
+    hop, ISP edge first and endpoint last: address, ASN (:data:`NO_ASN`
+    for an IXP port), kind code (into :data:`HOP_KINDS`), latitude,
+    longitude, noise-free RTT, and IXP id (:data:`NO_IXP` off an
+    exchange).  The batch engines gather these columns by row.
+
+    Appends grow the columns by reallocation, so an append may replace
+    every column array: read ``table.<column>`` after the append that
+    made the rows and do not hold it across a later one.  Nothing here
+    locks; a table, like the planner that owns it, serves one thread.
+    """
+
+    base_rtt: np.ndarray
+    sigma: np.ndarray
+    congestion: np.ndarray
+    dest: np.ndarray
+    hop_start: np.ndarray
+    hop_count: np.ndarray
+    distance: np.ndarray
+    meta: np.ndarray
+    hop_address: np.ndarray
+    hop_asn: np.ndarray
+    hop_kind: np.ndarray
+    hop_lat: np.ndarray
+    hop_lon: np.ndarray
+    hop_rtt: np.ndarray
+    hop_ixp: np.ndarray
+
+    def __init__(self) -> None:
+        self.rows = 0
+        self.hops = 0
+        self.probe_ids: List[str] = []
+        for name, dtype in _PATH_COLUMNS + _HOP_COLUMNS:
+            setattr(self, name, np.empty(0, dtype))
+
+    def append(
+        self,
+        probe_ids: Sequence[str],
+        paths: Dict[str, np.ndarray],
+        hops: Dict[str, np.ndarray],
+    ) -> int:
+        """Append a batch of paths; returns the first new row.
+
+        ``paths`` holds every per-path column but ``hop_start``, which
+        follows from the hop counts; ``hops`` every per-hop column, the
+        batch's paths back to back.
+        """
+        first, hop_first = self.rows, self.hops
+        count = len(probe_ids)
+        hop_total = len(hops["hop_address"])
+        starts = np.cumsum(paths["hop_count"], dtype=np.int64)
+        paths = dict(paths, hop_start=hop_first + starts - paths["hop_count"])
+        self._grow(_PATH_COLUMNS, first, count)
+        self._grow(_HOP_COLUMNS, hop_first, hop_total)
+        for name, _ in _PATH_COLUMNS:
+            getattr(self, name)[first : first + count] = paths[name]
+        for name, _ in _HOP_COLUMNS:
+            getattr(self, name)[hop_first : hop_first + hop_total] = hops[name]
+        self.probe_ids.extend(probe_ids)
+        self.rows += count
+        self.hops += hop_total
+        return first
+
+    def _grow(
+        self, columns: Tuple[Tuple[str, type], ...], used: int, extra: int
+    ) -> None:
+        """Make room for ``extra`` more entries in a column group."""
+        capacity = len(getattr(self, columns[0][0]))
+        if used + extra <= capacity:
+            return
+        capacity = max(used + extra, capacity + capacity // 2, 1024)
+        for name, dtype in columns:
+            grown = np.empty(capacity, dtype)
+            grown[:used] = getattr(self, name)[:used]
+            setattr(self, name, grown)
 
 
 def classify_interconnect(
@@ -256,32 +369,25 @@ _CLOUD_GEO_SHARE = {
     InterconnectKind.PUBLIC: 0.15,
 }
 
-#: Pre-rendered AS-kind labels so hop assembly never re-stringifies enums.
-_KIND_LABELS = {kind: str(kind) for kind in ASKind}
+class _PathASes(NamedTuple):
+    """An AS path with its per-AS planning terms.
 
-
-class _PathPrep(NamedTuple):
-    """Everything about a path that is decided before hop placement.
-
-    The scalar prefix of path building (routing, interconnect class,
-    stretch/jitter) stays per-pair Python; the hop-count draws and hop
-    placement itself (fractions, spherical interpolation, base RTTs,
-    addresses) run as array passes over every prep in a batch.
+    ``count_scales``/``count_bases`` give each AS's hop count as
+    ``base + int(u * scale)`` for its uniform draw ``u``
+    (:func:`_hop_count_terms`); ``asns``, ``kind_codes``,
+    ``prefix_bases`` and ``prefix_spans`` are the per-AS terms of hop
+    placement.  The planner interns one per (AS path, interconnect
+    class), which many route metas share.
     """
 
-    probe: Probe
-    region: CloudRegion
-    as_path: Sequence[int]
-    interconnect: InterconnectKind
-    distance: float
-    stretch: float
-    sigma: float
-    systems: Sequence[AS]
-    counts: List[int]
-    fixed_rtt: float
-    total_hops: int
-    two_way_fiber: float
-    dest_address: int
+    as_path: Tuple[int, ...]
+    systems: Tuple[AS, ...]
+    count_scales: Tuple[float, ...]
+    count_bases: Tuple[int, ...]
+    asns: Tuple[int, ...]
+    kind_codes: Tuple[int, ...]
+    prefix_bases: Tuple[int, ...]
+    prefix_spans: Tuple[int, ...]
 
 
 class _RouteMeta(NamedTuple):
@@ -294,25 +400,41 @@ class _RouteMeta(NamedTuple):
     once per (probe, region) pair.  The jitter sigma is
     ``sigma_base + distance / 1000 * sigma_per_1000km``, so the only
     per-probe terms left are the great-circle distance and the RNG
-    draws.  ``count_scales``/``count_bases`` give each AS's hop count as
-    ``base + int(u * scale)`` for its uniform draw ``u``
-    (:func:`_hop_count_terms`).
+    draws.  ``ixp_hop`` is the (IXP id, LAN address, latitude,
+    longitude) of a direct session's exchange port, and ``index`` the
+    meta's position in the planner, which a table row refers to.
     """
 
-    as_path: Tuple[int, ...]
+    index: int
+    region: CloudRegion
+    ases: _PathASes
     interconnect: InterconnectKind
     stretch: float
     sigma_base: float
     sigma_per_1000km: float
-    systems: Tuple[AS, ...]
-    count_scales: Tuple[float, ...]
-    count_bases: Tuple[int, ...]
     fixed_rtt: float
     dest_address: int
+    ixp_hop: Optional[Tuple[int, int, float, float]]
+
+
+class _Prepared(NamedTuple):
+    """A batch of new pairs, prepared for hop placement.
+
+    The per-pair route meta, great-circle distance, jitter sigma and
+    two-way fibre RTT; the routers each AS of each path exposes, flat in
+    path order; and one address uniform per router, flat in hop order.
+    """
+
+    metas: List[_RouteMeta]
+    distances: List[float]
+    sigmas: np.ndarray
+    fibers: List[float]
+    counts: np.ndarray
+    address_draws: np.ndarray
 
 
 class PathPlanner:
-    """Builds and caches :class:`PlannedPath` objects.
+    """Plans forwarding paths into a :class:`PathTable`, one row per pair.
 
     Planning is pair-deterministic: every (probe, region) pair draws
     from its own stream, the generator derived from ``pair_entropy`` and
@@ -323,6 +445,11 @@ class PathPlanner:
     paths -- and experiments independent of which ran first.  A batch
     derives the draws of all its new pairs in array passes
     (:class:`~repro.core.rng.DerivedStreams`).
+
+    A planner serves one thread: its caches are plain dicts and its
+    table's appends reallocate the columns a concurrent reader would be
+    gathering from.  Concurrent campaigns each plan with their own (see
+    :func:`repro.measure.campaign._checkpoint_engine`).
     """
 
     def __init__(
@@ -348,7 +475,12 @@ class PathPlanner:
         #: ever invalidated -- planned paths are pure functions of
         #: (pair, token).
         self._route_policy = route_policy
-        self._cache: Dict[Tuple[Hashable, ...], PlannedPath] = {}
+        #: Planned paths; ``_cache`` maps a pair key (plus its scope
+        #: token, if any) to the ``int`` row built for it.
+        self.table = PathTable()
+        self._cache: Dict[Tuple[Hashable, ...], int] = {}
+        self._metas: List[_RouteMeta] = []
+        self._path_ases: Dict[Tuple[Tuple[int, ...], InterconnectKind], _PathASes] = {}
         self._meta_cache: Dict[Tuple[Hashable, ...], _RouteMeta] = {}
         #: Per-scope token memo for the *current* policy state: pair
         #: tokens are pure given (policy token, scope), so the memo is
@@ -470,22 +602,55 @@ class PathPlanner:
         )
 
     def plan(self, probe: Probe, region: CloudRegion) -> PlannedPath:
-        """The planned path for a (probe, region) pair, cached."""
-        return self.plan_many([(probe, region)])[0]
+        """The planned path for a (probe, region) pair, as a view."""
+        return self.path(self.plan_many([(probe, region)])[0])
 
-    def plan_many(
-        self, pairs: Sequence[Tuple[Probe, CloudRegion]]
-    ) -> List[PlannedPath]:
-        """Planned paths for many (probe, region) pairs at once.
+    def path(self, row: int) -> PlannedPath:
+        """A :class:`PlannedPath` view of one table row.
 
-        Cache hits return directly; every miss in the batch shares one
-        pass of draws (:meth:`_prepare_many`) and one vectorized
-        hop-placement pass (fractions, spherical interpolation, base
-        RTTs, and hop addresses are single array expressions across all
-        new paths), so a cold campaign day pays array setup once rather
-        than per pair.
+        The view copies the row's values, so later appends never change
+        it.
         """
-        results: List[Optional[PlannedPath]] = [None] * len(pairs)
+        table = self.table
+        meta = self._metas[table.meta[row]]
+        start = int(table.hop_start[row])
+        end = start + int(table.hop_count[row])
+        asns = table.hop_asn[start:end].tolist()
+        kinds = table.hop_kind[start:end].tolist()
+        ixp_ids = table.hop_ixp[start:end].tolist()
+        return PlannedPath(
+            probe_id=table.probe_ids[row],
+            region_id=meta.region.region_id,
+            provider_code=meta.region.provider_code,
+            as_path=meta.ases.as_path,
+            interconnect=meta.interconnect,
+            distance_km=table.distance[row].item(),
+            stretch=meta.stretch,
+            jitter_sigma=table.sigma[row].item(),
+            congestion_probability=table.congestion[row].item(),
+            base_path_rtt_ms=table.base_rtt[row].item(),
+            dest_address=table.dest[row].item(),
+            hop_columns=(
+                tuple(table.hop_address[start:end].tolist()),
+                tuple(None if asn == NO_ASN else asn for asn in asns),
+                tuple(HOP_KINDS[code] for code in kinds),
+                tuple(table.hop_lat[start:end].tolist()),
+                tuple(table.hop_lon[start:end].tolist()),
+                tuple(table.hop_rtt[start:end].tolist()),
+                tuple(None if ixp == NO_IXP else ixp for ixp in ixp_ids),
+            ),
+        )
+
+    def plan_many(self, pairs: Sequence[Tuple[Probe, CloudRegion]]) -> List[int]:
+        """Table rows of the planned paths for many (probe, region) pairs.
+
+        A pair planned before returns the same ``int`` object its row
+        was built with.  Every new pair in the batch shares one pass of
+        draws (:meth:`_prepare_many`) and one vectorized append
+        (:meth:`_add_paths`), so a cold campaign day pays array setup
+        once rather than per pair.
+        """
+        rows: List[Optional[int]] = [None] * len(pairs)
         keys: List[Optional[tuple]] = [None] * len(pairs)
         tokens: List[Optional[Hashable]] = [None] * len(pairs)
         misses: List[int] = []
@@ -511,12 +676,12 @@ class PathPlanner:
                     tokens[i] = token
             cached = cache.get(key)
             if cached is not None:
-                results[i] = cached
+                rows[i] = cached
             else:
                 keys[i] = key
                 misses.append(i)
         if not misses:
-            return results
+            return rows
         # Dedup repeats inside the batch, preserving first-seen order so
         # the RNG draw sequence depends only on the request sequence.
         first_seen: dict = {}
@@ -525,24 +690,16 @@ class PathPlanner:
             if keys[i] not in first_seen:
                 first_seen[keys[i]] = len(unique)
                 unique.append(i)
-        preps, address_draws = self._prepare_many(
+        prepared = self._prepare_many(
             [pairs[i] for i in unique], [tokens[i] for i in unique]
         )
-        placed = self._place_hops(preps, address_draws)
-        lat_list, lon_list, rtt_list, addr_list, offsets = placed
-        built: List[PlannedPath] = []
-        # Final assembly slices the vectorized hop columns back into
-        # ragged per-path tuples; the arithmetic already ran above.
-        for j, prep in enumerate(preps):  # repro-lint: disable=PERF001
-            columns, base_rtt = self._hop_columns(
-                prep, lat_list, lon_list, rtt_list, addr_list, offsets[j]
-            )
-            path = self._finalize(prep, columns, base_rtt)
-            cache[keys[unique[j]]] = path
-            built.append(path)
+        first = self._add_paths([pairs[i][0] for i in unique], prepared)
+        built = list(range(first, first + len(unique)))
+        for i, row in zip(unique, built):
+            cache[keys[i]] = row
         for i in misses:
-            results[i] = built[first_seen[keys[i]]]
-        return results
+            rows[i] = built[first_seen[keys[i]]]
+        return rows
 
     def _route_meta(
         self,
@@ -612,132 +769,161 @@ class PathPlanner:
             sigma_base = path_config.public_jitter_sigma
             sigma_slope = path_config.public_jitter_sigma_per_1000km
         intermediates = max(0, len(as_path) - 2)
-        registry = topology.registry
-        systems = tuple(registry.get(asn) for asn in as_path)
-        count_scales, count_bases = _hop_count_terms(
-            systems, _CLOUD_GEO_SHARE[interconnect]
-        )
-        meta = _RouteMeta(
-            as_path=tuple(as_path),
-            interconnect=interconnect,
-            stretch=stretch,
-            sigma_base=sigma_base,
-            sigma_per_1000km=sigma_slope,
-            systems=systems,
-            count_scales=count_scales,
-            count_bases=count_bases,
+        meta = self._add_route_meta(
+            region,
+            as_path,
+            interconnect,
+            stretch,
             fixed_rtt=(
                 path_config.isp_core_rtt_ms
                 + intermediates * path_config.per_intermediate_as_rtt_ms
             ),
-            dest_address=self._region_addresses[
-                (provider_code, region.region_id)
-            ],
+            sigma_base=sigma_base,
+            sigma_per_1000km=sigma_slope,
         )
         self._meta_cache[key] = meta
+        return meta
+
+    def _add_route_meta(
+        self,
+        region: CloudRegion,
+        as_path: Sequence[int],
+        interconnect: InterconnectKind,
+        stretch: float,
+        fixed_rtt: float,
+        sigma_base: float,
+        sigma_per_1000km: float,
+    ) -> _RouteMeta:
+        """Register a route meta from its routing decisions; derives the
+        per-AS terms, the destination and the IXP port."""
+        topology = self._topology
+        ases_key = (tuple(as_path), interconnect)
+        ases = self._path_ases.get(ases_key)
+        if ases is None:
+            systems = tuple(topology.registry.get(asn) for asn in as_path)
+            ases = _PathASes(
+                ases_key[0],
+                systems,
+                *_hop_count_terms(systems, _CLOUD_GEO_SHARE[interconnect]),
+                asns=tuple(system.asn for system in systems),
+                kind_codes=tuple(_KIND_CODES[system.kind] for system in systems),
+                prefix_bases=tuple(system.prefixes[0].base for system in systems),
+                prefix_spans=tuple(
+                    system.prefixes[0].size - 32 for system in systems
+                ),
+            )
+            self._path_ases[ases_key] = ases
+        # IXP port hop between the ISP hops and the cloud hops for direct
+        # sessions over a public exchange fabric.
+        ixp_hop = None
+        if interconnect is InterconnectKind.DIRECT_IXP:
+            peering = topology.peering_for(region.provider_code)
+            ixp_id = peering.direct_isps.get(as_path[0])
+            if ixp_id is not None:
+                ixp = topology.ixps.get(ixp_id)
+                ixp_hop = (
+                    ixp_id,
+                    ixp.lan_address_for(peering.cloud_asn),
+                    ixp.location.lat,
+                    ixp.location.lon,
+                )
+        meta = _RouteMeta(
+            index=len(self._metas),
+            region=region,
+            ases=ases,
+            interconnect=interconnect,
+            stretch=stretch,
+            sigma_base=sigma_base,
+            sigma_per_1000km=sigma_per_1000km,
+            fixed_rtt=fixed_rtt,
+            dest_address=self._region_addresses[
+                (region.provider_code, region.region_id)
+            ],
+            ixp_hop=ixp_hop,
+        )
+        self._metas.append(meta)
         return meta
 
     def _prepare_many(
         self,
         pairs: Sequence[Tuple[Probe, CloudRegion]],
         tokens: Sequence[Optional[Hashable]],
-    ) -> Tuple[List[_PathPrep], np.ndarray]:
+    ) -> _Prepared:
         """The per-pair prefix of path building for a batch of new pairs,
         plus the address draw of every hop, in hop order.
 
         Routing, classification, stretch geography, fixed overheads and
         the hop-count terms come from the :meth:`_route_meta` cache; only
-        the great-circle distance and the distance-dependent jitter sigma
-        remain per pair.  ``tokens`` are the caller-resolved scope tokens
-        (``None`` for baseline planning).  Each pair draws one uniform per
-        AS for its hop counts, then one per hop for its addresses, as the
-        first draws of its own stream; every pair's draws come from two
-        array passes.  The per-pair reference in
-        ``tests/oracles/planner.py`` produces bit-identical preps and draws.
+        the great-circle distance, the distance-dependent jitter sigma
+        and the fibre RTT remain per pair.  ``tokens`` are the
+        caller-resolved scope tokens (``None`` for baseline planning).
+        Each pair draws one uniform per AS for its hop counts, then one
+        per hop for its addresses, as the first draws of its own stream;
+        every pair's draws come from two array passes.  The per-pair
+        reference in ``tests/oracles/planner.py`` overrides this method
+        and produces bit-identical preparations.
         """
         metas = [
             self._route_meta(probe, region, token)
             for (probe, region), token in zip(pairs, tokens)
         ]
-        n_systems = np.array([len(meta.systems) for meta in metas])
+        n_systems = np.array([len(meta.ases.systems) for meta in metas])
         digests = [self._pair_digest(probe, region) for probe, region in pairs]
         lanes = self._pair_streams.lanes(np.array(digests, dtype=np.uint64))
         count_draws = lanes.random(np.zeros_like(n_systems), n_systems)
-        scales = np.array([scale for meta in metas for scale in meta.count_scales])
-        bases = np.array([base for meta in metas for base in meta.count_bases])
+        scales = np.array(
+            [scale for meta in metas for scale in meta.ases.count_scales]
+        )
+        bases = np.array([base for meta in metas for base in meta.ases.count_bases])
         counts = bases + (count_draws * scales).astype(np.int64)
         total_hops = np.add.reduceat(counts, np.cumsum(n_systems) - n_systems)
         address_draws = lanes.random(n_systems, total_hops)
-        count_list = counts.tolist()
-        preps: List[_PathPrep] = []
-        start = 0
-        # Per-pair record assembly; every draw above is one array pass.
-        for (probe, region), meta, total in zip(  # repro-lint: disable=PERF001
-            pairs, metas, total_hops.tolist()
-        ):
-            end = start + len(meta.systems)
-            distance = probe.location.distance_km(region.location)
-            preps.append(
-                _PathPrep(
-                    probe=probe,
-                    region=region,
-                    as_path=meta.as_path,
-                    interconnect=meta.interconnect,
-                    distance=distance,
-                    stretch=meta.stretch,
-                    sigma=(
-                        meta.sigma_base
-                        + (distance / 1000.0) * meta.sigma_per_1000km
-                    ),
-                    systems=meta.systems,
-                    counts=count_list[start:end],
-                    fixed_rtt=meta.fixed_rtt,
-                    total_hops=total,
-                    two_way_fiber=2.0 * one_way_fiber_ms(distance, meta.stretch),
-                    dest_address=meta.dest_address,
-                )
-            )
-            start = end
-        return preps, address_draws
+        distances = [
+            probe.location.distance_km(region.location) for probe, region in pairs
+        ]
+        sigmas = np.array([meta.sigma_base for meta in metas]) + (
+            np.array(distances) / 1000.0
+        ) * np.array([meta.sigma_per_1000km for meta in metas])
+        fibers = [
+            2.0 * one_way_fiber_ms(distance, meta.stretch)
+            for distance, meta in zip(distances, metas)
+        ]
+        return _Prepared(metas, distances, sigmas, fibers, counts, address_draws)
 
-    def _place_hops(
-        self, preps: Sequence[_PathPrep], draws: np.ndarray
-    ) -> Tuple[
-        List[float], List[float], List[float], List[int], List[int]
-    ]:
-        """Place every hop of every prep in one vectorized pass.
+    def _add_paths(self, probes: Sequence[Probe], prepared: _Prepared) -> int:
+        """Place every hop of a prepared batch and append the batch's
+        paths to the table; returns the first new row.
 
         Fractions along each great circle, spherical interpolation, the
-        linear noise-free RTT profile, and hop addresses are all plain
-        array expressions over the concatenated hops of the whole batch;
-        ``draws`` holds one uniform per hop for its address.  Returns
-        per-hop lat/lon/RTT/address lists plus the per-prep start offsets
-        into them.
+        linear noise-free RTT profile, and router addresses are plain
+        array expressions over the batch's concatenated routers; then
+        each path's IXP port and destination hop go in at their offsets.
         """
         path_config = self._config.path_model
-        n_hops = np.array([prep.total_hops for prep in preps], dtype=np.int64)
-        offsets = np.zeros(len(preps) + 1, dtype=np.int64)
-        np.cumsum(n_hops, out=offsets[1:])
-        total = int(offsets[-1])
-        path_of = np.repeat(np.arange(len(preps)), n_hops)
-        ordinals = (
-            np.arange(1, total + 1, dtype=np.float64)
-            - offsets[:-1][path_of]
-        )
-        fractions = ordinals / (n_hops + 1.0)[path_of]
+        metas = prepared.metas
+        counts = prepared.counts
+        n_systems = np.array([len(meta.ases.systems) for meta in metas])
+        first_as = np.cumsum(n_systems) - n_systems
+        routers = np.add.reduceat(counts, first_as)
+        router_offsets = np.zeros(len(metas) + 1, dtype=np.int64)
+        np.cumsum(routers, out=router_offsets[1:])
+        total = int(router_offsets[-1])
+        path_of = np.repeat(np.arange(len(metas)), routers)
+        local = np.arange(total) - router_offsets[:-1][path_of]
+        ordinals = local + 1.0
+        fractions = ordinals / (routers + 1.0)[path_of]
 
         # Spherical interpolation across all paths at once.  The common
         # 1/sin(delta) slerp factor cancels inside atan2 and is skipped;
         # delta is floored at 1e-9 rad so coincident endpoints degrade to
         # the endpoint itself instead of 0/0.
-        lat1 = np.radians([prep.probe.location.lat for prep in preps])
-        lon1 = np.radians([prep.probe.location.lon for prep in preps])
-        lat2 = np.radians([prep.region.location.lat for prep in preps])
-        lon2 = np.radians([prep.region.location.lon for prep in preps])
-        delta = np.maximum(
-            np.array([prep.distance for prep in preps]) / EARTH_RADIUS_KM,
-            1e-9,
-        )
+        region_lats = [meta.region.location.lat for meta in metas]
+        region_lons = [meta.region.location.lon for meta in metas]
+        lat1 = np.radians([probe.location.lat for probe in probes])
+        lon1 = np.radians([probe.location.lon for probe in probes])
+        lat2 = np.radians(region_lats)
+        lon2 = np.radians(region_lons)
+        delta = np.maximum(np.array(prepared.distances) / EARTH_RADIUS_KM, 1e-9)
         cos1 = np.cos(lat1)
         cos2 = np.cos(lat2)
         scaled = fractions * delta[path_of]
@@ -746,134 +932,105 @@ class PathPlanner:
         x = s1 * (cos1 * np.cos(lon1))[path_of] + s2 * (cos2 * np.cos(lon2))[path_of]
         y = s1 * (cos1 * np.sin(lon1))[path_of] + s2 * (cos2 * np.sin(lon2))[path_of]
         z = s1 * np.sin(lat1)[path_of] + s2 * np.sin(lat2)[path_of]
-        lats = np.degrees(np.arctan2(z, np.hypot(x, y)))
-        lons = np.degrees(np.arctan2(y, x))
 
         # Noise-free RTT profile: linear in the path fraction plus per-hop
         # processing, shared minimum, and the fixed overheads.
-        grows = np.array(
-            [prep.two_way_fiber + prep.fixed_rtt for prep in preps]
-        )
-        base_rtts = (
+        fibers = np.array(prepared.fibers)
+        fixed = np.array([meta.fixed_rtt for meta in metas])
+        grows = fibers + fixed
+        router_rtts = (
             grows[path_of] * fractions
             + ordinals * path_config.hop_processing_ms
             + path_config.min_path_rtt_ms
         )
+        # The endpoint's RTT sums its terms left to right.
+        base_rtts = (
+            fibers
+            + (routers + 1) * path_config.hop_processing_ms
+            + path_config.min_path_rtt_ms
+            + fixed
+        )
 
-        # One uniform draw covers every hop's address offset; each hop's
+        # One uniform draw covers every router's address offset; each
         # offset maps onto [16, prefix.size - 16) inside its owner's
         # prefix, matching the old per-AS integer draws in distribution.
-        as_counts: List[int] = []
-        as_bases: List[int] = []
-        as_spans: List[int] = []
-        for prep in preps:
-            for autonomous_system, count in zip(prep.systems, prep.counts):
-                prefix = autonomous_system.prefixes[0]
-                as_counts.append(count)
-                as_bases.append(prefix.base)
-                as_spans.append(prefix.size - 32)
-        spans = np.repeat(np.array(as_spans, dtype=np.float64), as_counts)
-        bases = np.repeat(np.array(as_bases, dtype=np.int64), as_counts)
-        addresses = bases + 16 + (draws * spans).astype(np.int64)
+        def per_as(field: str, dtype: type) -> np.ndarray:
+            flat = [value for meta in metas for value in getattr(meta.ases, field)]
+            return np.repeat(np.array(flat, dtype=dtype), counts)
 
-        return (
-            lats.tolist(),
-            lons.tolist(),
-            base_rtts.tolist(),
-            addresses.tolist(),
-            offsets.tolist(),
+        spans = per_as("prefix_spans", np.float64)
+        addresses = (
+            per_as("prefix_bases", np.int64)
+            + 16
+            + (prepared.address_draws * spans).astype(np.int64)
         )
 
-    def _hop_columns(
-        self,
-        prep: _PathPrep,
-        lat_list: List[float],
-        lon_list: List[float],
-        rtt_list: List[float],
-        addr_list: List[int],
-        start: int,
-    ) -> Tuple[HopColumns, float]:
-        """Build one prep's columnar hop storage from the placed arrays."""
-        path_config = self._config.path_model
-        total = prep.total_hops
-        end = start + total
-        addresses = addr_list[start:end]
-        lats = lat_list[start:end]
-        lons = lon_list[start:end]
-        rtts = rtt_list[start:end]
-        asns: List[Optional[int]] = []
-        kinds: List[str] = []
-        for autonomous_system, count in zip(prep.systems, prep.counts):
-            asns.extend((autonomous_system.asn,) * count)
-            kinds.extend((_KIND_LABELS[autonomous_system.kind],) * count)
-        ixp_ids: List[Optional[int]] = [None] * total
-        # IXP port hop between the ISP hops and the cloud hops for direct
-        # sessions over a public exchange fabric.
-        if prep.interconnect is InterconnectKind.DIRECT_IXP:
-            peering = self._topology.peering_for(prep.region.provider_code)
-            ixp_id = peering.direct_isps.get(prep.as_path[0])
-            if ixp_id is not None:
-                ixp = self._topology.ixps.get(ixp_id)
-                insert_at = prep.counts[0]
-                neighbor_rtt = rtts[min(insert_at, total - 1)]
-                addresses.insert(
-                    insert_at, ixp.lan_address_for(peering.cloud_asn)
-                )
-                asns.insert(insert_at, None)
-                kinds.insert(insert_at, "ixp")
-                lats.insert(insert_at, ixp.location.lat)
-                lons.insert(insert_at, ixp.location.lon)
-                rtts.insert(insert_at, neighbor_rtt)
-                ixp_ids.insert(insert_at, ixp_id)
+        # Where every hop goes: routers in order, shifted past the IXP
+        # port that follows the ISP's routers; the endpoint last.
+        has_ixp = np.array([meta.ixp_hop is not None for meta in metas])
+        hop_counts = routers + has_ixp + 1
+        hop_offsets = np.zeros(len(metas) + 1, dtype=np.int64)
+        np.cumsum(hop_counts, out=hop_offsets[1:])
+        isp_routers = counts[first_as]
+        at = (
+            hop_offsets[:-1][path_of]
+            + local
+            + (has_ixp[path_of] & (local >= isp_routers[path_of]))
+        )
+        ixp_paths = np.flatnonzero(has_ixp)
+        ixp_at = hop_offsets[ixp_paths] + isp_routers[ixp_paths]
+        # An IXP port reports the RTT of the router after it.
+        ixp_neighbor = router_offsets[ixp_paths] + np.minimum(
+            isp_routers[ixp_paths], routers[ixp_paths] - 1
+        )
+        ixp_hops = [metas[p].ixp_hop for p in ixp_paths.tolist()]
+        ixp_ids, ixp_addresses, ixp_lats, ixp_lons = (
+            [hop[field] for hop in ixp_hops] for field in range(4)
+        )
+        end_at = hop_offsets[1:] - 1
+        dests = np.array([meta.dest_address for meta in metas], dtype=np.int64)
+        cloud_asns = [meta.ases.as_path[-1] for meta in metas]
+        router_lats = np.degrees(np.arctan2(z, np.hypot(x, y)))
+        router_lons = np.degrees(np.arctan2(y, x))
+        # Each hop column's (router, IXP port, endpoint) values.
+        parts = {
+            "hop_address": (addresses, ixp_addresses, dests),
+            "hop_asn": (per_as("asns", np.int64), NO_ASN, cloud_asns),
+            "hop_kind": (
+                per_as("kind_codes", np.uint8),
+                _IXP_KIND,
+                _KIND_CODES[ASKind.CLOUD],
+            ),
+            "hop_lat": (router_lats, ixp_lats, region_lats),
+            "hop_lon": (router_lons, ixp_lons, region_lons),
+            "hop_rtt": (router_rtts, router_rtts[ixp_neighbor], base_rtts),
+            "hop_ixp": (NO_IXP, ixp_ids, NO_IXP),
+        }
+        hops: Dict[str, np.ndarray] = {}
+        for name, dtype in _HOP_COLUMNS:
+            router, ixp, end = parts[name]
+            column = np.empty(int(hop_offsets[-1]), dtype)
+            column[at] = router
+            column[ixp_at] = ixp
+            column[end_at] = end
+            hops[name] = column
 
-        # Destination endpoint hop (the VM).
-        base_path_rtt = (
-            prep.two_way_fiber
-            + (total + 1) * path_config.hop_processing_ms
-            + path_config.min_path_rtt_ms
-            + prep.fixed_rtt
+        public = np.array(
+            [meta.interconnect is InterconnectKind.PUBLIC for meta in metas]
         )
-        location = prep.region.location
-        addresses.append(prep.dest_address)
-        asns.append(prep.as_path[-1])
-        kinds.append(_KIND_LABELS[ASKind.CLOUD])
-        lats.append(location.lat)
-        lons.append(location.lon)
-        rtts.append(base_path_rtt)
-        ixp_ids.append(None)
-        columns = (
-            tuple(addresses),
-            tuple(asns),
-            tuple(kinds),
-            tuple(lats),
-            tuple(lons),
-            tuple(rtts),
-            tuple(ixp_ids),
-        )
-        return columns, base_path_rtt
-
-    def _finalize(
-        self, prep: _PathPrep, columns: tuple, base_rtt: float
-    ) -> PlannedPath:
-        path_config = self._config.path_model
-        congestion = (
-            path_config.congestion_probability
-            if prep.interconnect is InterconnectKind.PUBLIC
-            else path_config.congestion_probability * 0.25
-        )
-        return PlannedPath(
-            probe_id=prep.probe.probe_id,
-            region_id=prep.region.region_id,
-            provider_code=prep.region.provider_code,
-            as_path=tuple(prep.as_path),
-            interconnect=prep.interconnect,
-            distance_km=prep.distance,
-            stretch=prep.stretch,
-            jitter_sigma=prep.sigma,
-            congestion_probability=congestion,
-            base_path_rtt_ms=base_rtt,
-            hop_columns=columns,
-            dest_address=prep.dest_address,
+        congestion = path_config.congestion_probability
+        return self.table.append(
+            [probe.probe_id for probe in probes],
+            {
+                "base_rtt": base_rtts,
+                "sigma": prepared.sigmas,
+                "congestion": np.where(public, congestion, congestion * 0.25),
+                "dest": dests,
+                "hop_count": hop_counts,
+                "distance": np.array(prepared.distances),
+                "meta": np.array([meta.index for meta in metas]),
+            },
+            hops,
         )
 
     def _adjust_stretch_for_geography(

@@ -425,11 +425,6 @@ class ColumnarPingStore:
         block.validate()
         self._blocks.append(block)
 
-    def extend(self, other: "ColumnarPingStore") -> None:
-        for block in other._blocks:
-            block.validate()
-        self._blocks.extend(other._blocks)
-
     @property
     def blocks(self) -> List[PingBlock]:
         return list(self._blocks)
@@ -639,11 +634,6 @@ class ColumnarTraceStore:
     def append_block(self, block: TraceBlock) -> None:
         block.validate()
         self._blocks.append(block)
-
-    def extend(self, other: "ColumnarTraceStore") -> None:
-        for block in other._blocks:
-            block.validate()
-        self._blocks.extend(other._blocks)
 
     @property
     def blocks(self) -> List[TraceBlock]:

@@ -27,15 +27,27 @@ STUDY_DAYS = 21
 
 
 @pytest.fixture(scope="session")
-def world():
-    """A fully-built study world (read-only)."""
-    return build_world(seed=STUDY_SEED, scale=STUDY_SCALE)
+def study():
+    """The study world and its three-week campaign, built together.
+
+    The classic campaign draws from the world's shared ``engine`` and
+    ``campaign.*`` streams, so it runs on the fresh world before any
+    test can use it: the dataset does not depend on test order.
+    """
+    world = build_world(seed=STUDY_SEED, scale=STUDY_SCALE)
+    return world, run_campaign(world, days=STUDY_DAYS)
 
 
 @pytest.fixture(scope="session")
-def dataset(world):
+def world(study):
+    """A fully-built study world (read-only)."""
+    return study[0]
+
+
+@pytest.fixture(scope="session")
+def dataset(study):
     """A three-week campaign over both platforms (read-only)."""
-    return run_campaign(world, days=STUDY_DAYS)
+    return study[1]
 
 
 @pytest.fixture(scope="session")

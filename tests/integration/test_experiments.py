@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.experiments import EXPERIMENT_IDS, experiment_info, run_experiment
+from repro.experiments import (
+    EXPERIMENT_IDS,
+    StudyContext,
+    experiment_info,
+    run_experiment,
+)
+from repro.experiments import netfault_exp
 from repro.experiments.registry import ExperimentInfo
 
 #: Experiments that run their own case-study campaign (no dataset needed
@@ -65,3 +71,31 @@ class TestRunners:
         result = run_experiment("stats", world, dataset)
         assert result.data["paper_requirement"] == 2401
         assert result.data["countries_total"] > 30
+
+
+class TestNetfaultStudySharing:
+    def test_a_shared_context_runs_one_campaign_for_both(
+        self, world, dataset, monkeypatch
+    ):
+        """``failover`` and ``pathdiv`` render the same alone as with a
+        shared context, which runs their netfault campaign once."""
+        campaigns = []
+        run = netfault_exp.run_campaign_checkpointed
+
+        def counted(*args, **kwargs):
+            campaigns.append(kwargs["days"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(netfault_exp, "run_campaign_checkpointed", counted)
+        ids = ("failover", "pathdiv")
+        alone = {eid: run_experiment(eid, world) for eid in ids}
+        assert len(campaigns) == 2
+        context = StudyContext(world, dataset)
+        shared = {
+            eid: run_experiment(eid, world, dataset, context=context)
+            for eid in ids
+        }
+        assert len(campaigns) == 3
+        for eid in ids:
+            assert shared[eid].render() == alone[eid].render()
+            assert repr(shared[eid].data) == repr(alone[eid].data)

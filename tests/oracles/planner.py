@@ -5,9 +5,11 @@ metadata per (ISP, country, region) and derived a batch's draws in array
 passes: every new pair routes, classifies and stretches its path from
 scratch, then draws its hop counts and its hop addresses from its own
 ``default_rng(SeedSequence(entropy, spawn_key=(digest,)))``, the digest
-folded over the full pair name.  Parity tests assert that the planner's
-paths equal this reference's in every
-:class:`~repro.measure.path.PlannedPath` slot.
+folded over the full pair name.  It overrides the planner's preparation
+only, so its paths go into a :class:`~repro.measure.path.PathTable` the
+same way; parity tests assert that the planner's ``path(row)`` views
+equal this reference's in every :class:`~repro.measure.path.PlannedPath`
+slot.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ from repro.measure.path import (
     _CLOUD_GEO_SHARE,
     InterconnectKind,
     PathPlanner,
-    _PathPrep,
+    _Prepared,
+    _RouteMeta,
     classify_interconnect,
     effective_stretch,
 )
+from repro.measure.pathpolicy import PathSelectionPolicy
 from repro.net.asn import AS, ASKind
 from repro.platforms.probe import Probe
 
@@ -90,8 +94,9 @@ def _hop_counts(
 class ReferencePlanner(PathPlanner):
     """Prepares each new pair on its own, from uncached routing.
 
-    Takes the arguments of ``PathPlanner`` except ``route_policy``: it
-    plans baseline routes only.
+    Takes the arguments of ``PathPlanner``.  A pair whose scope token is
+    not ``None`` routes through ``route_policy``, as the planner does;
+    every pair registers a route meta of its own.
     """
 
     def __init__(
@@ -102,9 +107,16 @@ class ReferencePlanner(PathPlanner):
         config: SimulationConfig,
         countries: CountryRegistry,
         pair_entropy: int,
+        route_policy: Optional[PathSelectionPolicy] = None,
     ) -> None:
         super().__init__(
-            topology, wans, region_addresses, config, countries, pair_entropy
+            topology,
+            wans,
+            region_addresses,
+            config,
+            countries,
+            pair_entropy,
+            route_policy=route_policy,
         )
         self._entropy = pair_entropy
 
@@ -112,26 +124,48 @@ class ReferencePlanner(PathPlanner):
         self,
         pairs: Sequence[Tuple[Probe, CloudRegion]],
         tokens: Sequence[Optional[Hashable]],
-    ) -> Tuple[List[_PathPrep], np.ndarray]:
-        if any(token is not None for token in tokens):
-            raise ValueError("the reference planner plans baseline routes only")
-        preps: List[_PathPrep] = []
+    ) -> _Prepared:
+        metas: List[_RouteMeta] = []
+        distances: List[float] = []
+        sigmas: List[float] = []
+        fibers: List[float] = []
+        counts: List[int] = []
         address_draws: List[np.ndarray] = []
-        for probe, region in pairs:
-            prep, generator = self._prepare_pair(probe, region)
-            preps.append(prep)
-            address_draws.append(generator.random(prep.total_hops))
-        return preps, np.concatenate(address_draws)
+        for (probe, region), token in zip(pairs, tokens):
+            meta, distance, sigma, pair_counts, generator = self._prepare_pair(
+                probe, region, token
+            )
+            metas.append(meta)
+            distances.append(distance)
+            sigmas.append(sigma)
+            fibers.append(2.0 * one_way_fiber_ms(distance, meta.stretch))
+            counts.extend(pair_counts)
+            address_draws.append(generator.random(sum(pair_counts)))
+        return _Prepared(
+            metas=metas,
+            distances=distances,
+            sigmas=np.array(sigmas),
+            fibers=fibers,
+            counts=np.array(counts, dtype=np.int64),
+            address_draws=np.concatenate(address_draws),
+        )
 
     def _prepare_pair(
-        self, probe: Probe, region: CloudRegion
-    ) -> Tuple[_PathPrep, np.random.Generator]:
-        """One pair's preparation, with the generator that continues its
-        draws."""
+        self, probe: Probe, region: CloudRegion, token: Optional[Hashable]
+    ) -> Tuple[_RouteMeta, float, float, List[int], np.random.Generator]:
+        """One pair's route meta, distance, jitter sigma and hop counts,
+        with the generator that continues its draws."""
         topology = self._topology
         provider_code = region.provider_code
         network = topology.network_code(provider_code)
-        as_path = topology.as_path(probe.isp_asn, provider_code, probe.continent)
+        if token is None:
+            as_path = topology.as_path(
+                probe.isp_asn, provider_code, probe.continent
+            )
+        else:
+            as_path = self._route_policy.as_path(
+                topology, probe.isp_asn, provider_code, probe.continent
+            )
         if as_path is None:
             raise RuntimeError(
                 f"no route from AS{probe.isp_asn} to provider {provider_code}"
@@ -154,6 +188,16 @@ class ReferencePlanner(PathPlanner):
             path_config.isp_core_rtt_ms
             + intermediates * path_config.per_intermediate_as_rtt_ms
         )
+        # The meta is this pair's alone, so its sigma is a constant.
+        meta = self._add_route_meta(
+            region,
+            as_path,
+            interconnect,
+            stretch,
+            fixed_rtt,
+            sigma_base=sigma,
+            sigma_per_1000km=0.0,
+        )
         systems = [topology.registry.get(asn) for asn in as_path]
         digest = name_digest(
             f"path.{probe.probe_id}.{provider_code}.{region.region_id}"
@@ -162,21 +206,4 @@ class ReferencePlanner(PathPlanner):
             np.random.SeedSequence(entropy=self._entropy, spawn_key=(digest,))
         )
         counts = _hop_counts(systems, _CLOUD_GEO_SHARE[interconnect], pair_rng)
-        prep = _PathPrep(
-            probe=probe,
-            region=region,
-            as_path=as_path,
-            interconnect=interconnect,
-            distance=distance,
-            stretch=stretch,
-            sigma=sigma,
-            systems=systems,
-            counts=counts,
-            fixed_rtt=fixed_rtt,
-            total_hops=sum(counts),
-            two_way_fiber=2.0 * one_way_fiber_ms(distance, stretch),
-            dest_address=self._region_addresses[
-                (provider_code, region.region_id)
-            ],
-        )
-        return prep, pair_rng
+        return meta, distance, sigma, counts, pair_rng

@@ -69,10 +69,15 @@ def execute_traceroute_batch(
     unresponsive_p = path_config.hop_unresponsive_probability
 
     # Plan (or fetch) every trace's path first so the planner's own RNG
-    # draws stay grouped ahead of the measurement draws below.
-    paths = engine.planner.plan_many(
-        [(request.probe, request.region) for request in requests]
-    )
+    # draws stay grouped ahead of the measurement draws below; the
+    # records read each row through its PlannedPath view.
+    planner = engine.planner
+    paths = [
+        planner.path(row)
+        for row in planner.plan_many(
+            [(request.probe, request.region) for request in requests]
+        )
+    ]
     accesses: List[AccessKind] = []
     lastmile_rows: List[Tuple[float, ...]] = []
     sigma = np.empty(n)

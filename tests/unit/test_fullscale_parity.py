@@ -22,6 +22,7 @@ from oracles.planner import ReferencePlanner
 from oracles.routing import compute_routes_reference
 
 from repro.measure.path import PathPlanner, PlannedPath
+from repro.measure.pathpolicy import FailoverPathPolicy
 from repro.net.ip import IPv4Prefix, parse_ip
 from repro.net.relationships import RelationshipGraph
 from repro.net.routing import RoutePolicy, clear_route_cache, compute_routes
@@ -195,7 +196,7 @@ def paths_identical(a, b):
 
 @pytest.fixture(scope="module")
 def planners(world):
-    def make(reference):
+    def make(reference, route_policy=None):
         return (ReferencePlanner if reference else PathPlanner)(
             topology=world.topology,
             wans=world.wans,
@@ -203,6 +204,7 @@ def planners(world):
             config=world.config,
             countries=world.countries,
             pair_entropy=world.rngs.seed,
+            route_policy=route_policy,
         )
 
     return make
@@ -215,6 +217,14 @@ def sample_pairs(world):
     return [
         (probe, regions[i % len(regions)]) for i, probe in enumerate(probes)
     ]
+
+
+def assert_rows_match_reference(planner, rows, pairs, reference):
+    """``planner.path(row)`` equals the reference's path of each pair."""
+    for row, (probe, region) in zip(rows, pairs):
+        assert paths_identical(
+            planner.path(row), reference.plan(probe, region)
+        ), (probe.probe_id, region.region_id)
 
 
 class TestPlannerParity:
@@ -251,27 +261,165 @@ class TestPlannerParity:
         split = split_planner.plan_many(batch[:half]) + split_planner.plan_many(
             batch[half:]
         )
-        batched = planners(False).plan_many(batch)
+        batch_planner = planners(False)
+        batched = batch_planner.plan_many(batch)
         for (probe, region), one, other in zip(batch, batched, split):
             expected = alone[(probe.probe_id, region.region_id)]
-            assert paths_identical(one, expected)
-            assert paths_identical(other, expected)
+            assert paths_identical(batch_planner.path(one), expected)
+            assert paths_identical(split_planner.path(other), expected)
 
     def test_empty_batch(self, planners):
-        assert planners(False).plan_many([]) == []
+        planner = planners(False)
+        assert planner.plan_many([]) == []
+        assert planner.table.rows == 0
 
     def test_single_pair_batch(self, planners, sample_pairs):
         planner = planners(False)
-        (path,) = planner.plan_many(sample_pairs[:1])
-        assert paths_identical(path, planners(False).plan(*sample_pairs[0]))
+        (row,) = planner.plan_many(sample_pairs[:1])
+        assert paths_identical(
+            planner.path(row), planners(False).plan(*sample_pairs[0])
+        )
 
     def test_duplicate_pairs_in_batch_share_one_path(
         self, planners, sample_pairs
     ):
-        """Repeats inside one batch dedupe to a single planned object
-        and consume the pair's RNG draws exactly once."""
+        """Repeats inside one batch dedupe to a single row and consume
+        the pair's RNG draws exactly once."""
         planner = planners(False)
         pair = sample_pairs[0]
         first, second, third = planner.plan_many([pair, pair, pair])
         assert first is second is third
-        assert paths_identical(first, planners(False).plan(*pair))
+        assert planner.table.rows == 1
+        assert paths_identical(planner.path(first), planners(False).plan(*pair))
+
+    def test_duplicates_within_a_batch_match_the_reference(
+        self, planners, sample_pairs
+    ):
+        batch = [
+            pair for pair in sample_pairs[:20] for _ in range(3)
+        ] + sample_pairs[:20]
+        planner = planners(False)
+        rows = planner.plan_many(batch)
+        assert planner.table.rows == 20
+        assert_rows_match_reference(planner, rows, batch, planners(True))
+
+    def test_direct_ixp_pairs_get_their_exchange_port(self, planners, world):
+        """DIRECT_IXP paths insert an IXP port after the ISP's routers;
+        the view matches the reference slot for slot."""
+        reference = planners(True)
+        regions = list(world.catalog)
+        candidates = [
+            (probe, region)
+            for probe in world.speedchecker.probes[:400]
+            for region in regions[::5]
+        ]
+        pairs = [
+            pair
+            for pair in candidates
+            if reference.plan(*pair).interconnect.value == "direct_ixp"
+        ][:25]
+        assert pairs, "no DIRECT_IXP pair among the candidates"
+        planner = planners(False)
+        rows = planner.plan_many(pairs)
+        assert_rows_match_reference(planner, rows, pairs, reference)
+        for row in rows:
+            path = planner.path(row)
+            port = path.hop_kinds.index("ixp")
+            assert path.hop_asns[port] is None
+            assert path.hop_ixp_ids[port] is not None
+            assert path.hop_asns[port - 1] == path.as_path[0]
+            assert path.hop_asns[port + 1] == path.as_path[-1]
+            # The port reports the RTT of the cloud router after it.
+            assert path.hop_base_rtts[port] == path.hop_base_rtts[port + 1]
+
+    def test_batches_across_the_growth_boundary(self, planners, world):
+        """Batches that reallocate the table's columns keep every earlier
+        row intact."""
+        regions = list(world.catalog)
+        probes = list(world.speedchecker.probes)
+        pairs = [
+            (probe, regions[(11 * i + shift) % len(regions)])
+            for i, probe in enumerate(probes[:700])
+            for shift in range(2)
+        ]
+        planner = planners(False)
+        rows = []
+        for start, stop in ((0, 1000), (1000, 1030), (1030, 1400)):
+            capacity = len(planner.table.base_rtt)
+            rows += planner.plan_many(pairs[start:stop])
+            if start == 1000:
+                assert len(planner.table.base_rtt) > capacity
+        assert rows == list(range(len(pairs)))
+        assert_rows_match_reference(planner, rows, pairs, planners(True))
+
+    def test_rows_planned_under_a_policy_token(self, planners, world):
+        """A failover token namespaces rows; their views equal the
+        reference's routing through the same policy state."""
+        topology = world.topology
+        pairs = [
+            (probe, region)
+            for probe in world.speedchecker.probes[:60]
+            for region in list(world.catalog)[::40]
+        ]
+        policy = FailoverPathPolicy()
+        probe, region = pairs[0]
+        policy.mark_path_down(
+            policy.path_key(
+                topology, probe.isp_asn, region.provider_code, probe.continent
+            )
+        )
+        planner = planners(False, route_policy=policy)
+        pairs = [
+            pair
+            for pair in pairs
+            if policy.as_path(
+                topology, pair[0].isp_asn, pair[1].provider_code, pair[0].continent
+            )
+            is not None
+        ]
+        rows = planner.plan_many(pairs)
+        assert_rows_match_reference(
+            planner, rows, pairs, planners(True, route_policy=policy)
+        )
+        baseline = planners(False)
+        assert any(
+            planner.path(row).as_path != baseline.plan(*pair).as_path
+            for row, pair in zip(rows, pairs)
+        ), "the downed path planned its baseline route"
+
+    def test_a_cached_pair_returns_its_row_object(self, planners, world):
+        """Past the interpreter's shared small ints, too."""
+        regions = list(world.catalog)
+        pairs = [
+            (probe, regions[i % len(regions)])
+            for i, probe in enumerate(world.speedchecker.probes[:400])
+        ]
+        planner = planners(False)
+        rows = planner.plan_many(pairs)
+        assert rows[-1] > 256
+        again = planner.plan_many(list(reversed(pairs)))
+        assert all(a is b for a, b in zip(rows, reversed(again)))
+        assert planner.table.rows == len(rows)
+
+    def test_views_do_not_change_after_later_appends(
+        self, planners, sample_pairs, world
+    ):
+        planner = planners(False)
+        rows = planner.plan_many(sample_pairs[:10])
+        views = [planner.path(row) for row in rows]
+        snapshots = [
+            [getattr(view, slot) for slot in PlannedPath.__slots__]
+            for view in views
+        ]
+        regions = list(world.catalog)
+        planner.plan_many(
+            [
+                (probe, regions[(3 * i) % len(regions)])
+                for i, probe in enumerate(world.speedchecker.probes[:1500])
+            ]
+        )
+        for view, snapshot, row in zip(views, snapshots, rows):
+            assert [getattr(view, slot) for slot in PlannedPath.__slots__] == (
+                snapshot
+            )
+            assert paths_identical(planner.path(row), view)

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.units import one_way_fiber_ms
 from repro.geo.continents import Continent
 from repro.lastmile.base import AccessKind
-from repro.measure.path import InterconnectKind, classify_interconnect
+from repro.measure.path import InterconnectKind, PlannedPath, classify_interconnect
 
 
 @pytest.fixture(scope="module")
@@ -20,8 +21,17 @@ def sample(world):
 
 class TestPlanBasics:
     def test_plan_is_cached(self, world, sample):
+        """A planned pair keeps its row: later calls return the same row
+        object, and its view equals the first one in every slot."""
         probe, region, plan = sample
-        assert world.planner.plan(probe, region) is plan
+        (row,) = world.planner.plan_many([(probe, region)])
+        assert world.planner.plan_many([(probe, region)])[0] is row
+        again = world.planner.plan(probe, region)
+        assert again is not plan
+        assert all(
+            getattr(again, slot) == getattr(plan, slot)
+            for slot in PlannedPath.__slots__
+        )
 
     def test_as_path_endpoints(self, world, sample):
         probe, region, plan = sample
@@ -51,6 +61,28 @@ class TestPlanBasics:
                 continue
             owner = world.topology.registry.get(hop.asn)
             assert owner.announces(hop.address)
+
+    def test_endpoint_rtt_sums_its_terms_left_to_right(self, world):
+        """The endpoint's noise-free RTT, bit for bit: two-way fibre,
+        per-hop processing, the shared minimum, then the fixed
+        overheads."""
+        path_config = world.config.path_model
+        regions = list(world.catalog)
+        for i, probe in enumerate(world.speedchecker.probes[:200]):
+            plan = world.planner.plan(probe, regions[(7 * i) % len(regions)])
+            routers = plan.hop_count - 1 - plan.hop_kinds.count("ixp")
+            expected = (
+                2.0 * one_way_fiber_ms(plan.distance_km, plan.stretch)
+                + (routers + 1) * path_config.hop_processing_ms
+                + path_config.min_path_rtt_ms
+                + (
+                    path_config.isp_core_rtt_ms
+                    + plan.intermediate_as_count
+                    * path_config.per_intermediate_as_rtt_ms
+                )
+            )
+            assert plan.base_path_rtt_ms == expected
+            assert plan.hop_base_rtts[-1] == expected
 
     def test_intermediate_count_property(self, sample):
         _, _, plan = sample

@@ -222,13 +222,12 @@ class TestColumnarPingStore:
         assert store.sample_count == 7 + 2
         assert len(list(store.iter_records())) == 3
 
-    def test_extend(self):
-        a, b = ColumnarPingStore(), ColumnarPingStore()
-        a.append_block(make_block(requests=1))
-        b.append_block(make_block(requests=2))
-        a.extend(b)
-        assert a.request_count == 3
-        assert "blocks=2" in repr(a)
+    def test_append_block_keeps_blocks_apart(self):
+        store = ColumnarPingStore()
+        store.append_block(make_block(requests=1))
+        store.append_block(make_block(requests=2))
+        assert store.request_count == 3
+        assert "blocks=2" in repr(store)
 
 
 class TestBlockBackedDataset:

@@ -317,7 +317,7 @@ class TestStoreCli:
 
 
 class TestExtendValidation:
-    """ColumnarPingStore.extend validates incoming block schemas."""
+    """Blocks appended to a ColumnarPingStore are schema-validated."""
 
     def _bad_dtype_block(self):
         block = ping_block_from_records([_ping()])
@@ -335,21 +335,17 @@ class TestExtendValidation:
         bad.sample_values = bad.sample_values.astype(np.float32)
         return bad
 
-    def test_extend_rejects_wrong_dtype(self):
-        source = ColumnarPingStore()
-        source._blocks.append(self._bad_dtype_block())
+    def test_append_block_rejects_wrong_dtype(self):
         target = ColumnarPingStore()
         with pytest.raises(TypeError, match="dtype"):
-            target.extend(source)
+            target.append_block(self._bad_dtype_block())
         assert target.request_count == 0
 
-    def test_extend_rejects_inconsistent_offsets(self):
+    def test_append_block_rejects_inconsistent_offsets(self):
         block = ping_block_from_records([_ping(), _ping("p1")])
         block.sample_offsets = np.array([0, 3], dtype=np.int64)  # one short
-        source = ColumnarPingStore()
-        source._blocks.append(block)
         with pytest.raises(ValueError, match="sample_offsets"):
-            ColumnarPingStore().extend(source)
+            ColumnarPingStore().append_block(block)
 
     def test_append_block_rejects_out_of_range_codes(self):
         block = ping_block_from_records([_ping()])
@@ -357,11 +353,9 @@ class TestExtendValidation:
         with pytest.raises(ValueError, match="probe_codes"):
             ColumnarPingStore().append_block(block)
 
-    def test_extend_accepts_valid_blocks(self):
-        source = ColumnarPingStore()
-        source.append_block(ping_block_from_records([_ping(), _ping("p1")]))
+    def test_append_block_accepts_valid_blocks(self):
         target = ColumnarPingStore()
-        target.extend(source)
+        target.append_block(ping_block_from_records([_ping(), _ping("p1")]))
         assert target.request_count == 2
 
 
