@@ -1,17 +1,11 @@
-"""Shared benchmark fixtures.
-
-Each ``bench_<artifact>.py`` regenerates one table or figure of the
-paper: the benchmark measures the analysis cost over a pre-collected
-campaign dataset, and the regenerated rows/series are printed so the
-output can be compared side-by-side with the paper (see EXPERIMENTS.md).
-"""
+"""Shared benchmark fixtures: a 2%-scale world, its three-week campaign,
+and that campaign re-sharded into a binary store."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import build_world, run_campaign
-from repro.experiments import StudyContext, run_experiment
 
 BENCH_SEED = 7
 BENCH_SCALE = 0.02
@@ -62,27 +56,3 @@ def store_dir(dataset, tmp_path_factory):
             ),
         )
     return run_dir
-
-
-@pytest.fixture(scope="session")
-def context(world, dataset):
-    context = StudyContext(world, dataset)
-    # Resolve traceroutes into the shared resolved block once up-front so
-    # individual benches measure the per-figure group-bys, not the
-    # resolution pass.
-    context.resolved_traces
-    return context
-
-
-def bench_experiment(benchmark, experiment_id, world, dataset, context, rounds=3):
-    """Run one experiment under the benchmark and print its rendering."""
-    result = benchmark.pedantic(
-        run_experiment,
-        args=(experiment_id, world, dataset),
-        kwargs={"context": context},
-        rounds=rounds,
-        iterations=1,
-    )
-    print()
-    print(result.render())
-    return result

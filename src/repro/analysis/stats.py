@@ -159,7 +159,7 @@ def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Two-sample Kolmogorov-Smirnov distance: sup |ECDF_a - ECDF_b|.
 
     Used by the batch-engine equivalence tests to bound how far the
-    vectorized sampling path drifts from the scalar path.
+    vectorized samplers drift from their per-sample scalar reference.
     """
     xs = np.asarray(sorted(float(v) for v in a), dtype=np.float64)
     ys = np.asarray(sorted(float(v) for v in b), dtype=np.float64)

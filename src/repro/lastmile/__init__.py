@@ -2,12 +2,7 @@
 
 from repro.lastmile.base import AccessKind, LastMileDraw, LastMileModel
 from repro.lastmile.fiveg import FiveGLastMile
-from repro.lastmile.models import (
-    CellularLastMile,
-    HomeWifiLastMile,
-    WiredLastMile,
-    model_for,
-)
+from repro.lastmile.models import CellularLastMile, HomeWifiLastMile, WiredLastMile
 
 __all__ = [
     "AccessKind",
@@ -17,5 +12,4 @@ __all__ = [
     "LastMileDraw",
     "LastMileModel",
     "WiredLastMile",
-    "model_for",
 ]

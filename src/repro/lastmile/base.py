@@ -82,28 +82,8 @@ class LastMileModel(ABC):
 
     @abstractmethod
     def batch_params(self) -> LastMileParams:
-        """The model's :data:`LastMileParams` for vectorized sampling."""
-
-    def draw_batch(
-        self, rng: np.random.Generator, n: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``n`` last-mile samples as ``(air_ms, wire_ms)`` arrays.
-
-        Distributionally identical to ``n`` :meth:`draw` calls but issues
-        exactly three array draws (air noise, bufferbloat uniforms, wire
-        noise) regardless of ``n``.
-        """
-        air_median, air_sigma, wire_median, wire_sigma, bloat_p, bloat_x = (
-            self.batch_params()
-        )
-        z_air = rng.standard_normal(n)
-        u_bloat = rng.random(n)
-        z_wire = rng.standard_normal(n)
-        air = lognormal_ms_array(air_median, air_sigma, z_air)
-        if bloat_p > 0.0:
-            air = np.where(u_bloat < bloat_p, air * bloat_x, air)
-        wire = lognormal_ms_array(wire_median, wire_sigma, z_wire)
-        return air, wire
+        """The model's :data:`LastMileParams` row for
+        :func:`sample_lastmile_block`."""
 
     def median_total_ms(self) -> float:
         """Median of the USR-ISP total (analytic, for calibration tests)."""
@@ -125,18 +105,24 @@ def lognormal_ms(
     return float(median * np.exp(sigma * rng.standard_normal()))
 
 
-def lognormal_ms_array(
-    median: float, sigma: float, z: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`lognormal_ms` over pre-drawn standard normals.
+def sample_lastmile_block(
+    params: np.ndarray, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One last-mile draw per row of ``params``, as ``(air_ms, wire_ms)``.
 
-    A zero ``median`` denotes an absent segment and yields exact zeros
-    (the array analogue of not drawing the segment at all).
+    ``params`` stacks one :data:`LastMileParams` row per draw.  Every row
+    is drawn at once, in a fixed order -- air noise, bufferbloat
+    uniforms, wire noise -- so a given seed always produces the same
+    arrays.  A zero median is an absent segment and draws exactly zero.
     """
-    if median < 0:
-        raise ValueError(f"median must be non-negative, got {median}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    if median == 0.0:
-        return np.zeros(np.shape(z))
-    return median * np.exp(sigma * z)
+    n = params.shape[0]
+    z_air = rng.standard_normal(n)
+    u_bloat = rng.random(n)
+    z_wire = rng.standard_normal(n)
+    air_median, air_sigma, wire_median, wire_sigma, bloat_p, bloat_x = params.T
+    air = np.where(air_median > 0.0, air_median * np.exp(air_sigma * z_air), 0.0)
+    air = np.where(u_bloat < bloat_p, air * bloat_x, air)
+    wire = np.where(
+        wire_median > 0.0, wire_median * np.exp(wire_sigma * z_wire), 0.0
+    )
+    return air, wire

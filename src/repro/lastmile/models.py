@@ -125,16 +125,3 @@ class WiredLastMile(LastMileModel):
 
     def median_total_ms(self) -> float:
         return self.config.wired_median_ms
-
-
-def model_for(
-    kind: AccessKind, config: LastMileConfig, country: str = ""
-) -> LastMileModel:
-    """The last-mile model for an access kind and (optionally) country."""
-    quality = config.country_quality.get(country, 1.0)
-    kind = AccessKind(kind)
-    if kind is AccessKind.HOME_WIFI:
-        return HomeWifiLastMile(config=config, quality=quality)
-    if kind is AccessKind.CELLULAR:
-        return CellularLastMile(config=config, quality=quality)
-    return WiredLastMile(config=config, quality=quality)

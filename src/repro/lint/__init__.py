@@ -1,9 +1,9 @@
 """``repro.lint``: static analysis for the reproduction's own contracts.
 
 The test suite can only spot-check the invariants the reproduction's
-scientific validity rests on -- seed-threaded randomness, batch/scalar
-distributional parity, frozen world objects.  This package enforces them
-*statically*, on every commit:
+scientific validity rests on -- seed-threaded randomness, determinism,
+frozen world objects.  This package enforces them *statically*, on every
+commit:
 
 - **RNG discipline** (``RNG001``-``RNG004``): all randomness flows
   through explicitly threaded :class:`numpy.random.Generator` objects;
@@ -16,9 +16,6 @@ distributional parity, frozen world objects.  This package enforces them
 - **Frozen-world safety** (``FRZ001``): no attribute assignment on
   :class:`~repro.core.world.World` / ``PlannedPath`` objects outside
   their constructors and builders.
-- **Batch-scalar parity** (``PAR001``): every noise-process function in
-  ``measure/latency.py`` and ``lastmile/`` exposes both the scalar and
-  the vectorized (``_block``/``_batch``/``_many``/``_array``) form.
 
 Run it as ``python -m repro.lint [paths...]``; see ``docs/LINTING.md``
 for the rule catalogue, suppression syntax, and how to add a rule.

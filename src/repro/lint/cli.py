@@ -37,8 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Static determinism & invariant analysis for the repro tree "
             "(RNG discipline and cross-function RNG flow, determinism "
-            "hazards, frozen-world safety, batch-scalar parity, "
-            "journal write-ahead ordering, worker purity)."
+            "hazards, frozen-world safety, journal write-ahead "
+            "ordering, worker purity)."
         ),
     )
     parser.add_argument(

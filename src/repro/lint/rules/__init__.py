@@ -7,9 +7,7 @@ from repro.lint.rules import (
     exec_safety,
     exe_pure,
     frozen,
-    parity,
     perf,
-    query_agg,
     rng,
     rng_flow,
     robustness,
@@ -22,9 +20,7 @@ __all__ = [
     "exec_safety",
     "exe_pure",
     "frozen",
-    "parity",
     "perf",
-    "query_agg",
     "rng",
     "rng_flow",
     "robustness",

@@ -17,7 +17,9 @@ import ast
 from typing import Optional, Tuple
 
 from repro.lint.engine import LintContext, Rule, register_rule
-from repro.lint.rules.parity import BATCH_SUFFIXES
+
+#: Name suffixes of the batch entry points this rule checks.
+BATCH_SUFFIXES: Tuple[str, ...] = ("_block", "_batch", "_many", "_array")
 
 #: Identifiers that name per-probe / per-path element collections.  A
 #: loop over one of these inside a batch function is per-element Python

@@ -10,7 +10,6 @@ from repro.measure.engine import MeasurementEngine
 from repro.measure.io import load_dataset, save_dataset
 from repro.measure.path import InterconnectKind, PlannedHop, PlannedPath
 from repro.measure.results import (
-    ColumnarPingStore,
     MeasurementDataset,
     PingBlock,
     PingMeasurement,
@@ -21,7 +20,6 @@ from repro.measure.results import (
 from repro.measure.targets import RegionTargeter
 
 __all__ = [
-    "ColumnarPingStore",
     "InterconnectKind",
     "MeasurementDataset",
     "MeasurementEngine",

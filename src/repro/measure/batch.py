@@ -1,14 +1,10 @@
-"""The vectorized batch measurement fast path.
+"""The vectorized measurement path: every ping and traceroute batch.
 
-The scalar engine executes one :meth:`~repro.measure.engine.MeasurementEngine.ping`
-at a time, drawing 3-5 random numbers per RTT sample from the generator
-one call at a time.  At campaign scale that is millions of scalar RNG
-round-trips per simulated day.  This module provides the batched
-equivalent: a whole request list is planned into the planner's
+A whole request list is planned into the planner's
 :class:`~repro.measure.path.PathTable`, its path parameters are gathered
 from the table by row, and *all* jitter / congestion / ICMP-penalty /
 last-mile noise for every sample of every request is drawn as a handful
-of NumPy arrays.
+of NumPy arrays, never one generator call per sample.
 
 The results are columnar: a :class:`~repro.measure.results.PingBlock`
 per ping batch and a :class:`~repro.measure.results.TraceBlock` per
@@ -21,12 +17,12 @@ record views lazily via :meth:`MeasurementDataset.pings` and
 
 Determinism: the draw order inside a batch is fixed (core-path arrays
 first, then last-mile arrays -- see
-:func:`repro.measure.latency.sample_path_rtt_block` and
+:func:`repro.measure.latency.sample_path_rtt_block`,
+:func:`repro.lastmile.base.sample_lastmile_block` and
 :func:`execute_traceroute_batch`), so the same seed and the same request
-list always produce an identical block.  The batch path is
-*distributionally* equivalent to the scalar path (same noise processes,
-different stream consumption); the KS-equivalence tests in
-``tests/unit/test_batch.py`` guard that property.
+list always produce an identical block.  The KS-equivalence tests in
+``tests/unit/test_batch.py`` check the batch distributions against a
+per-sample scalar reference sampler (``tests/oracles/latency.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cloud.regions import CloudRegion
-from repro.lastmile.base import AccessKind
+from repro.lastmile.base import AccessKind, sample_lastmile_block
 from repro.measure.latency import (
     congestion_cycle_multiplier,
     icmp_penalty_probability_for,
@@ -171,18 +167,7 @@ def execute_ping_batch(
         rng,
     )
 
-    m = sample_of.shape[0]
-    z_air = rng.standard_normal(m)
-    u_bloat = rng.random(m)
-    z_wire = rng.standard_normal(m)
-    air_median, air_sigma, wire_median, wire_sigma, bloat_p, bloat_x = lastmile[
-        sample_of
-    ].T
-    air = np.where(air_median > 0.0, air_median * np.exp(air_sigma * z_air), 0.0)
-    air = np.where(u_bloat < bloat_p, air * bloat_x, air)
-    wire = np.where(
-        wire_median > 0.0, wire_median * np.exp(wire_sigma * z_wire), 0.0
-    )
+    air, wire = sample_lastmile_block(lastmile[sample_of], rng)
 
     return PingBlock(
         probes=probes,
@@ -331,21 +316,8 @@ def execute_traceroute_batch(
     icmp_p = np.where(icmp, _icmp_penalties(probes, config)[probe_codes], 0.0)
     routed = np.array(routed_list, bool)
 
-    # One last-mile draw per trace (all traces at once; draw order is
-    # air noise, bufferbloat uniforms, wire noise, router processing).
-    lastmile = np.array(lastmile_rows, np.float64)
-    z_air = rng.standard_normal(n)
-    u_bloat = rng.random(n)
-    z_wire = rng.standard_normal(n)
-    air_median = lastmile[:, 0]
-    air = np.where(
-        air_median > 0.0, air_median * np.exp(lastmile[:, 1] * z_air), 0.0
-    )
-    air = np.where(u_bloat < lastmile[:, 4], air * lastmile[:, 5], air)
-    wire_median = lastmile[:, 2]
-    wire = np.where(
-        wire_median > 0.0, wire_median * np.exp(lastmile[:, 3] * z_wire), 0.0
-    )
+    # One last-mile draw per trace, all traces at once.
+    air, wire = sample_lastmile_block(np.array(lastmile_rows, np.float64), rng)
     lastmile_total = air + wire
     # Hop-1 home-router RTT for probes measuring from behind a NAT: the
     # WiFi air segment plus the router's own processing.

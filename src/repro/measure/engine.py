@@ -17,17 +17,8 @@ from repro.measure.batch import (
     execute_ping_batch,
     execute_traceroute_batch,
 )
-from repro.measure.latency import sample_path_rtt
 from repro.measure.path import PathPlanner, PlannedPath
-from repro.measure.results import (
-    MeasurementMeta,
-    PingBlock,
-    PingMeasurement,
-    Protocol,
-    TraceBlock,
-    TracerouteMeasurement,
-    build_meta,
-)
+from repro.measure.results import PingBlock, TraceBlock
 
 # Re-exported for backwards compatibility; the canonical home is the
 # probe module so the results layer can build metas without the engine.
@@ -76,7 +67,7 @@ class MeasurementEngine:
         self._rng = rng
         self._lastmile_cache: Dict[Tuple[str, AccessKind], LastMileModel] = {}
 
-    # -- wiring (used by the batch fast path) --------------------------------
+    # -- wiring (used by the batch executors) --------------------------------
 
     @property
     def planner(self) -> PathPlanner:
@@ -114,79 +105,23 @@ class MeasurementEngine:
         self._lastmile_cache[key] = model
         return model
 
-    def _meta(self, probe: Probe, region: CloudRegion, day: int) -> MeasurementMeta:
-        return build_meta(probe, region, day)
-
-    # -- ping ------------------------------------------------------------------
-
-    def ping(
-        self,
-        probe: Probe,
-        region: CloudRegion,
-        protocol: Protocol = Protocol.TCP,
-        samples: int = 4,
-        day: int = 0,
-    ) -> PingMeasurement:
-        """One ping request: ``samples`` end-to-end RTT measurements."""
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
-        path = self._planner.plan(probe, region)
-        model = self.lastmile_model(probe)
-        rtts = []
-        for _ in range(samples):
-            last_mile = model.draw(self._rng)
-            core = sample_path_rtt(
-                path,
-                Protocol(protocol),
-                probe.continent,
-                self._config,
-                self._rng,
-                day=day,
-            )
-            rtts.append(round(last_mile.total_ms + core, 3))
-        return PingMeasurement(
-            meta=self._meta(probe, region, day),
-            protocol=Protocol(protocol),
-            samples=tuple(rtts),
-        )
+    # -- measurement ---------------------------------------------------------
 
     def ping_batch(
         self,
         requests: Sequence[PingRequest],
         rng: Optional[np.random.Generator] = None,
     ) -> PingBlock:
-        """Execute a whole request batch in one vectorized pass.
+        """Execute a whole ping request batch in one vectorized pass.
 
-        The fast-path equivalent of calling :meth:`ping` once per
-        request: requests are grouped by planned path and every noise
-        process is drawn as NumPy arrays over all samples at once.
-        Returns a columnar :class:`PingBlock`; feed it to
+        Every noise process is drawn as NumPy arrays over all samples of
+        all requests at once.  Returns a columnar :class:`PingBlock`, one
+        row per request in request order; feed it to
         :meth:`MeasurementDataset.add_ping_block`.  ``rng`` overrides the
         engine's stream (used by checkpointed campaign units and the
         focused studies).
         """
         return execute_ping_batch(self, requests, rng=rng)
-
-    # -- traceroute ---------------------------------------------------------------
-
-    def traceroute(
-        self,
-        probe: Probe,
-        region: CloudRegion,
-        protocol: Protocol = Protocol.ICMP,
-        day: int = 0,
-    ) -> TracerouteMeasurement:
-        """One traceroute towards a region endpoint.
-
-        Home probes expose their NAT router as a private-address first
-        hop; cellular (and artifact) probes hit the ISP directly --
-        exactly the signal the paper's home/cell classifier keys on.
-        A batch of one through the vectorized traceroute path.
-        """
-        request = TraceRequest(
-            probe=probe, region=region, protocol=Protocol(protocol), day=day
-        )
-        return execute_traceroute_batch(self, [request]).record(0)
 
     def traceroute_batch(
         self,
@@ -195,13 +130,14 @@ class MeasurementEngine:
     ) -> TraceBlock:
         """Execute a whole traceroute batch in one vectorized pass.
 
-        The fast-path equivalent of calling :meth:`traceroute` once per
-        request: every hop of every trace is sampled as flat NumPy
-        arrays.  Returns a columnar :class:`TraceBlock`, one row per
-        request in request order; feed it to
-        :meth:`MeasurementDataset.add_trace_block`.  ``rng`` overrides
-        the engine's stream (used by checkpointed campaign units and the
-        focused studies).
+        Every hop of every trace is sampled as flat NumPy arrays.  Home
+        probes behind a NAT expose their router as a private-address
+        first hop; cellular (and artifact) probes hit the ISP directly
+        -- the signal the paper's home/cell classifier keys on.  Returns
+        a columnar :class:`TraceBlock`, one row per request in request
+        order; feed it to :meth:`MeasurementDataset.add_trace_block`.
+        ``rng`` overrides the engine's stream (used by checkpointed
+        campaign units and the focused studies).
         """
         return execute_traceroute_batch(self, requests, rng=rng)
 

@@ -11,13 +11,10 @@ Separates the three noise processes the paper discusses:
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from repro.core.config import SimulationConfig
 from repro.geo.continents import Continent
-from repro.measure.path import PlannedPath
-from repro.measure.results import Protocol
 
 
 def congestion_cycle_multiplier(day: int, config: SimulationConfig) -> float:
@@ -26,69 +23,6 @@ def congestion_cycle_multiplier(day: int, config: SimulationConfig) -> float:
     if day % 7 in (5, 6):
         return path_config.weekend_congestion_multiplier
     return path_config.weekday_congestion_multiplier
-
-
-def sample_path_rtt(
-    path: PlannedPath,
-    protocol: Protocol,
-    source_continent: Continent,
-    config: SimulationConfig,
-    rng: np.random.Generator,
-    day: int = 0,
-) -> float:
-    """One RTT sample over the path core (excludes the last mile)."""
-    rtt = path.base_path_rtt_ms * _jitter(path, rng)
-    rtt = _apply_congestion(rtt, path, rng, day, config)
-    if protocol is Protocol.ICMP:
-        rtt = _apply_icmp_penalty(rtt, source_continent, config, rng)
-    return rtt
-
-
-def sample_hop_rtt(
-    base_rtt_ms: float,
-    path: PlannedPath,
-    protocol: Protocol,
-    source_continent: Continent,
-    config: SimulationConfig,
-    rng: np.random.Generator,
-    day: int = 0,
-) -> float:
-    """One per-hop RTT sample for a traceroute probe packet.
-
-    Each hop's probe packet experiences its own queueing draw, which is
-    why raw traceroutes show non-monotone hop RTTs in practice.
-    """
-    rtt = base_rtt_ms * _jitter(path, rng)
-    rtt = _apply_congestion(rtt, path, rng, day, config)
-    if protocol is Protocol.ICMP:
-        rtt = _apply_icmp_penalty(rtt, source_continent, config, rng)
-    # Router control-plane processing of the expiring packet.
-    rtt += float(rng.exponential(0.4))
-    return rtt
-
-
-def _jitter(path: PlannedPath, rng: np.random.Generator) -> float:
-    return float(np.exp(path.jitter_sigma * rng.standard_normal()))
-
-
-def _apply_congestion(
-    rtt: float,
-    path: PlannedPath,
-    rng: np.random.Generator,
-    day: int,
-    config: SimulationConfig,
-) -> float:
-    probability = path.congestion_probability * congestion_cycle_multiplier(
-        day, config
-    )
-    if rng.random() < probability:
-        return rtt * _congestion_factor(rng)
-    return rtt
-
-
-def _congestion_factor(rng: np.random.Generator) -> float:
-    # Congestion episodes inflate by 1.3x-2.5x.
-    return 1.3 + 1.2 * float(rng.random())
 
 
 def sample_path_rtt_block(
@@ -100,16 +34,16 @@ def sample_path_rtt_block(
     config: SimulationConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized :func:`sample_path_rtt` over per-sample parameter arrays.
+    """Path-core RTT samples (no last mile), one per entry of the aligned
+    per-sample parameter arrays.
 
-    All inputs are aligned per-sample arrays (``congestion_probability``
-    already includes the weekly cycle multiplier; see
-    :func:`congestion_cycle_multiplier`).  Draw order is fixed -- jitter
-    normals, congestion uniforms, congestion factors, ICMP uniforms -- so
-    a given seed always produces the same block.  Distributionally the
-    result matches per-sample scalar calls: the same lognormal jitter,
-    the same congestion episode mixture, and the same ICMP penalty
-    process, just drawn as whole arrays.
+    ``congestion_probability`` already includes the weekly cycle
+    multiplier (see :func:`congestion_cycle_multiplier`).  Each sample is
+    the base RTT times a lognormal jitter, inflated 1.3x-2.5x during a
+    congestion episode; ICMP samples also carry the base inflation and,
+    with ``icmp_penalty_probability``, the penalty factor.  Draw order is
+    fixed -- jitter normals, congestion uniforms, congestion factors, ICMP
+    uniforms -- so a given seed always produces the same block.
     """
     path_config = config.path_model
     z_jitter = rng.standard_normal(base_rtt_ms.shape[0])
@@ -134,12 +68,15 @@ def sample_hop_rtt_block(
     config: SimulationConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized :func:`sample_hop_rtt` over per-hop parameter arrays.
+    """Per-hop RTT samples of traceroute probe packets, one per entry of
+    the aligned per-hop parameter arrays.
 
-    The hop process is the path process plus the router's control-plane
-    handling of the expiring probe packet; the draw order (path-block
-    draws first, then one exponential array) is fixed so a given seed
-    always produces the same block.
+    Each hop's probe packet has its own queueing draw, which is why raw
+    traceroutes show non-monotone hop RTTs.  A hop sample is a
+    :func:`sample_path_rtt_block` sample plus the router's control-plane
+    handling of the expiring packet; the draw order (path-block draws
+    first, then one exponential array) is fixed so a given seed always
+    produces the same block.
     """
     core = sample_path_rtt_block(
         base_rtt_ms,
@@ -162,17 +99,3 @@ def icmp_penalty_probability_for(
     if source_continent is Continent.AF:
         probability *= path_config.icmp_africa_multiplier
     return probability
-
-
-def _apply_icmp_penalty(
-    rtt: float,
-    source_continent: Continent,
-    config: SimulationConfig,
-    rng: np.random.Generator,
-) -> float:
-    path_config = config.path_model
-    rtt *= path_config.icmp_base_inflation
-    probability = icmp_penalty_probability_for(source_continent, config)
-    if rng.random() < probability:
-        return rtt * path_config.icmp_penalty_factor
-    return rtt

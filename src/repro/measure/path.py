@@ -101,9 +101,8 @@ class PlannedPath:
     """The planned forwarding path between a probe and a region endpoint.
 
     A view of one :class:`PathTable` row, built on demand by
-    :meth:`PathPlanner.path` (and :meth:`PathPlanner.plan`) for the
-    scalar engine, analysis code and tests; the planner itself keeps no
-    ``PlannedPath``.  Hops are parallel tuples of atomic values, and
+    :meth:`PathPlanner.path` (and :meth:`PathPlanner.plan`) for analysis
+    code and tests; the planner itself keeps no ``PlannedPath``.  Hops are parallel tuples of atomic values, and
     :attr:`hops` materializes the classic :class:`PlannedHop` rows.
     """
 

@@ -408,53 +408,6 @@ def _validate_columns(
             )
 
 
-class ColumnarPingStore:
-    """Columnar backing for batched pings: a sequence of ping blocks.
-
-    Every block entering the store -- via :meth:`append_block` or a
-    merge through :meth:`extend` -- is schema-validated first, so a
-    malformed block (wrong dtypes, inconsistent offsets, out-of-range
-    codes) fails loudly at insertion instead of corrupting analyses or
-    serialized shards later.
-    """
-
-    def __init__(self) -> None:
-        self._blocks: List[PingBlock] = []
-
-    def append_block(self, block: PingBlock) -> None:
-        block.validate()
-        self._blocks.append(block)
-
-    @property
-    def blocks(self) -> List[PingBlock]:
-        return list(self._blocks)
-
-    def iter_blocks(self) -> Iterator[PingBlock]:
-        """Yield blocks without copying the block list."""
-        return iter(self._blocks)
-
-    @property
-    def request_count(self) -> int:
-        return sum(len(block) for block in self._blocks)
-
-    @property
-    def sample_count(self) -> int:
-        return sum(block.sample_count for block in self._blocks)
-
-    def iter_records(self) -> Iterator[PingMeasurement]:
-        for block in self._blocks:
-            yield from block.records()
-
-    def __len__(self) -> int:
-        return self.request_count
-
-    def __repr__(self) -> str:
-        return (
-            f"ColumnarPingStore(blocks={len(self._blocks)}, "
-            f"requests={self.request_count})"
-        )
-
-
 class TraceBlock:
     """One batch of traceroutes in columnar form.
 
@@ -623,42 +576,6 @@ class TraceBlock:
 
     def __repr__(self) -> str:
         return f"TraceBlock(traces={len(self)}, hops={self.hop_count})"
-
-
-class ColumnarTraceStore:
-    """Columnar backing for batched traceroutes: a sequence of blocks."""
-
-    def __init__(self) -> None:
-        self._blocks: List[TraceBlock] = []
-
-    def append_block(self, block: TraceBlock) -> None:
-        block.validate()
-        self._blocks.append(block)
-
-    @property
-    def blocks(self) -> List[TraceBlock]:
-        return list(self._blocks)
-
-    def iter_blocks(self) -> Iterator[TraceBlock]:
-        """Yield blocks without copying the block list."""
-        return iter(self._blocks)
-
-    @property
-    def request_count(self) -> int:
-        return sum(len(block) for block in self._blocks)
-
-    def iter_records(self) -> Iterator[TracerouteMeasurement]:
-        for block in self._blocks:
-            yield from block.records()
-
-    def __len__(self) -> int:
-        return self.request_count
-
-    def __repr__(self) -> str:
-        return (
-            f"ColumnarTraceStore(blocks={len(self._blocks)}, "
-            f"traces={self.request_count})"
-        )
 
 
 def standin_probe(meta: MeasurementMeta) -> Probe:
@@ -838,9 +755,9 @@ class MeasurementDataset:
 
     def __init__(self) -> None:
         self._pings: List[PingMeasurement] = []
-        self._ping_store = ColumnarPingStore()
+        self._ping_blocks: List[PingBlock] = []
         self._traceroutes: List[TracerouteMeasurement] = []
-        self._trace_store = ColumnarTraceStore()
+        self._trace_blocks: List[TraceBlock] = []
 
     # -- construction -----------------------------------------------------
 
@@ -848,13 +765,20 @@ class MeasurementDataset:
         self._pings.append(measurement)
 
     def add_ping_block(self, block: PingBlock) -> None:
-        self._ping_store.append_block(block)
+        """Append a ping batch.  The block is schema-validated first, so a
+        malformed one (wrong dtypes, inconsistent offsets, out-of-range
+        codes) fails here instead of in an analysis or a shard later."""
+        block.validate()
+        self._ping_blocks.append(block)
 
     def add_traceroute(self, measurement: TracerouteMeasurement) -> None:
         self._traceroutes.append(measurement)
 
     def add_trace_block(self, block: TraceBlock) -> None:
-        self._trace_store.append_block(block)
+        """Append a traceroute batch, schema-validated like
+        :meth:`add_ping_block`."""
+        block.validate()
+        self._trace_blocks.append(block)
 
     def extend(self, other: "MeasurementDataset") -> None:
         """Merge another dataset -- in memory or a store view -- into this
@@ -869,28 +793,19 @@ class MeasurementDataset:
     # -- access ------------------------------------------------------------
 
     @property
-    def ping_store(self) -> ColumnarPingStore:
-        """The columnar backing (batched pings only)."""
-        return self._ping_store
-
-    @property
-    def trace_store(self) -> ColumnarTraceStore:
-        """The columnar backing (block-backed traceroutes only)."""
-        return self._trace_store
-
-    @property
     def ping_count(self) -> int:
-        return len(self._pings) + self._ping_store.request_count
+        return len(self._pings) + sum(len(block) for block in self._ping_blocks)
 
     @property
     def traceroute_count(self) -> int:
-        return len(self._traceroutes) + self._trace_store.request_count
+        return len(self._traceroutes) + sum(
+            len(block) for block in self._trace_blocks
+        )
 
     @property
     def ping_sample_count(self) -> int:
-        return (
-            sum(len(p.samples) for p in self._pings)
-            + self._ping_store.sample_count
+        return sum(len(p.samples) for p in self._pings) + sum(
+            block.sample_count for block in self._ping_blocks
         )
 
     def pings(
@@ -912,7 +827,8 @@ class MeasurementDataset:
 
     def _iter_all_pings(self) -> Iterator[PingMeasurement]:
         yield from self._pings
-        yield from self._ping_store.iter_records()
+        for block in self._ping_blocks:
+            yield from block.records()
 
     def traceroutes(
         self,
@@ -933,7 +849,8 @@ class MeasurementDataset:
 
     def _iter_all_traceroutes(self) -> Iterator[TracerouteMeasurement]:
         yield from self._traceroutes
-        yield from self._trace_store.iter_records()
+        for block in self._trace_blocks:
+            yield from block.records()
 
     def iter_scalar_pings(self) -> Iterator[PingMeasurement]:
         """The individually-added ping records (no columnar blocks)."""
@@ -945,20 +862,20 @@ class MeasurementDataset:
 
     def ping_blocks(self) -> List[PingBlock]:
         """The columnar ping blocks (batched pings only)."""
-        return self._ping_store.blocks
+        return list(self._ping_blocks)
 
     def trace_blocks(self) -> List[TraceBlock]:
         """The columnar traceroute blocks."""
-        return self._trace_store.blocks
+        return list(self._trace_blocks)
 
     def iter_ping_blocks(self) -> Iterator[PingBlock]:
         """Yield ping blocks lazily (list-copy-free counterpart of
         :meth:`ping_blocks`, mirroring the store view's generator)."""
-        return self._ping_store.iter_blocks()
+        return iter(self._ping_blocks)
 
     def iter_trace_blocks(self) -> Iterator[TraceBlock]:
         """Yield trace blocks lazily."""
-        return self._trace_store.iter_blocks()
+        return iter(self._trace_blocks)
 
     def __repr__(self) -> str:
         return (

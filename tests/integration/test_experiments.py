@@ -72,6 +72,19 @@ class TestRunners:
         assert result.data["paper_requirement"] == 2401
         assert result.data["countries_total"] > 30
 
+    def test_fig14_speedchecker_covers_more_than_atlas(
+        self, world, dataset, context
+    ):
+        result = run_experiment("fig14", world, dataset, context=context)
+        assert result.data["speedchecker_coverage"] > result.data["atlas_coverage"]
+
+    @pytest.mark.parametrize("experiment_id", ["fig1b", "fig2"])
+    def test_probe_distribution_counts_probes(
+        self, experiment_id, world, dataset, context
+    ):
+        result = run_experiment(experiment_id, world, dataset, context=context)
+        assert result.data["total"] > 0
+
 
 class TestNetfaultStudySharing:
     def test_a_shared_context_runs_one_campaign_for_both(

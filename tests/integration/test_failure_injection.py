@@ -8,6 +8,7 @@ import numpy as np
 from repro import SimulationConfig, build_world, run_campaign
 from repro.analysis.peering import CATEGORIES, DIRECT, ONE_IXP, classify_traces
 from repro.core.config import CampaignConfig, PathModelConfig, PlatformConfig
+from repro.measure.batch import PingRequest, TraceRequest
 from repro.measure.results import trace_block_from_records
 from repro.resolve.pipeline import TracerouteResolver
 
@@ -33,7 +34,10 @@ class TestDarkTraceroutes:
         )
         probe = world.speedchecker.probes[0]
         region = world.catalog.all()[0]
-        trace = world.engine.traceroute(probe, region)
+        block = world.engine.traceroute_batch(
+            [TraceRequest(probe=probe, region=region)]
+        )
+        trace = block.record(0)
         # Destination hop always answers (it is the measured endpoint),
         # every intermediate hop is dark.
         dark = [h for h in trace.hops if not h.responded]
@@ -41,7 +45,7 @@ class TestDarkTraceroutes:
         resolver = TracerouteResolver(
             world.topology.registry, world.topology.ixps, rib_coverage=1.0
         )
-        resolved = resolver.resolve_many(trace_block_from_records([trace]))
+        resolved = resolver.resolve_many(block)
         # Home probes still classify from their (local) router hop;
         # the ISP segment is gone.
         assert np.isnan(resolved.usr_isp_rtts).all()
@@ -107,7 +111,9 @@ class TestDegenerateGeography:
         region = world.catalog.all()[0]
         probe = world.speedchecker.probes[0]
         probe.location = region.location  # park the probe on the DC
-        ping = world.engine.ping(probe, region)
+        ping = world.engine.ping_batch(
+            [PingRequest(probe=probe, region=region)]
+        ).record(0)
         assert all(sample > 0 for sample in ping.samples)
 
     def test_antipodal_measurement(self):
@@ -118,6 +124,8 @@ class TestDegenerateGeography:
         region = next(
             r for r in world.catalog.all() if r.country == "ES"
         )
-        ping = world.engine.ping(probe, region)
+        ping = world.engine.ping_batch(
+            [PingRequest(probe=probe, region=region)]
+        ).record(0)
         # Antipodal RTT stays below a sanity ceiling even with jitter.
         assert all(50.0 < sample < 3000.0 for sample in ping.samples)

@@ -1,19 +1,27 @@
 """Tests for the vectorized batch measurement engine.
 
 The batch path must be (a) deterministic under a fixed seed, and
-(b) distributionally equivalent to the scalar path -- same lognormal
-jitter, congestion mixture, ICMP penalty process and last-mile noise,
-just drawn as whole arrays.  Equivalence is bounded with a two-sample
-Kolmogorov-Smirnov distance; determinism is byte-exact.
+(b) distributionally equivalent to the per-sample scalar reference in
+``tests/oracles/latency.py`` -- same lognormal jitter, congestion
+mixture, ICMP penalty process and last-mile noise, just drawn as whole
+arrays.  Equivalence is bounded with a two-sample Kolmogorov-Smirnov
+distance; determinism is byte-exact.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from oracles import latency as scalar_oracle
+
 from repro import build_world
 from repro.analysis.stats import ks_distance
+from repro.core.config import SimulationConfig
+from repro.geo.continents import Continent
 from repro.measure.batch import PingRequest, TraceRequest
 from repro.measure.io import load_dataset, save_dataset
+from repro.measure.latency import icmp_penalty_probability_for, sample_hop_rtt_block
 from repro.measure.results import MeasurementDataset, Protocol
 
 SEED = 99
@@ -35,7 +43,7 @@ def world():
 
 @pytest.fixture(scope="module")
 def scalar_world():
-    """A second same-seed world whose engine runs the scalar path."""
+    """A second same-seed world whose engine the scalar reference draws from."""
     return build_world(seed=SEED, scale=SCALE)
 
 
@@ -77,7 +85,8 @@ class TestBatchScalarEquivalence:
             scalar = [
                 sample
                 for _ in range(SCALAR_REQUESTS)
-                for sample in scalar_world.engine.ping(
+                for sample in scalar_oracle.ping(
+                    scalar_world.engine,
                     scalar_probe,
                     region,
                     protocol=protocol,
@@ -89,6 +98,38 @@ class TestBatchScalarEquivalence:
             assert distance < KS_BOUND, (
                 f"{continent}: KS {distance:.4f} >= {KS_BOUND}"
             )
+
+    @pytest.mark.parametrize("protocol", [Protocol.TCP, Protocol.ICMP])
+    def test_hop_rtt_ks_distance(self, protocol):
+        """Batch and scalar per-hop RTT distributions agree.
+
+        Jitter and congestion are off, so the router's processing term --
+        the part of the hop process the ping test never draws -- sets the
+        spread.
+        """
+        config = SimulationConfig()
+        base_rtt = 20.0
+        penalty = icmp_penalty_probability_for(Continent.EU, config)
+        n = BATCH_SAMPLES
+        batch = sample_hop_rtt_block(
+            np.full(n, base_rtt),
+            np.zeros(n),
+            np.zeros(n),
+            np.full(n, protocol is Protocol.ICMP),
+            np.full(n, penalty),
+            config,
+            np.random.default_rng(SEED),
+        )
+        quiet_path = SimpleNamespace(jitter_sigma=0.0, congestion_probability=0.0)
+        rng = np.random.default_rng(SEED + 1)
+        scalar = [
+            scalar_oracle.sample_hop_rtt(
+                base_rtt, quiet_path, protocol, Continent.EU, config, rng
+            )
+            for _ in range(SCALAR_REQUESTS * SCALAR_SAMPLES)
+        ]
+        distance = ks_distance(batch, scalar)
+        assert distance < KS_BOUND, f"KS {distance:.4f} >= {KS_BOUND}"
 
     def test_traceroute_batch_matches_planned_path(self, world):
         """Batch traceroutes walk the planned hop sequence to the dest."""

@@ -1,5 +1,7 @@
 """Tests for repro.lastmile."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import LastMileConfig
 from repro.lastmile.base import AccessKind, LastMileDraw, lognormal_ms
-from repro.lastmile.models import (
-    CellularLastMile,
-    HomeWifiLastMile,
-    WiredLastMile,
-    model_for,
-)
+from repro.lastmile.models import CellularLastMile, HomeWifiLastMile, WiredLastMile
 
 
 @pytest.fixture
@@ -131,15 +128,19 @@ class TestWired:
 
 
 class TestModelFor:
-    def test_dispatch(self, config):
-        assert isinstance(model_for(AccessKind.HOME_WIFI, config), HomeWifiLastMile)
-        assert isinstance(model_for(AccessKind.CELLULAR, config), CellularLastMile)
-        assert isinstance(model_for(AccessKind.WIRED, config), WiredLastMile)
+    def test_dispatch(self, world):
+        probe = world.speedchecker.probes[0]
+        lastmile_model = world.engine.lastmile_model
+        assert isinstance(lastmile_model(probe, AccessKind.HOME_WIFI), HomeWifiLastMile)
+        assert isinstance(lastmile_model(probe, AccessKind.CELLULAR), CellularLastMile)
+        assert isinstance(lastmile_model(probe, AccessKind.WIRED), WiredLastMile)
 
-    def test_country_quality_applied(self, config):
-        china = model_for(AccessKind.CELLULAR, config, country="CN")
-        generic = model_for(AccessKind.CELLULAR, config, country="DE")
-        assert china.median_total_ms() < generic.median_total_ms()
-
-    def test_accepts_string_kind(self, config):
-        assert isinstance(model_for("wired", config), WiredLastMile)
+    def test_country_quality_applied(self, world):
+        probe = world.speedchecker.probes[0]
+        china = replace(probe, probe_id="quality-cn", country="CN")
+        generic = replace(probe, probe_id="quality-de", country="DE")
+        lastmile_model = world.engine.lastmile_model
+        assert (
+            lastmile_model(china, AccessKind.CELLULAR).median_total_ms()
+            < lastmile_model(generic, AccessKind.CELLULAR).median_total_ms()
+        )

@@ -5,25 +5,41 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.geo.continents import Continent
-from repro.measure.latency import sample_hop_rtt, sample_path_rtt
-from repro.measure.path import InterconnectKind, PlannedPath
+from repro.measure.latency import (
+    congestion_cycle_multiplier,
+    icmp_penalty_probability_for,
+    sample_hop_rtt_block,
+    sample_path_rtt_block,
+)
 from repro.measure.results import Protocol
 
 
-def make_path(base_rtt=50.0, sigma=0.1, congestion=0.0):
-    return PlannedPath(
-        probe_id="p",
-        region_id="r",
-        provider_code="GCP",
-        as_path=(1, 2),
-        interconnect=InterconnectKind.DIRECT,
-        distance_km=1000.0,
-        stretch=1.3,
-        jitter_sigma=sigma,
-        congestion_probability=congestion,
-        base_path_rtt_ms=base_rtt,
-        hops=(),
-        dest_address=1,
+def path_arrays(
+    config,
+    n,
+    base_rtt=50.0,
+    sigma=0.1,
+    congestion=0.0,
+    protocol=Protocol.TCP,
+    continent=Continent.EU,
+):
+    """Per-sample parameter arrays for ``n`` day-0 draws over one path."""
+    return (
+        np.full(n, base_rtt),
+        np.full(n, sigma),
+        np.full(n, congestion * congestion_cycle_multiplier(0, config)),
+        np.full(n, protocol is Protocol.ICMP),
+        np.full(n, icmp_penalty_probability_for(continent, config)),
+    )
+
+
+def path_rtts(config, rng, n, **path):
+    return sample_path_rtt_block(*path_arrays(config, n, **path), config, rng)
+
+
+def hop_rtts(config, rng, n, base_rtt, **path):
+    return sample_hop_rtt_block(
+        *path_arrays(config, n, base_rtt=base_rtt, **path), config, rng
     )
 
 
@@ -34,112 +50,54 @@ def config():
 
 class TestSamplePathRtt:
     def test_median_tracks_base(self, config, rng):
-        path = make_path(base_rtt=80.0, sigma=0.05)
-        draws = [
-            sample_path_rtt(path, Protocol.TCP, Continent.EU, config, rng)
-            for _ in range(3000)
-        ]
+        draws = path_rtts(config, rng, 3000, base_rtt=80.0, sigma=0.05)
         assert np.median(draws) == pytest.approx(80.0, rel=0.05)
 
     def test_zero_sigma_zero_congestion_is_deterministic(self, config, rng):
-        path = make_path(base_rtt=50.0, sigma=0.0, congestion=0.0)
-        draws = {
-            round(
-                sample_path_rtt(path, Protocol.TCP, Continent.EU, config, rng), 6
-            )
-            for _ in range(50)
-        }
-        assert draws == {50.0}
+        draws = path_rtts(config, rng, 50, base_rtt=50.0, sigma=0.0)
+        assert set(np.round(draws, 6).tolist()) == {50.0}
 
     def test_higher_sigma_wider_spread(self, config, rng):
-        tight = make_path(sigma=0.03)
-        wide = make_path(sigma=0.3)
-        tight_draws = np.array(
-            [
-                sample_path_rtt(tight, Protocol.TCP, Continent.EU, config, rng)
-                for _ in range(2000)
-            ]
-        )
-        wide_draws = np.array(
-            [
-                sample_path_rtt(wide, Protocol.TCP, Continent.EU, config, rng)
-                for _ in range(2000)
-            ]
-        )
+        tight_draws = path_rtts(config, rng, 2000, sigma=0.03)
+        wide_draws = path_rtts(config, rng, 2000, sigma=0.3)
         assert wide_draws.std() > 3 * tight_draws.std()
 
     def test_congestion_fattens_the_tail(self, config, rng):
-        calm = make_path(sigma=0.05, congestion=0.0)
-        congested = make_path(sigma=0.05, congestion=0.3)
-        calm_draws = np.array(
-            [
-                sample_path_rtt(calm, Protocol.TCP, Continent.EU, config, rng)
-                for _ in range(3000)
-            ]
-        )
-        hot_draws = np.array(
-            [
-                sample_path_rtt(congested, Protocol.TCP, Continent.EU, config, rng)
-                for _ in range(3000)
-            ]
-        )
+        calm_draws = path_rtts(config, rng, 3000, sigma=0.05, congestion=0.0)
+        hot_draws = path_rtts(config, rng, 3000, sigma=0.05, congestion=0.3)
         assert np.percentile(hot_draws, 95) > np.percentile(calm_draws, 95) * 1.15
 
     def test_icmp_slightly_inflated(self, config, rng):
-        path = make_path(sigma=0.0, congestion=0.0)
-        tcp = np.mean(
-            [
-                sample_path_rtt(path, Protocol.TCP, Continent.EU, config, rng)
-                for _ in range(4000)
-            ]
-        )
+        tcp = np.mean(path_rtts(config, rng, 4000, sigma=0.0))
         icmp = np.mean(
-            [
-                sample_path_rtt(path, Protocol.ICMP, Continent.EU, config, rng)
-                for _ in range(4000)
-            ]
+            path_rtts(config, rng, 4000, sigma=0.0, protocol=Protocol.ICMP)
         )
         assert 1.005 < icmp / tcp < 1.08  # paper: within a few percent
 
     def test_icmp_penalty_stronger_in_africa(self, config, rng):
-        path = make_path(sigma=0.0, congestion=0.0)
         eu = np.mean(
-            [
-                sample_path_rtt(path, Protocol.ICMP, Continent.EU, config, rng)
-                for _ in range(6000)
-            ]
+            path_rtts(config, rng, 6000, sigma=0.0, protocol=Protocol.ICMP)
         )
         af = np.mean(
-            [
-                sample_path_rtt(path, Protocol.ICMP, Continent.AF, config, rng)
-                for _ in range(6000)
-            ]
+            path_rtts(
+                config,
+                rng,
+                6000,
+                sigma=0.0,
+                protocol=Protocol.ICMP,
+                continent=Continent.AF,
+            )
         )
         assert af > eu
 
 
 class TestSampleHopRtt:
     def test_includes_control_plane_overhead(self, config, rng):
-        path = make_path(sigma=0.0, congestion=0.0)
-        draws = [
-            sample_hop_rtt(20.0, path, Protocol.TCP, Continent.EU, config, rng)
-            for _ in range(2000)
-        ]
+        draws = hop_rtts(config, rng, 2000, 20.0, sigma=0.0)
         assert min(draws) >= 20.0
         assert np.mean(draws) > 20.2  # exponential(0.4) on top
 
     def test_scales_with_base(self, config, rng):
-        path = make_path(sigma=0.0, congestion=0.0)
-        near = np.mean(
-            [
-                sample_hop_rtt(10.0, path, Protocol.TCP, Continent.EU, config, rng)
-                for _ in range(1000)
-            ]
-        )
-        far = np.mean(
-            [
-                sample_hop_rtt(60.0, path, Protocol.TCP, Continent.EU, config, rng)
-                for _ in range(1000)
-            ]
-        )
+        near = np.mean(hop_rtts(config, rng, 1000, 10.0, sigma=0.0))
+        far = np.mean(hop_rtts(config, rng, 1000, 60.0, sigma=0.0))
         assert far > near + 45.0

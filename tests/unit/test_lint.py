@@ -55,7 +55,6 @@ class TestRegistry:
             "DET001",
             "DET002",
             "FRZ001",
-            "PAR001",
             "ROB001",
             "EXE001",
             "PERF001",
@@ -263,42 +262,6 @@ class TestFrozenMutation:
             "        self.base_path_rtt_ms = 0.0\n"
         )
         assert lint_with("FRZ001", src) == []
-
-
-# -- PAR001: batch-scalar parity ----------------------------------------
-
-
-class TestBatchScalarParity:
-    LATENCY_PATH = "src/repro/measure/latency.py"
-
-    def test_flags_scalar_without_batch_twin(self):
-        src = "def sample_rtt(path, rng):\n    return rng.random()\n"
-        violations = lint_with("PAR001", src, filename=self.LATENCY_PATH)
-        assert rule_ids(violations) == ["PAR001"]
-        assert "sample_rtt" in violations[0].message
-
-    def test_clean_when_block_twin_exists(self):
-        src = (
-            "def sample_rtt(path, rng):\n"
-            "    return rng.random()\n"
-            "def sample_rtt_block(paths, rng):\n"
-            "    return rng.random(len(paths))\n"
-        )
-        assert lint_with("PAR001", src, filename=self.LATENCY_PATH) == []
-
-    def test_flags_batch_without_scalar_base(self):
-        src = "def sample_rtt_block(paths, rng):\n    return rng.random(3)\n"
-        assert rule_ids(
-            lint_with("PAR001", src, filename=self.LATENCY_PATH)
-        ) == ["PAR001"]
-
-    def test_not_applied_outside_parity_paths(self):
-        src = "def sample_rtt(path, rng):\n    return rng.random()\n"
-        assert lint_with("PAR001", src, filename=ANALYSIS_PATH) == []
-
-    def test_functions_without_rng_exempt(self):
-        src = "def classify(path):\n    return path.kind\n"
-        assert lint_with("PAR001", src, filename=self.LATENCY_PATH) == []
 
 
 # -- ROB001: swallowed exceptions ---------------------------------------
@@ -709,7 +672,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RNG001", "DET001", "FRZ001", "PAR001"):
+        for rule_id in ("RNG001", "DET001", "FRZ001"):
             assert rule_id in out
 
     def test_module_entry_point(self, tmp_path):

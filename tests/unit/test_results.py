@@ -8,7 +8,6 @@ from repro.geo.continents import Continent
 from repro.geo.coords import GeoPoint
 from repro.lastmile.base import AccessKind
 from repro.measure.results import (
-    ColumnarPingStore,
     MeasurementDataset,
     MeasurementMeta,
     PingBlock,
@@ -213,21 +212,22 @@ class TestPingBlock:
 
 
 class TestColumnarPingStore:
+    """The dataset's columnar ping backing: its list of ping blocks."""
+
     def test_append_and_counts(self):
-        store = ColumnarPingStore()
-        store.append_block(make_block(requests=2, samples_per_request=3))
-        store.append_block(make_block(requests=1, samples_per_request=2))
-        assert len(store) == 3
-        assert store.request_count == 3
-        assert store.sample_count == 7 + 2
-        assert len(list(store.iter_records())) == 3
+        dataset = MeasurementDataset()
+        dataset.add_ping_block(make_block(requests=2, samples_per_request=3))
+        dataset.add_ping_block(make_block(requests=1, samples_per_request=2))
+        assert dataset.ping_count == 3
+        assert dataset.ping_sample_count == 7 + 2
+        assert len(list(dataset.pings())) == 3
 
     def test_append_block_keeps_blocks_apart(self):
-        store = ColumnarPingStore()
-        store.append_block(make_block(requests=1))
-        store.append_block(make_block(requests=2))
-        assert store.request_count == 3
-        assert "blocks=2" in repr(store)
+        dataset = MeasurementDataset()
+        dataset.add_ping_block(make_block(requests=1))
+        dataset.add_ping_block(make_block(requests=2))
+        assert dataset.ping_count == 3
+        assert [len(block) for block in dataset.ping_blocks()] == [1, 2]
 
 
 class TestBlockBackedDataset:
@@ -256,4 +256,4 @@ class TestBlockBackedDataset:
         b.add_ping_block(make_block(requests=2))
         a.extend(b)
         assert a.ping_count == 2
-        assert a.ping_store.request_count == 2
+        assert sum(len(block) for block in a.ping_blocks()) == 2

@@ -11,9 +11,8 @@ from repro.geo.continents import Continent
 from repro.geo.coords import GeoPoint
 from repro.lastmile.base import AccessKind
 from repro.measure.results import (
-    ColumnarPingStore,
+    MeasurementDataset,
     MeasurementMeta,
-    PingBlock,
     PingMeasurement,
     Protocol,
     TraceHop,
@@ -317,46 +316,51 @@ class TestStoreCli:
 
 
 class TestExtendValidation:
-    """Blocks appended to a ColumnarPingStore are schema-validated."""
-
-    def _bad_dtype_block(self):
-        block = ping_block_from_records([_ping()])
-        bad = PingBlock(
-            probes=block.probes,
-            regions=block.regions,
-            probe_codes=block.probe_codes,
-            region_codes=block.region_codes,
-            days=block.days,
-            protocol_codes=block.protocol_codes,
-            sample_values=block.sample_values,
-            sample_offsets=block.sample_offsets,
-        )
-        # Sabotage a column after construction (the constructor coerces).
-        bad.sample_values = bad.sample_values.astype(np.float32)
-        return bad
+    """Blocks added to a MeasurementDataset are schema-validated, so the
+    dataset's counts do not change when a block is rejected."""
 
     def test_append_block_rejects_wrong_dtype(self):
-        target = ColumnarPingStore()
+        dataset = MeasurementDataset()
+        ping_block = ping_block_from_records([_ping()])
+        # Sabotage a column after construction (the constructor coerces).
+        ping_block.sample_values = ping_block.sample_values.astype(np.float32)
         with pytest.raises(TypeError, match="dtype"):
-            target.append_block(self._bad_dtype_block())
-        assert target.request_count == 0
+            dataset.add_ping_block(ping_block)
+        trace_block = trace_block_from_records([_trace()])
+        trace_block.hop_rtts = trace_block.hop_rtts.astype(np.float32)
+        with pytest.raises(TypeError, match="dtype"):
+            dataset.add_trace_block(trace_block)
+        assert (dataset.ping_count, dataset.traceroute_count) == (0, 0)
 
     def test_append_block_rejects_inconsistent_offsets(self):
-        block = ping_block_from_records([_ping(), _ping("p1")])
-        block.sample_offsets = np.array([0, 3], dtype=np.int64)  # one short
+        dataset = MeasurementDataset()
+        ping_block = ping_block_from_records([_ping(), _ping("p1")])
+        ping_block.sample_offsets = np.array([0, 3], dtype=np.int64)  # one short
         with pytest.raises(ValueError, match="sample_offsets"):
-            ColumnarPingStore().append_block(block)
+            dataset.add_ping_block(ping_block)
+        trace_block = trace_block_from_records([_trace(), _trace("p1")])
+        trace_block.hop_offsets = np.array([0, 3], dtype=np.int64)  # one short
+        with pytest.raises(ValueError, match="hop_offsets"):
+            dataset.add_trace_block(trace_block)
+        assert (dataset.ping_count, dataset.traceroute_count) == (0, 0)
 
     def test_append_block_rejects_out_of_range_codes(self):
-        block = ping_block_from_records([_ping()])
-        block.probe_codes = np.array([5], dtype=np.int32)  # no such probe row
+        dataset = MeasurementDataset()
+        ping_block = ping_block_from_records([_ping()])
+        ping_block.probe_codes = np.array([5], dtype=np.int32)  # no such probe row
         with pytest.raises(ValueError, match="probe_codes"):
-            ColumnarPingStore().append_block(block)
+            dataset.add_ping_block(ping_block)
+        trace_block = trace_block_from_records([_trace()])
+        trace_block.region_codes = np.array([5], dtype=np.int32)  # no such region
+        with pytest.raises(ValueError, match="region_codes"):
+            dataset.add_trace_block(trace_block)
+        assert (dataset.ping_count, dataset.traceroute_count) == (0, 0)
 
     def test_append_block_accepts_valid_blocks(self):
-        target = ColumnarPingStore()
-        target.append_block(ping_block_from_records([_ping(), _ping("p1")]))
-        assert target.request_count == 2
+        dataset = MeasurementDataset()
+        dataset.add_ping_block(ping_block_from_records([_ping(), _ping("p1")]))
+        dataset.add_trace_block(trace_block_from_records([_trace(), _trace("p1")]))
+        assert (dataset.ping_count, dataset.traceroute_count) == (2, 2)
 
 
 def test_standin_tables_survive_import(tmp_path):
