@@ -8,7 +8,7 @@ nearest-DC median drops by roughly the wireless/wired gap (~10-15 ms).
 import numpy as np
 
 from repro import SimulationConfig, build_world, run_campaign
-from repro.analysis.nearest import samples_to_nearest
+from repro.analysis.nearest import nearest_samples_by_continent
 
 SEED = 11
 SCALE = 0.01
@@ -17,9 +17,8 @@ DAYS = 5
 
 def median_nearest(world):
     dataset = run_campaign(world, days=DAYS, platforms=("speedchecker",))
-    return float(
-        np.median([s for _, s in samples_to_nearest(dataset, "speedchecker")])
-    )
+    grouped = nearest_samples_by_continent(dataset, "speedchecker")
+    return float(np.median([s for values in grouped.values() for s in values]))
 
 
 def test_wireless_vs_wired_last_mile(benchmark):

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro import SimulationConfig, build_world, run_campaign
 from repro.analysis.flattening import flatness_by_provider
-from repro.analysis.nearest import samples_to_nearest
+from repro.analysis.nearest import nearest_samples_by_continent
 from repro.analysis.report import format_percent, format_table
 from repro.core.config import LastMileConfig
 from repro.measure.io import load_dataset, save_dataset
@@ -27,7 +27,8 @@ from repro.measure.io import load_dataset, save_dataset
 
 def nearest_median(world, days):
     dataset = run_campaign(world, days=days, platforms=("speedchecker",))
-    samples = [s for _, s in samples_to_nearest(dataset, "speedchecker")]
+    grouped = nearest_samples_by_continent(dataset, "speedchecker")
+    samples = [s for values in grouped.values() for s in values]
     return float(np.median(samples)), dataset
 
 

@@ -11,14 +11,18 @@ Negative differences mean Speedchecker was faster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from operator import attrgetter
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.nearest import samples_to_nearest
-from repro.analysis.stats import fraction_below
+from repro.analysis.nearest import REGION, nearest_samples
+from repro.analysis.stats import fraction_below, group_ids
 from repro.geo.continents import Continent
-from repro.measure.results import MeasurementDataset, Protocol
+from repro.measure.results import MeasurementDataset, Protocol, dataset_pings
+
+#: <city cell, serving ASN, provider, region id> of Fig. 16's groups.
+GroupKey = Tuple[Tuple[int, int], int, str, str]
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,8 @@ class DifferenceDistribution:
 
 
 def _paired_differences(
-    speedchecker: List[float],
-    atlas: List[float],
+    speedchecker: Sequence[float],
+    atlas: Sequence[float],
     rng: np.random.Generator,
     pairs: int,
 ) -> np.ndarray:
@@ -56,12 +60,11 @@ def platform_differences(
     min_samples: int = 10,
 ) -> Dict[Continent, DifferenceDistribution]:
     """Fig. 5: nearest-DC latency differences per continent."""
-    sc_samples: Dict[Continent, List[float]] = {}
-    for ping, sample in samples_to_nearest(dataset, "speedchecker", protocol):
-        sc_samples.setdefault(ping.meta.continent, []).append(sample)
-    atlas_samples: Dict[Continent, List[float]] = {}
-    for ping, sample in samples_to_nearest(dataset, "atlas", protocol):
-        atlas_samples.setdefault(ping.meta.continent, []).append(sample)
+    # Per platform, what nearest_samples_by_continent returns.
+    pings = dataset_pings(dataset)
+    by_continent = attrgetter("continent")
+    sc_samples = nearest_samples(pings, by_continent, "speedchecker", protocol)
+    atlas_samples = nearest_samples(pings, by_continent, "atlas", protocol)
 
     result: Dict[Continent, DifferenceDistribution] = {}
     for continent in Continent:
@@ -91,37 +94,41 @@ def matched_city_asn_differences(
     Continents without enough matched groups are omitted, as the paper
     omits AF/SA/OC for lack of probe intersections.
     """
-    GroupKey = Tuple[Tuple[int, int], int, str, str]
+    pings = dataset_pings(dataset)
+    cell = attrgetter("city_key", "isp_asn")
+    cell_keys = [cell(probe) for probe in pings.probes]
+    cells = pings.probe_codes_by(cell)
+    regions = pings.region_codes_by(REGION)
 
-    def collect(platform: str) -> Dict[GroupKey, List[float]]:
-        grouped: Dict[GroupKey, List[float]] = {}
-        for ping in dataset.pings(platform=platform, protocol=protocol):
-            meta = ping.meta
-            key = (meta.city_key, meta.isp_asn, meta.provider_code, meta.region_id)
-            grouped.setdefault(key, []).extend(ping.samples)
-        return grouped
+    def collect(platform: str) -> Dict[GroupKey, np.ndarray]:
+        """The rows of each group, keyed in the order keys first occur."""
+        rows = pings.select(platform, protocol)
+        labels, heads = group_ids(cells[rows], regions[rows])
+        members = np.split(
+            rows[np.argsort(labels, kind="stable")],
+            np.cumsum(np.bincount(labels))[:-1],
+        )
+        return {
+            cell_keys[probe] + REGION(pings.regions[region]): group
+            for probe, region, group in zip(
+                pings.probe_codes[rows[heads]].tolist(),
+                pings.region_codes[rows[heads]].tolist(),
+                members,
+            )
+        }
 
     sc_groups = collect("speedchecker")
     atlas_groups = collect("atlas")
-    # Continent per group key is recoverable from any member measurement;
-    # rebuild a key -> continent map from the Speedchecker side.
-    continent_of: Dict[GroupKey, Continent] = {}
-    for ping in dataset.pings(platform="speedchecker", protocol=protocol):
-        meta = ping.meta
-        continent_of[
-            (meta.city_key, meta.isp_asn, meta.provider_code, meta.region_id)
-        ] = meta.continent
 
     per_continent_diffs: Dict[Continent, List[np.ndarray]] = {}
     group_counts: Dict[Continent, int] = {}
     for key in set(sc_groups) & set(atlas_groups):
-        sc = sc_groups[key]
-        at = atlas_groups[key]
+        sc = pings.samples_of(sc_groups[key])
+        at = pings.samples_of(atlas_groups[key])
         if len(sc) < min_samples or len(at) < min_samples:
             continue
-        continent = continent_of.get(key)
-        if continent is None:
-            continue
+        # The continent of the group's last Speedchecker ping.
+        continent = pings.probes[pings.probe_codes[sc_groups[key][-1]]].continent
         diffs = _paired_differences(
             sc, at, rng, max(50, pairs_per_continent // 100)
         )

@@ -9,10 +9,14 @@ take the larger share over inter-continental ones (~70/30).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict
 
+import numpy as np
+
+from repro.analysis.stats import group_rows
 from repro.geo.continents import Continent
-from repro.measure.results import MeasurementDataset
+from repro.measure.results import MeasurementDataset, dataset_pings
 
 
 @dataclass(frozen=True)
@@ -30,30 +34,26 @@ def dataset_composition(
     dataset: MeasurementDataset, platform: str = "speedchecker"
 ) -> CompositionReport:
     """Sample-count composition of a campaign dataset."""
+    pings = dataset_pings(dataset)
+    rows = pings.select(platform)
+    counts = np.diff(pings.sample_offsets)[rows]
+    home = pings.same_continent()[rows]
     per_continent: Dict[Continent, int] = {}
     intra: Dict[Continent, int] = {}
-    inter: Dict[Continent, int] = {}
-    total = 0
-    for ping in dataset.pings(platform=platform):
-        count = len(ping.samples)
-        continent = ping.meta.continent
-        per_continent[continent] = per_continent.get(continent, 0) + count
-        if ping.meta.region_continent is continent:
-            intra[continent] = intra.get(continent, 0) + count
-        else:
-            inter[continent] = inter.get(continent, 0) + count
-        total += count
+    for _, group in group_rows(pings.probe_codes_by(attrgetter("continent"))[rows]):
+        continent = pings.probes[pings.probe_codes[rows[group[0]]]].continent
+        per_continent[continent] = int(counts[group].sum())
+        intra[continent] = int(counts[group][home[group]].sum())
+    total = sum(per_continent.values())
     if total == 0:
         raise ValueError("dataset has no ping samples for the platform")
     continent_share = {
         continent: count / total for continent, count in per_continent.items()
     }
     intra_share = {}
-    for continent in per_continent:
-        cross = inter.get(continent, 0)
-        home = intra.get(continent, 0)
-        if cross:
-            intra_share[continent] = home / (home + cross)
+    for continent, count in per_continent.items():
+        if count > intra[continent]:
+            intra_share[continent] = intra[continent] / count
     return CompositionReport(
         total_samples=total,
         continent_share=continent_share,

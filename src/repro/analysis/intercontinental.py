@@ -8,11 +8,15 @@ NA}; South America -> {SA, NA}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.analysis.nearest import pooled_nearest
 from repro.analysis.stats import BoxStats
 from repro.geo.continents import Continent
-from repro.measure.results import MeasurementDataset, Protocol
+from repro.measure.results import MeasurementDataset, Protocol, dataset_pings
 
 #: Countries shown in the paper's Fig. 6.
 FIG6_AFRICA = ("DZ", "EG", "ET", "KE", "MA", "SN", "TN", "ZA")
@@ -43,42 +47,18 @@ def _nearest_region_samples(
 ) -> Dict[Tuple[str, Continent], List[float]]:
     """All samples grouped by (country, target continent), restricted per
     probe to its lowest-mean region within each target continent."""
+    pings = dataset_pings(dataset)
+    rows = pings.select(platform, protocol)
     wanted = set(countries)
     targets = set(target_continents)
-    # mean latency per (probe, target continent, region)
-    sums: Dict[Tuple[str, Continent, Tuple[str, str]], List[float]] = {}
-    samples: Dict[Tuple[str, Continent, Tuple[str, str]], List[float]] = {}
-    country_of: Dict[str, str] = {}
-    for ping in dataset.pings(platform=platform, protocol=protocol):
-        meta = ping.meta
-        if meta.country not in wanted:
-            continue
-        if meta.region_continent not in targets:
-            continue
-        key = (
-            meta.probe_id,
-            meta.region_continent,
-            (meta.provider_code, meta.region_id),
-        )
-        bucket = sums.setdefault(key, [0.0, 0])
-        bucket[0] += sum(ping.samples)
-        bucket[1] += len(ping.samples)
-        samples.setdefault(key, []).extend(ping.samples)
-        country_of[meta.probe_id] = meta.country
-
-    best: Dict[Tuple[str, Continent], Tuple[float, Tuple[str, str]]] = {}
-    for (probe_id, continent, region_key), (total, count) in sums.items():
-        mean = total / count
-        current = best.get((probe_id, continent))
-        if current is None or mean < current[0]:
-            best[(probe_id, continent)] = (mean, region_key)
-
-    grouped: Dict[Tuple[str, Continent], List[float]] = {}
-    for (probe_id, continent), (_, region_key) in best.items():
-        values = samples[(probe_id, continent, region_key)]
-        group = (country_of[probe_id], continent)
-        grouped.setdefault(group, []).extend(values)
-    return grouped
+    in_country = np.asarray([p.country in wanted for p in pings.probes], bool)
+    in_target = np.asarray([r.continent in targets for r in pings.regions], bool)
+    rows = rows[
+        in_country[pings.probe_codes[rows]] & in_target[pings.region_codes[rows]]
+    ]
+    return pooled_nearest(
+        pings, rows, attrgetter("country"), attrgetter("continent")
+    )
 
 
 def intercontinental_latency(

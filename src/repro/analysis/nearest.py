@@ -2,19 +2,30 @@
 
 The paper defines the datacenter "closest" to a probe as the one with the
 lowest *mean* latency over time (Fig. 3 footnote), restricted to the
-probe's own continent for the intra-continental analyses.
+probe's own continent for the intra-continental analyses.  Both are
+group-bys over the dataset's ping columns (:func:`dataset_pings`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.analysis.stats import group_ids, group_rows, last_rows
+from repro.cloud.regions import CloudRegion
 from repro.geo.continents import Continent
-from repro.measure.results import MeasurementDataset, PingMeasurement, Protocol
+from repro.measure.results import MeasurementDataset, PingBlock, Protocol, dataset_pings
+from repro.platforms.probe import Probe
 
 #: (provider_code, region_id)
 RegionKey = Tuple[str, str]
+
+PROBE_ID = attrgetter("probe_id")
+#: A region's :data:`RegionKey`.
+REGION = attrgetter("provider_code", "region_id")
 
 
 @dataclass(frozen=True)
@@ -30,101 +41,47 @@ class NearestMap:
         return len(self.nearest)
 
 
-# -- query-engine fast paths -------------------------------------------------
-#
-# Store-backed datasets answer these aggregations without materializing
-# a single record: the query engine groups memmapped columns by
-# (probe, provider, region) and returns per-group sums/counts plus the
-# `first` tie-break key, which reproduces the legacy loop's first-seen
-# dict-insertion order exactly.  In-memory datasets keep the record
-# loop below.
+def _lowest_mean(
+    pings: PingBlock,
+    rows: np.ndarray,
+    owners: Sequence[np.ndarray],
+    candidates: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per owner, the candidate of ``rows`` with the lowest mean sample.
 
-
-def _best_regions(
-    rows: "List[Dict[str, Any]]",
-) -> Dict[str, Tuple[Tuple[float, Tuple[int, int]], RegionKey]]:
-    """Per-probe winning region from engine group rows.
-
-    Ranked by ``(mean, first_row)``: the legacy loop keeps the first-
-    inserted region on equal means, and first insertion order *is*
-    ascending ``(shard ordinal, row index)`` of each group's first
-    matching record.
+    Rows are grouped by owner and candidate.  Returns each row's group,
+    each group's first row, and per owner, in the order owners first
+    occur, its winning group: the first to reach the lowest mean, as the
+    record loops found it.  Their means are reproduced bit for bit: each
+    ping's samples summed left to right, and those sums added per group
+    in row order (``np.bincount`` adds in input order).
     """
-    best: Dict[str, Tuple[Tuple[float, Tuple[int, int]], RegionKey]] = {}
-    for row in rows:
-        if not row["samples"]:
-            continue
-        group = row["group"]
-        rank = (row["sum"] / row["samples"], tuple(row["first"]))
-        current = best.get(group["probe"])
-        if current is None or rank < current[0]:
-            best[group["probe"]] = (
-                rank,
-                (group["provider"], group["region"]),
-            )
-    return best
+    owner, _ = group_ids(*owners)
+    labels, heads = group_ids(owner, *candidates)
+    sums = np.bincount(labels, weights=pings.sample_sums()[rows])
+    means = sums / np.bincount(labels, weights=np.diff(pings.sample_offsets)[rows])
+    group_owner = owner[heads]
+    order = np.lexsort((np.arange(len(heads)), means, group_owner))
+    first = np.ones(len(order), bool)
+    first[1:] = group_owner[order[1:]] != group_owner[order[:-1]]
+    return labels, heads, order[first]
 
 
-def _query_nearest(
-    store: Any,
-    platform: str,
-    protocol: Protocol,
-    same_continent_only: bool,
-) -> NearestMap:
-    from repro.query import QuerySpec, execute
-
-    spec = QuerySpec(
-        platform=platform,
-        protocol=protocol.value,
-        same_continent_only=same_continent_only,
-        group_by=("probe", "provider", "region"),
-        aggregates=("samples", "sum", "first"),
+def _nearest_rows(
+    pings: PingBlock, rows: np.ndarray, same_continent_only: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of ``rows`` its probe-id and region codes, and per probe,
+    in the order probes first occur, the first row of its nearest
+    (probe, region) group."""
+    probe_ids = pings.probe_codes_by(PROBE_ID)[rows]
+    regions = pings.region_codes_by(REGION)[rows]
+    ranked = np.arange(len(rows))
+    if same_continent_only:
+        ranked = np.flatnonzero(pings.same_continent()[rows])
+    _, heads, winners = _lowest_mean(
+        pings, rows[ranked], (probe_ids[ranked],), (regions[ranked],)
     )
-    best = _best_regions(execute(store, spec).rows)
-    return NearestMap(
-        {probe_id: region for probe_id, (_, region) in best.items()}
-    )
-
-
-def _query_nearest_samples(
-    store: Any,
-    platform: str,
-    protocol: Protocol,
-    group_key: str,
-) -> Dict[str, List[float]]:
-    """Nearest-DC samples grouped by ``group_key`` via one engine query.
-
-    A probe belongs to exactly one country/continent, so adding the key
-    to the group-by does not split the (probe, provider, region) groups
-    the nearest map ranks.  Keys are inserted in legacy first-occurrence
-    order (ascending first matching row among each key's nearest-region
-    groups); sample order *within* a group list differs from the legacy
-    interleaving, which downstream consumers (medians, percentiles,
-    threshold fractions) are invariant to.
-    """
-    from repro.query import QuerySpec, execute
-
-    spec = QuerySpec(
-        platform=platform,
-        protocol=protocol.value,
-        same_continent_only=True,
-        group_by=("probe", "provider", "region", group_key),
-        aggregates=("samples", "sum", "first"),
-        collect=True,
-    )
-    rows = execute(store, spec).rows
-    best = _best_regions(rows)
-    matched = [
-        row
-        for row in rows
-        if best.get(row["group"]["probe"], (None, None))[1]
-        == (row["group"]["provider"], row["group"]["region"])
-    ]
-    matched.sort(key=lambda row: tuple(row["first"]))
-    grouped: Dict[str, List[float]] = {}
-    for row in matched:
-        grouped.setdefault(row["group"][group_key], []).extend(row["values"])
-    return grouped
+    return probe_ids, regions, ranked[heads[winners]]
 
 
 def nearest_by_probe(
@@ -134,52 +91,40 @@ def nearest_by_probe(
     same_continent_only: bool = True,
 ) -> NearestMap:
     """Estimate each probe's nearest datacenter from its measurements."""
-    from repro.query import store_backing
-
-    store = store_backing(dataset)
-    if store is not None:
-        return _query_nearest(
-            store, platform, Protocol(protocol), same_continent_only
-        )
-    sums: Dict[Tuple[str, RegionKey], List[float]] = {}
-    for ping in dataset.pings(platform=platform, protocol=protocol):
-        meta = ping.meta
-        if same_continent_only and meta.region_continent is not meta.continent:
-            continue
-        key = (meta.probe_id, (meta.provider_code, meta.region_id))
-        bucket = sums.setdefault(key, [0.0, 0])
-        bucket[0] += sum(ping.samples)
-        bucket[1] += len(ping.samples)
-    best: Dict[str, Tuple[float, RegionKey]] = {}
-    for (probe_id, region_key), (total, count) in sums.items():
-        mean = total / count
-        current = best.get(probe_id)
-        if current is None or mean < current[0]:
-            best[probe_id] = (mean, region_key)
-    return NearestMap({probe_id: region for probe_id, (_, region) in best.items()})
+    pings = dataset_pings(dataset)
+    rows = pings.select(platform, protocol)
+    _, _, nearest = _nearest_rows(pings, rows, same_continent_only)
+    return NearestMap(
+        {
+            pings.probes[probe].probe_id: REGION(pings.regions[region])
+            for probe, region in zip(
+                pings.probe_codes[rows[nearest]].tolist(),
+                pings.region_codes[rows[nearest]].tolist(),
+            )
+        }
+    )
 
 
-def samples_to_nearest(
-    dataset: MeasurementDataset,
+def nearest_samples(
+    pings: PingBlock,
+    key: Callable[[Probe], Any],
     platform: str,
     protocol: Protocol = Protocol.TCP,
-    nearest: Optional[NearestMap] = None,
-    same_continent_only: bool = True,
-) -> Iterator[Tuple[PingMeasurement, float]]:
-    """(measurement, rtt) pairs restricted to each probe's nearest DC."""
-    if nearest is None:
-        nearest = nearest_by_probe(
-            dataset, platform, protocol, same_continent_only
+) -> Dict[Any, List[float]]:
+    """Every sample of each probe's nearest datacenter in the column
+    view ``pings``, grouped by ``key`` of the probe in the order keys
+    first occur."""
+    rows = pings.select(platform, protocol)
+    probe_ids, regions, nearest = _nearest_rows(pings, rows, True)
+    nearest_region = np.full(len(pings.probes), -1)
+    nearest_region[probe_ids[nearest]] = regions[nearest]
+    rows = rows[nearest_region[probe_ids] == regions]
+    return {
+        key(pings.probes[pings.probe_codes[rows[group[0]]]]): (
+            pings.samples_of(rows[group]).tolist()
         )
-    for ping in dataset.pings(platform=platform, protocol=protocol):
-        meta = ping.meta
-        if nearest.region_for(meta.probe_id) != (
-            meta.provider_code,
-            meta.region_id,
-        ):
-            continue
-        for sample in ping.samples:
-            yield ping, sample
+        for _, group in group_rows(pings.probe_codes_by(key)[rows])
+    }
 
 
 def nearest_samples_by_continent(
@@ -188,20 +133,9 @@ def nearest_samples_by_continent(
     protocol: Protocol = Protocol.TCP,
 ) -> Dict[Continent, List[float]]:
     """All nearest-DC RTT samples grouped by probe continent (Fig. 4)."""
-    from repro.query import store_backing
-
-    store = store_backing(dataset)
-    if store is not None:
-        return {
-            Continent(name): samples
-            for name, samples in _query_nearest_samples(
-                store, platform, Protocol(protocol), "continent"
-            ).items()
-        }
-    grouped: Dict[Continent, List[float]] = {}
-    for ping, sample in samples_to_nearest(dataset, platform, protocol):
-        grouped.setdefault(ping.meta.continent, []).append(sample)
-    return grouped
+    return nearest_samples(
+        dataset_pings(dataset), attrgetter("continent"), platform, protocol
+    )
 
 
 def nearest_samples_by_country(
@@ -210,14 +144,44 @@ def nearest_samples_by_country(
     protocol: Protocol = Protocol.TCP,
 ) -> Dict[str, List[float]]:
     """All nearest-DC RTT samples grouped by probe country (Fig. 3)."""
-    from repro.query import store_backing
+    return nearest_samples(
+        dataset_pings(dataset), attrgetter("country"), platform, protocol
+    )
 
-    store = store_backing(dataset)
-    if store is not None:
-        return _query_nearest_samples(
-            store, platform, Protocol(protocol), "country"
+
+def pooled_nearest(
+    pings: PingBlock,
+    rows: np.ndarray,
+    probe_key: Callable[[Probe], Any],
+    region_key: Callable[[CloudRegion], Any],
+) -> Dict[Tuple[Any, Any], List[float]]:
+    """The samples of each (probe, ``region_key``) pair's lowest-mean
+    region among ``rows``, pooled by (``probe_key``, ``region_key``).
+
+    Pools fill as the record loops filled them: pairs in the order they
+    first occur, each pair's samples in row order, and each probe under
+    the ``probe_key`` of its last row.
+    """
+    probe_ids = pings.probe_codes_by(PROBE_ID)[rows]
+    sides = pings.region_codes_by(region_key)[rows]
+    labels, heads, winners = _lowest_mean(
+        pings, rows, (probe_ids, sides), (pings.region_codes_by(REGION)[rows],)
+    )
+    last = last_rows(probe_ids)[probe_ids[heads[winners]]]
+    pools, firsts = group_ids(
+        pings.probe_codes_by(probe_key)[rows][last], sides[heads[winners]]
+    )
+    rank = np.full(len(heads), -1)
+    rank[winners] = np.arange(len(winners))
+    won = np.flatnonzero(rank[labels] >= 0)
+    won = won[np.argsort(rank[labels[won]], kind="stable")]
+    return {
+        (
+            probe_key(pings.probes[pings.probe_codes[rows[last[first]]]]),
+            region_key(pings.regions[pings.region_codes[rows[heads[winners[first]]]]]),
+        ): samples.tolist()
+        for first, samples in zip(
+            firsts.tolist(),
+            pings.grouped_samples(rows[won], pools[rank[labels[won]]]),
         )
-    grouped: Dict[str, List[float]] = {}
-    for ping, sample in samples_to_nearest(dataset, platform, protocol):
-        grouped.setdefault(ping.meta.country, []).append(sample)
-    return grouped
+    }

@@ -8,13 +8,21 @@ Speedchecker).  Medians per pair are summarized per continent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from operator import attrgetter
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.stats import BoxStats, group_rows
+from repro.analysis.nearest import PROBE_ID, REGION
+from repro.analysis.stats import BoxStats, group_ids, group_rows, last_rows
 from repro.geo.continents import Continent
-from repro.measure.results import PROTOCOL_CODES, MeasurementDataset, Protocol
+from repro.measure.results import (
+    PROTOCOL_CODES,
+    MeasurementDataset,
+    Protocol,
+    dataset_pings,
+)
+from repro.platforms.probe import Probe
 from repro.resolve.pipeline import ResolvedTraceBlock
 
 PairKey = Tuple[str, str, str]  # (country, provider_code, region_id)
@@ -45,15 +53,27 @@ def protocol_comparison(
     both sides), so the comparison isolates protocol handling rather
     than probe-mix differences -- important at small fleet scales.
     """
-    tcp_by_probe: Dict[PairKey, Dict[str, List[float]]] = {}
+    pings = dataset_pings(dataset)
+    tcp = pings.select(platform, Protocol.TCP)
+    pair_of, _ = group_ids(
+        pings.probe_codes_by(attrgetter("country"))[tcp],
+        pings.region_codes_by(REGION)[tcp],
+    )
+    labels, heads = group_ids(pair_of, pings.probe_codes_by(PROBE_ID)[tcp])
+
+    def pair(row: int) -> Tuple[PairKey, Probe]:
+        probe = pings.probes[pings.probe_codes[row]]
+        return (probe.country, *REGION(pings.regions[pings.region_codes[row]])), probe
+
+    tcp_by_probe: Dict[PairKey, Dict[str, Sequence[float]]] = {}
+    for row, samples in zip(tcp[heads].tolist(), pings.grouped_samples(tcp, labels)):
+        key, probe = pair(row)
+        tcp_by_probe.setdefault(key, {})[probe.probe_id] = samples
+    # A pair's continent is that of its last ping, then of its last trace.
     continents: Dict[PairKey, Continent] = {}
-    for ping in dataset.pings(platform=platform, protocol=Protocol.TCP):
-        meta = ping.meta
-        key = (meta.country, meta.provider_code, meta.region_id)
-        tcp_by_probe.setdefault(key, {}).setdefault(meta.probe_id, []).extend(
-            ping.samples
-        )
-        continents[key] = meta.continent
+    for row in tcp[last_rows(pair_of)].tolist():
+        key, probe = pair(row)
+        continents[key] = probe.continent
 
     icmp_by_probe: Dict[PairKey, Dict[str, List[float]]] = {}
     rtts = traces.end_to_end_rtts

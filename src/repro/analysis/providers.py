@@ -10,12 +10,14 @@ across providers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from operator import attrgetter
+from typing import Dict
 
 import numpy as np
 
+from repro.analysis.nearest import pooled_nearest
 from repro.geo.continents import Continent
-from repro.measure.results import MeasurementDataset, Protocol
+from repro.measure.results import MeasurementDataset, Protocol, dataset_pings
 
 
 @dataclass(frozen=True)
@@ -45,32 +47,12 @@ def provider_consistency(
     lowest mean latency among that provider's measured regions in the
     probe's continent; medians aggregate per (continent, provider).
     """
-    sums: Dict[Tuple[str, str, str, str], List[float]] = {}
-    samples: Dict[Tuple[str, str, str, str], List[float]] = {}
-    continent_of: Dict[str, Continent] = {}
-    for ping in dataset.pings(platform=platform, protocol=protocol):
-        meta = ping.meta
-        if meta.region_continent is not meta.continent:
-            continue
-        key = (meta.probe_id, meta.provider_code, meta.region_id, "")
-        bucket = sums.setdefault(key, [0.0, 0])
-        bucket[0] += sum(ping.samples)
-        bucket[1] += len(ping.samples)
-        samples.setdefault(key, []).extend(ping.samples)
-        continent_of[meta.probe_id] = meta.continent
-
-    best: Dict[Tuple[str, str], Tuple[float, Tuple]] = {}
-    for key, (total, count) in sums.items():
-        probe_id, provider_code, _, _ = key
-        mean = total / count
-        current = best.get((probe_id, provider_code))
-        if current is None or mean < current[0]:
-            best[(probe_id, provider_code)] = (mean, key)
-
-    grouped: Dict[Tuple[Continent, str], List[float]] = {}
-    for (probe_id, provider_code), (_, key) in best.items():
-        continent = continent_of[probe_id]
-        grouped.setdefault((continent, provider_code), []).extend(samples[key])
+    pings = dataset_pings(dataset)
+    rows = pings.select(platform, protocol)
+    rows = rows[pings.same_continent()[rows]]
+    grouped = pooled_nearest(
+        pings, rows, attrgetter("continent"), attrgetter("provider_code")
+    )
 
     per_continent: Dict[Continent, Dict[str, float]] = {}
     for (continent, provider_code), values in grouped.items():

@@ -84,6 +84,26 @@ def coefficient_of_variation(samples: Sequence[float]) -> float:
     return float(values.std()) / mean
 
 
+def group_ids(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Number the groups of equal value tuples in ``columns``.
+
+    Returns each row's group and each group's first row.  Groups are
+    numbered in the order they first occur, the order in which a dict
+    filled row by row would hold their keys.
+    """
+    size = len(columns[0])
+    if size == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    combined = np.zeros(size, np.int64)
+    for column in columns:
+        _, codes = np.unique(column, return_inverse=True)
+        combined = combined * (int(codes.max()) + 1) + codes
+    _, first, inverse = np.unique(combined, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse], np.sort(first)
+
+
 def group_rows(*columns: np.ndarray) -> List[Tuple[Tuple[Any, ...], np.ndarray]]:
     """Group row indices by the tuple of their values in ``columns``.
 
@@ -92,25 +112,22 @@ def group_rows(*columns: np.ndarray) -> List[Tuple[Tuple[Any, ...], np.ndarray]]
     values, that a dict of lists filled row by row would hold.  Key
     parts are Python scalars.
     """
-    size = len(columns[0])
-    if size == 0:
-        return []
-    combined = np.zeros(size, np.int64)
-    for column in columns:
-        _, codes = np.unique(column, return_inverse=True)
-        combined = combined * (int(codes.max()) + 1) + codes
-    _, first, inverse = np.unique(combined, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    labels = rank[inverse]
+    labels, heads = group_ids(*columns)
     groups = np.split(
         np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1]
     )
-    heads = np.sort(first)
     return [
         (tuple(column[head].item() for column in columns), rows)
         for head, rows in zip(heads.tolist(), groups)
     ]
+
+
+def last_rows(labels: np.ndarray) -> np.ndarray:
+    """Each group's last row: the row that wins a dict filled row by
+    row, for the groups numbered by ``labels``."""
+    last = np.zeros(int(labels.max(initial=-1)) + 1, np.int64)
+    np.maximum.at(last, labels, np.arange(len(labels)))
+    return last
 
 
 def fraction_below(samples: Sequence[float], threshold: float) -> float:

@@ -10,11 +10,12 @@ contrast built into the path model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.measure.results import MeasurementDataset, Protocol
+from repro.analysis.stats import group_rows
+from repro.measure.results import MeasurementDataset, Protocol, dataset_pings
 
 
 @dataclass(frozen=True)
@@ -43,34 +44,16 @@ def temporal_report(
     min_samples_per_day: int = 20,
 ) -> TemporalReport:
     """Summarize per-day latency across a campaign."""
-    from repro.query import store_backing
-
-    store = store_backing(dataset)
-    if store is not None:
-        # Store-backed fast path: one columnar group-by-day query with
-        # exact collected values.  Medians are permutation-invariant, so
-        # the report is identical to the record-loop's.
-        from repro.query import QuerySpec, execute
-
-        spec = QuerySpec(
-            platform=platform,
-            protocol=Protocol(protocol).value,
-            group_by=("day",),
-            aggregates=("samples",),
-            collect=True,
-        )
-        per_day: Dict[int, List[float]] = {
-            row["group"]["day"]: row["values"]
-            for row in execute(store, spec).rows
-        }
-    else:
-        per_day = {}
-        for ping in dataset.pings(platform=platform, protocol=protocol):
-            per_day.setdefault(ping.meta.day, []).extend(ping.samples)
+    pings = dataset_pings(dataset)
+    rows = pings.select(platform, protocol)
+    per_day = {
+        day: pings.samples_of(rows[group])
+        for (day,), group in group_rows(pings.days[rows])
+    }
     daily_median = {
         day: float(np.median(samples))
         for day, samples in sorted(per_day.items())
-        if len(samples) >= min_samples_per_day
+        if samples.size >= min_samples_per_day
     }
     if not daily_median:
         raise ValueError("no day has enough samples for a temporal report")

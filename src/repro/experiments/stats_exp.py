@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
+import numpy as np
+
 from repro.analysis.report import format_table
-from repro.analysis.stats import required_sample_size
+from repro.analysis.stats import group_ids, required_sample_size
 from repro.experiments.common import ExperimentResult, StudyContext
+from repro.measure.results import dataset_pings
 
 
 def run_stats(world, dataset=None, context: Optional[StudyContext] = None) -> ExperimentResult:
@@ -25,31 +29,16 @@ def run_stats(world, dataset=None, context: Optional[StudyContext] = None) -> Ex
     body = format_table(["Confidence", "Margin", "Required n"], rows)
     data = {"paper_requirement": paper_n}
     if dataset is not None:
-        from repro.query import store_backing
-
-        store = store_backing(dataset)
-        if store is not None:
-            # Store-backed fast path: the per-country sample counts are
-            # one columnar group-by, no record materialization.
-            result = (
-                store.query()
-                .pings()
-                .where(platform="speedchecker")
-                .group_by("country")
-                .aggregate("samples")
-                .run()
-            )
-            per_country = {
-                row["group"]["country"]: row["samples"] for row in result.rows
-            }
-        else:
-            per_country = {}
-            for ping in dataset.pings(platform="speedchecker"):
-                per_country[ping.meta.country] = (
-                    per_country.get(ping.meta.country, 0) + len(ping.samples)
-                )
+        pings = dataset_pings(dataset)
+        speedchecker = pings.select("speedchecker")
+        countries, _ = group_ids(
+            pings.probe_codes_by(attrgetter("country"))[speedchecker]
+        )
+        per_country = np.bincount(
+            countries, weights=np.diff(pings.sample_offsets)[speedchecker]
+        )
         scaled_bar = max(10, int(paper_n * world.config.scale))
-        cleared = sum(1 for count in per_country.values() if count >= scaled_bar)
+        cleared = int((per_country >= scaled_bar).sum())
         body += (
             f"\nScale-adjusted bar: {scaled_bar} samples; "
             f"{cleared}/{len(per_country)} countries clear it"

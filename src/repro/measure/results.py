@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -23,6 +25,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 import numpy as np
@@ -159,6 +162,14 @@ def _metas_by_key(
     }
 
 
+def _codes_by(table: Sequence[Any], key: Callable[[Any], object]) -> np.ndarray:
+    """Per table row, the order in which its ``key`` first occurs."""
+    codes: Dict[object, int] = {}
+    return np.asarray(
+        [codes.setdefault(key(row), len(codes)) for row in table], np.int64
+    )
+
+
 class PingBlock:
     """One batch of ping requests in columnar form.
 
@@ -167,8 +178,8 @@ class PingBlock:
     day column, protocol codes, and a flat sample array indexed by
     per-request offsets.  :meth:`record` materializes the classic
     :class:`PingMeasurement` view for one row; :meth:`records` does so for
-    the whole block and caches the result so repeated analysis passes pay
-    the materialization cost only once.
+    the whole block and caches the result.  The analyses read the columns
+    instead (see :func:`dataset_pings`).
     """
 
     __slots__ = (
@@ -266,6 +277,62 @@ class PingBlock:
                 )
             ]
         return self._records
+
+    # -- columns for group-bys --------------------------------------------
+
+    def select(
+        self, platform: Optional[str] = None, protocol: Optional[Protocol] = None
+    ) -> np.ndarray:
+        """The rows ``pings(platform, protocol)`` would yield, ascending."""
+        keep = np.ones(len(self), bool)
+        if platform is not None:
+            on_platform = [probe.platform == platform for probe in self.probes]
+            keep &= np.asarray(on_platform, bool)[self.probe_codes]
+        if protocol is not None:
+            keep &= self.protocol_codes == PROTOCOL_CODES[Protocol(protocol)]
+        return np.flatnonzero(keep)
+
+    def probe_codes_by(self, key: Callable[[Probe], object]) -> np.ndarray:
+        """Per row, a code two rows share exactly when ``key`` of their
+        probes is equal."""
+        return _codes_by(self.probes, key)[self.probe_codes]
+
+    def region_codes_by(self, key: Callable[[CloudRegion], object]) -> np.ndarray:
+        """Per row, a code two rows share exactly when ``key`` of their
+        target regions is equal."""
+        return _codes_by(self.regions, key)[self.region_codes]
+
+    def same_continent(self) -> np.ndarray:
+        """Per row, whether the probe and its region share a continent."""
+        probes = np.asarray([probe.continent.value for probe in self.probes])
+        regions = np.asarray([region.continent.value for region in self.regions])
+        return probes[self.probe_codes] == regions[self.region_codes]
+
+    def sample_sums(self) -> np.ndarray:
+        """Per row, its samples added left to right, as ``sum`` adds them."""
+        counts = np.diff(self.sample_offsets)
+        sums = np.zeros(len(counts))
+        for k in range(int(counts.max(initial=0))):
+            rows = np.flatnonzero(counts > k)
+            sums[rows] += self.sample_values[self.sample_offsets[rows] + k]
+        return sums
+
+    def samples_of(self, rows: np.ndarray) -> np.ndarray:
+        """The samples of ``rows``, row after row."""
+        starts = self.sample_offsets[rows]
+        counts = self.sample_offsets[rows + 1] - starts
+        shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        return self.sample_values[shift + np.arange(int(counts.sum()))]
+
+    def grouped_samples(self, rows: np.ndarray, labels: np.ndarray) -> List[np.ndarray]:
+        """Per group of ``labels`` (numbered from 0, one per row of
+        ``rows``), the samples of its rows in the order of ``rows``."""
+        if not len(rows):
+            return []
+        order = np.argsort(labels, kind="stable")
+        sizes = np.diff(self.sample_offsets)[rows]
+        ends = np.cumsum(np.bincount(labels, weights=sizes)).astype(np.int64)
+        return np.split(self.samples_of(rows[order]), ends[:-1])
 
     def validate(self) -> None:
         """Check the block's columns against the canonical schema.
@@ -616,8 +683,28 @@ def standin_region(meta: MeasurementMeta) -> CloudRegion:
     )
 
 
+#: The fields of a :class:`MeasurementMeta` that a probe decides, read
+#: off a probe or a meta.  Block tables hold one probe per distinct key,
+#: so interning and concatenation keep every row's meta.
+probe_key = attrgetter(
+    "probe_id", "platform", "country", "continent", "access", "isp_asn", "city_key"
+)
+
+
+def region_key(region: CloudRegion) -> Tuple[object, ...]:
+    """The fields of a :class:`MeasurementMeta` that a region decides."""
+    return (region.provider_code, region.region_id, region.country, region.continent)
+
+
+_meta_region_key = attrgetter(
+    "provider_code", "region_id", "region_country", "region_continent"
+)
+
+
 class _BlockInterner:
-    """Shared probe/region interning for the record -> block builders."""
+    """Shared probe/region interning for the record -> block builders,
+    by the probe and region parts of each record's meta.  A lookup-table
+    object stands in only for the part it reproduces."""
 
     def __init__(
         self,
@@ -628,28 +715,29 @@ class _BlockInterner:
         self._regions_by_key = regions_by_key or {}
         self.probes: List[Probe] = []
         self.regions: List[CloudRegion] = []
-        self._probe_codes: Dict[str, int] = {}
-        self._region_codes: Dict[Tuple[str, str], int] = {}
+        self._probe_codes: Dict[Tuple[object, ...], int] = {}
+        self._region_codes: Dict[Tuple[object, ...], int] = {}
 
     def probe_code(self, meta: MeasurementMeta) -> int:
-        code = self._probe_codes.get(meta.probe_id)
+        key = probe_key(meta)
+        code = self._probe_codes.get(key)
         if code is None:
-            code = len(self.probes)
+            code = self._probe_codes[key] = len(self.probes)
             probe = self._probes_by_id.get(meta.probe_id)
-            self.probes.append(probe if probe is not None else standin_probe(meta))
-            self._probe_codes[meta.probe_id] = code
+            if probe is None or probe_key(probe) != key:
+                probe = standin_probe(meta)
+            self.probes.append(probe)
         return code
 
     def region_code(self, meta: MeasurementMeta) -> int:
-        key = (meta.provider_code, meta.region_id)
+        key = _meta_region_key(meta)
         code = self._region_codes.get(key)
         if code is None:
-            code = len(self.regions)
-            region = self._regions_by_key.get(key)
-            self.regions.append(
-                region if region is not None else standin_region(meta)
-            )
-            self._region_codes[key] = code
+            code = self._region_codes[key] = len(self.regions)
+            region = self._regions_by_key.get(key[:2])
+            if region is None or region_key(region) != key:
+                region = standin_region(meta)
+            self.regions.append(region)
         return code
 
 
@@ -743,14 +831,92 @@ def trace_block_from_records(
     )
 
 
+def join_offsets(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Offsets of ragged columns laid end to end."""
+    counts = np.concatenate([np.diff(part) for part in parts])
+    offsets = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+#: A :class:`PingBlock` or a :class:`TraceBlock`.
+Block = TypeVar("Block", "PingBlock", "TraceBlock")
+
+
+def _merged_table(
+    blocks: Sequence[Block],
+    table: str,
+    codes: str,
+    key: Callable[[Any], Tuple[object, ...]],
+) -> Tuple[List[Any], np.ndarray]:
+    """One table for ``blocks``' ``table`` attributes, one row per distinct
+    ``key`` (the first block's object wins), and every row's code in it."""
+    index: Dict[Tuple[object, ...], int] = {}
+    merged: List[Any] = []
+    joined = []
+    for block in blocks:
+        remap = []
+        for row in getattr(block, table):
+            code = index.setdefault(key(row), len(merged))
+            if code == len(merged):
+                merged.append(row)
+            remap.append(code)
+        joined.append(np.asarray(remap, np.int32)[getattr(block, codes)])
+    return merged, np.concatenate(joined)
+
+
+def concatenate_blocks(blocks: Sequence[Block]) -> Block:
+    """One block holding ``blocks``' rows in order; all of one kind.
+
+    Probes are merged by :func:`probe_key` and regions by
+    :func:`region_key`, so every row keeps its meta.  The netfault
+    provenance columns are not carried over.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    schema, offsets = (
+        (PING_COLUMN_DTYPES, "sample_offsets")
+        if isinstance(blocks[0], PingBlock)
+        else (TRACE_COLUMN_DTYPES, "hop_offsets")
+    )
+    probes, probe_codes = _merged_table(blocks, "probes", "probe_codes", probe_key)
+    regions, region_codes = _merged_table(
+        blocks, "regions", "region_codes", region_key
+    )
+    columns = {
+        name: np.concatenate([getattr(block, name) for block in blocks])
+        for name in schema
+        if name not in ("probe_codes", "region_codes", offsets)
+    }
+    columns[offsets] = join_offsets([getattr(block, offsets) for block in blocks])
+    return type(blocks[0])(
+        probes=probes,
+        regions=regions,
+        probe_codes=probe_codes,
+        region_codes=region_codes,
+        **columns,
+    )
+
+
+def dataset_pings(dataset: "MeasurementDataset") -> PingBlock:
+    """Every ping of an in-memory or stored dataset as one block, in the
+    order of its ``pings()``: its scalar records (as one block), then its
+    blocks.  This is the column view the ping analyses group."""
+    blocks = list(dataset.iter_ping_blocks())
+    scalar = list(dataset.iter_scalar_pings())
+    if scalar or not blocks:
+        blocks.insert(0, ping_block_from_records(scalar))
+    return concatenate_blocks(blocks)
+
+
 class MeasurementDataset:
     """An in-memory dataset of ping and traceroute measurements.
 
     Pings arrive either as individual records (:meth:`add_ping`) or as
     columnar :class:`PingBlock` batches from the vectorized engine
     (:meth:`add_ping_block`); :meth:`pings` yields the uniform record
-    view over both backings, so analysis code never needs to know which
-    path produced a measurement.
+    view over both backings, and :func:`dataset_pings` the uniform column
+    view.
     """
 
     def __init__(self) -> None:

@@ -61,6 +61,10 @@ class Probe:
     def public_ip(self) -> str:
         return format_ip(self.public_address)
 
+    @property
+    def city_key(self) -> Tuple[int, int]:
+        return city_key_for(self)
+
     def __repr__(self) -> str:
         return (
             f"Probe({self.probe_id}, {self.country}, {self.access}, "

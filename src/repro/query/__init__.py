@@ -1,12 +1,13 @@
 """repro.query: a columnar query engine over the shard warehouse.
 
-The paper's analyses are filtered aggregations -- "median TCP RTT per
-country on the Speedchecker platform", "samples to each probe's nearest
-region", "per-day medians".  Running them through the record view
+Questions about a stored campaign are filtered aggregations -- "median
+TCP RTT per country on the Speedchecker platform", "per-day medians".
+Running them through the record view
 (:class:`repro.store.view.StoredDataset`) materializes one frozen
 dataclass per measurement just to read two fields and throw it away.
-This package evaluates the same queries directly on the memmapped shard
-columns:
+This package evaluates them directly on the memmapped shard columns,
+for ``python -m repro.query``, the service's ``POST /v1/query`` and the
+dynamic-topology experiments:
 
 - :mod:`repro.query.spec` -- :class:`QuerySpec`, the canonical,
   digestable description of a query (filters, group keys, aggregates).
@@ -23,7 +24,7 @@ columns:
 - :mod:`repro.query.cache` -- a query-result cache keyed by
   (manifest digest, journal digest, query digest).
 - :mod:`repro.query.builder` -- the fluent :class:`QueryBuilder` API
-  (``store.query().pings().where(...).group_by(...).run()``).
+  (``store.query().where(...).group_by(...).run()``).
 
 ``python -m repro.query`` exposes the same engine on the command line
 with JSON output.
@@ -53,20 +54,4 @@ __all__ = [
     "ShardPlan",
     "build_plan",
     "execute",
-    "store_backing",
 ]
-
-
-def store_backing(dataset: object) -> "object | None":
-    """The :class:`~repro.store.warehouse.DatasetStore` behind a dataset.
-
-    Analyses accept both in-memory :class:`MeasurementDataset` objects
-    and store-backed :class:`StoredDataset` views; the former have no
-    shards to scan, so query-engine fast paths apply only when this
-    returns a store.
-    """
-    from repro.store.view import StoredDataset
-
-    if isinstance(dataset, StoredDataset):
-        return dataset.store
-    return None

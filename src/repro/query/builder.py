@@ -7,7 +7,6 @@ result cache together:
 
     result = (
         store.query()
-        .pings()
         .where(platform="speedchecker", protocol="tcp")
         .group_by("country")
         .quantiles(50)
@@ -70,8 +69,6 @@ def group_rows(
                 row["max"] = state.summary.maximum
             elif aggregate == "mean":
                 row["mean"] = state.summary.mean
-            elif aggregate == "first":
-                row["first"] = list(state.first_row)
         for q in spec.quantiles:
             if state.sketch is not None and state.sketch.count:
                 row[quantile_label(q)] = state.sketch.quantile(q)

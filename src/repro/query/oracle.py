@@ -5,8 +5,8 @@ oracle: it materializes every record through the legacy block ``record``
 view, applies the spec's predicates in plain Python, and aggregates
 with NumPy.  Scalar aggregates mirror the engine's exact reduction
 structure -- per-shard per-group ``np.sum`` folded in canonical shard
-order -- so ``count``/``samples``/``sum``/``min``/``max``/``mean``/
-``first`` (and collected values) must match the engine *bit for bit*.
+order -- so ``count``/``samples``/``sum``/``min``/``max``/``mean`` (and
+collected values) must match the engine *bit for bit*.
 Quantiles are computed exactly with ``np.percentile``, which is what
 bounds the sketch's error in tests.
 """
@@ -141,7 +141,7 @@ def oracle_execute(store: "DatasetStore", spec: QuerySpec) -> QueryResult:
             block = read_ping_shard(shard.path)
         else:
             block = read_trace_shard(shard.path)
-        per_shard: Dict[GroupKey, Tuple[int, List[float]]] = {}
+        per_shard: Dict[GroupKey, List[float]] = {}
         epochs, outage_ids = _block_provenance(block, len(block))
         for index in range(len(block)):
             record = block.record(index)
@@ -153,19 +153,13 @@ def oracle_execute(store: "DatasetStore", spec: QuerySpec) -> QueryResult:
             if spec.rtt_range is not None and not values:
                 continue
             key = _group_key(spec, record, epoch, outage)
-            state = merged.get(key)
-            if state is None:
-                state = merged[key] = GroupState(
-                    first_row=(shard.ordinal, index)
-                )
-            state.rows += 1
-            if key not in per_shard:
-                per_shard[key] = (index, [])
+            merged.setdefault(key, GroupState()).rows += 1
+            group_values = per_shard.setdefault(key, [])
             if spec.needs_values:
-                per_shard[key][1].extend(values)
+                group_values.extend(values)
         # Mirror the engine's reduction: one np.sum per shard per group,
         # folded in canonical shard order.
-        for key, (_, values) in per_shard.items():
+        for key, values in per_shard.items():
             if not values:
                 continue
             array = np.asarray(values, dtype=np.float64)

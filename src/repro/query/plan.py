@@ -44,7 +44,6 @@ class ShardPlan:
     unit: str
     name: str
     kind: str
-    ordinal: int
     path: str
     rows: int
     action: str
@@ -215,9 +214,7 @@ def _shard_rows(header: Dict[str, Any]) -> int:
 def build_plan(store: "DatasetStore", spec: QuerySpec) -> ScanPlan:
     """Plan a query against a store: one verdict per committed shard.
 
-    Shards appear in canonical journal order; ``ordinal`` is each
-    shard's rank within its kind and doubles as the deterministic
-    tie-break key exposed by the ``first`` aggregate.
+    Shards appear in canonical journal order.
     """
     spec.validate()
     shards: List[ShardPlan] = []
@@ -229,7 +226,6 @@ def build_plan(store: "DatasetStore", spec: QuerySpec) -> ScanPlan:
                 unit=entry.unit,
                 name=entry.name,
                 kind=entry.kind,
-                ordinal=entry.ordinal,
                 path=str(entry.path),
                 rows=_shard_rows(header),
                 action=PRUNE if reason else SCAN,

@@ -38,7 +38,6 @@ class GroupState:
     """The mergeable per-group accumulator."""
 
     rows: int = 0
-    first_row: Tuple[int, int] = (-1, -1)
     summary: ScalarSummary = field(default_factory=ScalarSummary)
     sketch: Optional[QuantileSketch] = None
     values: Optional[np.ndarray] = None
@@ -46,8 +45,6 @@ class GroupState:
     def merge(self, other: "GroupState") -> None:
         """Absorb a later shard's state (callers merge in shard order)."""
         self.rows += other.rows
-        if other.first_row < self.first_row or self.first_row == (-1, -1):
-            self.first_row = other.first_row
         self.summary.merge(other.summary)
         if other.sketch is not None:
             if self.sketch is None:
@@ -312,15 +309,15 @@ def _factorize(
 
 
 def scan_shard_task(
-    task: Tuple[str, int, QuerySpec],
+    task: Tuple[str, QuerySpec],
 ) -> Dict[GroupKey, GroupState]:
     """Scan one shard; the fork pool's worker entry point (top level).
 
-    ``task`` is ``(shard_path, shard_ordinal, spec)``.  Returns the
+    ``task`` is ``(shard_path, spec)``.  Returns the
     shard's partial per-group states, keyed by group tuple, with keys in
     sorted order so a left-fold over partials is fully deterministic.
     """
-    path, ordinal, spec = task
+    path, spec = task
     header, columns = read_columns(path)
     mask = _row_mask(spec, header, columns)
     if spec.kind == PING_KIND:
@@ -335,18 +332,9 @@ def scan_shard_task(
     )
     group_count = len(keys)
     rows_per_group = np.bincount(group_inverse, minlength=group_count)
-    # Stable sort keeps ascending row order inside each group, so the
-    # first element of every group's slice is its first matching row.
-    order = np.argsort(group_inverse, kind="stable")
-    group_ends = np.cumsum(rows_per_group)
-    group_starts = group_ends - rows_per_group
-    first_rows = selected[order[group_starts]]
-    partial: Dict[GroupKey, GroupState] = {}
-    for g, key in enumerate(keys):
-        partial[key] = GroupState(
-            rows=int(rows_per_group[g]),
-            first_row=(ordinal, int(first_rows[g])),
-        )
+    partial: Dict[GroupKey, GroupState] = {
+        key: GroupState(rows=int(rows_per_group[g])) for g, key in enumerate(keys)
+    }
     if spec.needs_values and values.size:
         # Map each value's row to its group, then slice the value stream
         # per group preserving (row, sample) order.
@@ -385,10 +373,7 @@ def scan_shards(
     ways both serial and parallel runs share -- which is the whole
     byte-identity argument.
     """
-    tasks = [
-        (shard.path, shard.ordinal, spec)
-        for shard in shards
-    ]
+    tasks = [(shard.path, spec) for shard in shards]
     partials = parallel_map(scan_shard_task, tasks, workers=workers)
     merged: Dict[GroupKey, GroupState] = {}
     for partial in partials:

@@ -46,20 +46,10 @@ GROUP_KEYS = (
 
 #: Scalar aggregates.  ``count`` counts matching rows (requests);
 #: ``samples``/``sum``/``min``/``max``/``mean`` describe the value
-#: stream (ping RTT samples, or end-to-end RTTs of reached traces);
-#: ``first`` is the ``(shard_ordinal, row_index)`` of the group's first
-#: matching row, which reproduces first-seen tie-breaks of legacy
-#: record-order iteration.
-SCALAR_AGGREGATES = ("count", "samples", "sum", "min", "max", "mean", "first")
+#: stream (ping RTT samples, or end-to-end RTTs of reached traces).
+SCALAR_AGGREGATES = ("count", "samples", "sum", "min", "max", "mean")
 
-DEFAULT_AGGREGATES: Tuple[str, ...] = (
-    "count",
-    "samples",
-    "sum",
-    "min",
-    "max",
-    "mean",
-)
+DEFAULT_AGGREGATES: Tuple[str, ...] = SCALAR_AGGREGATES
 
 #: Aggregates that require extracting the value stream from columns.
 VALUE_AGGREGATES = frozenset({"samples", "sum", "min", "max", "mean"})

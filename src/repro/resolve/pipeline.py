@@ -26,13 +26,18 @@ implementation the block path must match lives with the tests
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.measure.results import TraceBlock, trace_block_from_records
+from repro.measure.results import (
+    TraceBlock,
+    concatenate_blocks,
+    join_offsets,
+    trace_block_from_records,
+)
 from repro.net.asn import ASRegistry
 from repro.net.ip import private_mask
 from repro.net.ixp import IXPRegistry
@@ -123,73 +128,15 @@ class ResolvedTraceBlock:
     def concatenate(
         cls, blocks: Sequence["ResolvedTraceBlock"]
     ) -> "ResolvedTraceBlock":
-        """One block holding ``blocks``' rows in order.
-
-        Probes are interned by probe id and regions by (provider, region
-        id), the first table row of each winning.  The netfault
-        provenance columns are not carried over.
-        """
+        """One block holding ``blocks``' rows in order; the traces are
+        joined by :func:`~repro.measure.results.concatenate_blocks`."""
         if len(blocks) == 1:
             return blocks[0]
-        probe_index: Dict[str, int] = {}
-        region_index: Dict[Tuple[str, str], int] = {}
-        probe_table: List = []
-        region_table: List = []
-        probe_codes, region_codes = [], []
-        for block in blocks:
-            trace = block.traces
-            probe_map = [
-                _intern(probe_index, probe_table, probe.probe_id, probe)
-                for probe in trace.probes
-            ]
-            region_map = [
-                _intern(
-                    region_index,
-                    region_table,
-                    (region.provider_code, region.region_id),
-                    region,
-                )
-                for region in trace.regions
-            ]
-            probe_codes.append(np.asarray(probe_map, np.int32)[trace.probe_codes])
-            region_codes.append(
-                np.asarray(region_map, np.int32)[trace.region_codes]
-            )
-
-        def joined(name: str) -> np.ndarray:
-            return np.concatenate([getattr(block, name) for block in blocks])
-
-        def joined_traces(name: str) -> np.ndarray:
-            return np.concatenate([getattr(block.traces, name) for block in blocks])
-
-        traces = TraceBlock(
-            probes=probe_table,
-            regions=region_table,
-            probe_codes=np.concatenate(probe_codes),
-            region_codes=np.concatenate(region_codes),
-            days=joined_traces("days"),
-            protocol_codes=joined_traces("protocol_codes"),
-            source_addresses=joined_traces("source_addresses"),
-            dest_addresses=joined_traces("dest_addresses"),
-            hop_offsets=_join_offsets([b.traces.hop_offsets for b in blocks]),
-            hop_addresses=joined_traces("hop_addresses"),
-            hop_rtts=joined_traces("hop_rtts"),
-        )
-        return cls(
-            traces=traces,
-            hop_asns=joined("hop_asns"),
-            hop_private=joined("hop_private"),
-            hop_ixp_ids=joined("hop_ixp_ids"),
-            as_path_offsets=_join_offsets([b.as_path_offsets for b in blocks]),
-            as_path_asns=joined("as_path_asns"),
-            ixp_offsets=_join_offsets([b.ixp_offsets for b in blocks]),
-            ixp_positions=joined("ixp_positions"),
-            ixp_ids=joined("ixp_ids"),
-            inferred_access=joined("inferred_access"),
-            router_rtts=joined("router_rtts"),
-            usr_isp_rtts=joined("usr_isp_rtts"),
-            end_to_end_rtts=joined("end_to_end_rtts"),
-        )
+        columns = {}
+        for column in fields(cls)[1:]:
+            join = join_offsets if column.name.endswith("_offsets") else np.concatenate
+            columns[column.name] = join([getattr(b, column.name) for b in blocks])
+        return cls(traces=concatenate_blocks([b.traces for b in blocks]), **columns)
 
     def __repr__(self) -> str:
         return (
@@ -201,19 +148,6 @@ class ResolvedTraceBlock:
 def _table_column(table: Sequence, attribute: str) -> np.ndarray:
     values = [getattr(row, attribute) for row in table]
     return np.asarray([v.value if isinstance(v, Enum) else v for v in values])
-
-
-def _intern(codes: Dict, table: List, key, row) -> int:
-    code = codes.get(key)
-    if code is None:
-        code = codes[key] = len(table)
-        table.append(row)
-    return code
-
-
-def _join_offsets(offsets: Sequence[np.ndarray]) -> np.ndarray:
-    """Offsets of ragged columns laid end to end."""
-    return _offsets(np.concatenate([np.diff(part) for part in offsets]))
 
 
 def _owners(offsets: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ API -- ``pings()``, ``traceroutes()``, the count properties, and the
 columnar accessors used by the JSONL fast path -- but never holds more
 than one decoded shard at a time.  Analyses (:class:`StudyContext`, the
 experiment modules, :func:`repro.measure.io.save_dataset`) consume it
-unchanged, which is what lets them stream datasets far larger than RAM
-straight off the warehouse.
+unchanged.  Export streams shard by shard; the analyses join the shards'
+columns (:func:`repro.measure.results.dataset_pings`, trace resolution)
+and never build a record.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 import numpy as np
 
 from repro import SimulationConfig, build_world, run_campaign
-from repro.analysis.nearest import samples_to_nearest
+from repro.analysis.nearest import nearest_samples_by_continent
 from repro.geo.continents import Continent
 from repro.lastmile.base import AccessKind
 
@@ -14,10 +14,12 @@ _SEED = 31
 
 def median_nearest_latency(world, days=4, continent=None):
     dataset = run_campaign(world, days=days, platforms=("speedchecker",))
+    grouped = nearest_samples_by_continent(dataset, "speedchecker")
     samples = [
         s
-        for ping, s in samples_to_nearest(dataset, "speedchecker")
-        if continent is None or ping.meta.continent is continent
+        for probe_continent, values in grouped.items()
+        if continent is None or probe_continent is continent
+        for s in values
     ]
     return float(np.median(samples))
 

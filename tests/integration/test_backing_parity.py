@@ -1,4 +1,4 @@
-"""Every experiment renders the same from every dataset backing.
+"""Every experiment renders the same data from every dataset backing.
 
 One classic campaign is analysed three ways: as the in-memory dataset
 the campaign returns (columnar blocks), after a ``save_dataset`` /
@@ -17,12 +17,16 @@ DAYS = 5
 
 
 def renders(world, dataset):
+    """Every experiment's render and the repr of its data, which keeps
+    the digits that renders round away."""
     context = StudyContext(world, dataset)
-    return {
-        experiment_id: run_experiment(
-            experiment_id, world, dataset, context=context
-        ).render()
+    results = {
+        experiment_id: run_experiment(experiment_id, world, dataset, context=context)
         for experiment_id in EXPERIMENT_IDS
+    }
+    return {
+        experiment_id: (result.render(), repr(result.data))
+        for experiment_id, result in results.items()
     }
 
 

@@ -1,4 +1,4 @@
-"""Smoke runs of the examples that drive the trace-analysis API.
+"""Smoke runs of the examples that drive the analysis API.
 
 Each example's ``main()`` runs end to end at a small scale; the checks
 only pin that its report has a row of data.
@@ -29,6 +29,12 @@ def load(name):
         ("last_mile_study", [*SMALL, "--days", "2"], "EU         SC home (RTR-ISP)"),
         ("edge_feasibility", [*SMALL, "--days", "2"], "Europe "),
         ("peering_case_studies", SMALL, "Bahrain -> India"),
+        (
+            "build_your_own_study",
+            [*SMALL, "--days", "2"],
+            "today (paper-calibrated)   35.6",
+        ),
+        ("platform_bias_study", [*SMALL, "--days", "2"], "EU         4416"),
     ],
 )
 def test_example_runs(name, arguments, expected, monkeypatch, capsys):

@@ -1,11 +1,8 @@
 """Query-engine parity on a real campaign store.
 
-The columnar engine, the record-at-a-time oracle, and the legacy
-in-memory analysis paths must agree exactly: the engine's vectorized
-scans feed `ScalarSummary` the same per-shard arrays the oracle sums,
-so even float totals are bit-identical, and every migrated pipeline
-(stats, bands, temporal, nearest) returns the same objects whether the
-dataset is in-memory or store-backed.
+The columnar engine and the record-at-a-time oracle must agree exactly:
+the engine's vectorized scans feed `ScalarSummary` the same per-shard
+arrays the oracle sums, so even float totals are bit-identical.
 """
 
 from __future__ import annotations
@@ -14,20 +11,11 @@ import numpy as np
 import pytest
 
 from repro import build_world, run_campaign_checkpointed
-from repro.analysis.bands import continent_distributions, country_latency_bands
-from repro.analysis.nearest import (
-    nearest_by_probe,
-    nearest_samples_by_continent,
-    nearest_samples_by_country,
-)
-from repro.analysis.temporal import temporal_report
 from repro.experiments.netfault_exp import (
     failover_specs,
     netfault_study,
     pathdiv_specs,
 )
-from repro.experiments.stats_exp import run_stats
-from repro.measure.results import Protocol
 from repro.query import TRACE_KIND, QuerySpec, build_plan, execute
 from repro.query.oracle import oracle_execute
 
@@ -49,25 +37,12 @@ def parity_store(parity_world, tmp_path_factory):
     return run_campaign_checkpointed(parity_world, run_dir, days=PARITY_DAYS)
 
 
-@pytest.fixture(scope="module")
-def stored_dataset(parity_store):
-    return parity_store.dataset()
-
-
-@pytest.fixture(scope="module")
-def legacy_dataset(parity_store):
-    # The same records as ``stored_dataset`` but as a plain in-memory
-    # MeasurementDataset, so every analysis takes its legacy record
-    # loop instead of the store-backed query fast path.
-    return parity_store.materialize()
-
-
 PARITY_SPECS = [
     QuerySpec(group_by=("country",)),
     QuerySpec(platform="speedchecker", protocol="tcp",
               group_by=("provider", "region")),
     QuerySpec(same_continent_only=True, group_by=("continent", "day"),
-              aggregates=("count", "samples", "sum", "mean", "first")),
+              aggregates=("count", "samples", "sum", "mean")),
     QuerySpec(rtt_range=(20.0, 120.0), group_by=("platform",)),
     QuerySpec(kind=TRACE_KIND, group_by=("country",)),
 ]
@@ -151,56 +126,3 @@ class TestNetfaultExperimentParity:
         oracle = oracle_execute(netfault_store, spec)
         assert engine.rows
         assert engine.rows == oracle.rows
-
-
-class TestPipelineParity:
-    """Migrated analyses: store-backed fast path == legacy record loop."""
-
-    def test_nearest_by_probe(self, legacy_dataset, stored_dataset):
-        for platform in ("speedchecker", "atlas"):
-            legacy = nearest_by_probe(legacy_dataset, platform)
-            fast = nearest_by_probe(stored_dataset, platform)
-            assert fast.nearest == legacy.nearest
-
-    def test_nearest_samples_by_country(self, legacy_dataset, stored_dataset):
-        legacy = nearest_samples_by_country(legacy_dataset, "speedchecker")
-        fast = nearest_samples_by_country(stored_dataset, "speedchecker")
-        assert list(fast.keys()) == list(legacy.keys())
-        for country in legacy:
-            assert fast[country] == legacy[country]
-
-    def test_nearest_samples_by_continent(self, legacy_dataset, stored_dataset):
-        legacy = nearest_samples_by_continent(legacy_dataset, "speedchecker")
-        fast = nearest_samples_by_continent(stored_dataset, "speedchecker")
-        # Key order matters downstream: continent_distributions keeps
-        # the grouped dict's insertion order.
-        assert list(fast.keys()) == list(legacy.keys())
-        for continent in legacy:
-            assert fast[continent] == legacy[continent]
-
-    def test_country_latency_bands(
-        self, parity_world, legacy_dataset, stored_dataset
-    ):
-        legacy = country_latency_bands(legacy_dataset, parity_world.countries)
-        fast = country_latency_bands(stored_dataset, parity_world.countries)
-        assert fast == legacy
-
-    def test_continent_distributions(self, legacy_dataset, stored_dataset):
-        legacy = continent_distributions(legacy_dataset)
-        fast = continent_distributions(stored_dataset)
-        assert fast == legacy
-
-    def test_temporal_report(self, legacy_dataset, stored_dataset):
-        legacy = temporal_report(legacy_dataset)
-        fast = temporal_report(stored_dataset)
-        assert fast == legacy
-        # Too-sparse protocols fail identically through both paths.
-        with pytest.raises(ValueError, match="temporal report"):
-            temporal_report(legacy_dataset, protocol=Protocol.ICMP)
-        with pytest.raises(ValueError, match="temporal report"):
-            temporal_report(stored_dataset, protocol=Protocol.ICMP)
-
-    def test_run_stats(self, parity_world, legacy_dataset, stored_dataset):
-        legacy = run_stats(parity_world, dataset=legacy_dataset)
-        fast = run_stats(parity_world, dataset=stored_dataset)
-        assert fast == legacy

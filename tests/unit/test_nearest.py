@@ -7,7 +7,6 @@ from repro.analysis.nearest import (
     nearest_by_probe,
     nearest_samples_by_continent,
     nearest_samples_by_country,
-    samples_to_nearest,
 )
 from repro.geo.continents import Continent
 
@@ -58,8 +57,8 @@ class TestNearestByProbe:
 
 class TestSamplesToNearest:
     def test_only_nearest_region_samples_yielded(self):
-        samples = [s for _, s in samples_to_nearest(two_region_dataset(), "speedchecker")]
-        assert sorted(samples) == [10.0, 11.0, 12.0]
+        grouped = nearest_samples_by_continent(two_region_dataset(), "speedchecker")
+        assert grouped == {Continent.EU: [10.0, 12.0, 11.0]}
 
     def test_grouping_by_continent(self):
         grouped = nearest_samples_by_continent(two_region_dataset(), "speedchecker")

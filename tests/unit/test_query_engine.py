@@ -268,7 +268,7 @@ SPECS = [
                                                            "sum", "mean")),
     QuerySpec(platform="speedchecker", group_by=("day",), quantiles=(50.0, 95.0)),
     QuerySpec(countries=("DE", "FR"), group_by=("probe",),
-              aggregates=("samples", "sum", "first")),
+              aggregates=("samples", "sum")),
     QuerySpec(rtt_range=(15.0, 60.0), group_by=("country", "day")),
     QuerySpec(same_continent_only=True, group_by=("continent",)),
     QuerySpec(protocol="icmp", group_by=("protocol",)),

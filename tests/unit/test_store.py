@@ -7,9 +7,13 @@ import json
 import numpy as np
 import pytest
 
+from helpers import dataset_of, make_ping
+
+from repro.analysis.composition import dataset_composition
 from repro.geo.continents import Continent
 from repro.geo.coords import GeoPoint
 from repro.lastmile.base import AccessKind
+from repro.measure.io import save_dataset
 from repro.measure.results import (
     MeasurementDataset,
     MeasurementMeta,
@@ -374,6 +378,47 @@ def test_standin_tables_survive_import(tmp_path):
     probe = loaded.probes[0]
     assert probe.probe_id == "p7"
     assert isinstance(probe.location, GeoPoint)
+
+
+def _shared_id_records():
+    """Three pings of probe p1 under two probe metas, two of them to one
+    region id under two region metas."""
+    egypt = dict(country="EG", continent=Continent.AF)
+    return [
+        make_ping([1.0, 2.0]),
+        make_ping(
+            [1.0], region_continent=Continent.AF, region_country="ZA", **egypt
+        ),
+        make_ping([1.0, 2.0, 3.0], region_continent=Continent.EU, **egypt),
+    ]
+
+
+def test_interning_keeps_metas_that_share_an_id():
+    records = _shared_id_records()
+    assert ping_block_from_records(records).records() == records
+    traces = [
+        TracerouteMeasurement(
+            meta=record.meta,
+            protocol=Protocol.ICMP,
+            source_address=1,
+            dest_address=2,
+            hops=(TraceHop(address=2, rtt_ms=5.0),),
+        )
+        for record in records
+    ]
+    assert trace_block_from_records(traces).records() == traces
+
+
+def test_import_export_keeps_metas_that_share_an_id(tmp_path, capsys):
+    dataset = dataset_of(*_shared_id_records())
+    original = tmp_path / "in.jsonl"
+    exported = tmp_path / "out.jsonl"
+    save_dataset(dataset, original)
+    assert store_cli(["import-jsonl", str(original), str(tmp_path / "run")]) == 0
+    assert store_cli(["export-jsonl", str(tmp_path / "run"), str(exported)]) == 0
+    assert exported.read_bytes() == original.read_bytes()
+    stored = DatasetStore.open(tmp_path / "run").dataset()
+    assert dataset_composition(stored) == dataset_composition(dataset)
 
 
 class TestZoneMaps:
