@@ -29,9 +29,10 @@ import pytest
 
 from memprof import peak_rss_mb
 from repro import build_world, run_campaign
-from repro.exec import canonical_store_digest, fork_available
+from repro.exec import canonical_store_digest, fork_available, store_digest
 from repro.measure.campaign import run_campaign_checkpointed
 from repro.measure.path import PathPlanner, PlannedPath
+from repro.measure.requests import pair_requests
 from repro.net.routing import clear_route_cache, compute_routes
 from repro.resolve.pyasn import PyASNResolver
 
@@ -59,6 +60,15 @@ HOT_PATH_MIN_SPEEDUP = 3.0
 RESULTS_PATH = Path(os.environ.get("BENCH_FULL_SCALE_JSON", "BENCH_full_scale.json"))
 
 WORKERS = 4
+
+#: ``store_digest`` of the seed-7 full-scale store over two days.  Every
+#: change to scheduling, planning or sampling must keep these bytes;
+#: re-pin only for a deliberate change of what a campaign draws.
+GOLDEN_DAYS = 2
+GOLDEN_WORKERS = 2
+GOLDEN_STORE_DIGEST = (
+    "d88d31b6966eff58a8ce51585ecae3e77521f695353d175c4f25faa62a69701c"
+)
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +175,24 @@ def test_full_scale_parallel_identity(results, full_world, tmp_path):
     assert serial == parallel
 
 
+def test_full_scale_store_golden(results, full_world, tmp_path):
+    """The two-day full-scale store, on two workers, is the pinned one."""
+    workers = GOLDEN_WORKERS if fork_available() else 1
+    start = time.perf_counter()
+    run_campaign_checkpointed(
+        full_world, tmp_path / "golden", days=GOLDEN_DAYS, workers=workers
+    )
+    elapsed = time.perf_counter() - start
+    digest = store_digest(tmp_path / "golden")
+    results["golden_store"] = {
+        "days": GOLDEN_DAYS,
+        "workers": workers,
+        "seconds": round(elapsed, 3),
+        "digest": digest,
+    }
+    assert digest == GOLDEN_STORE_DIGEST
+
+
 def test_hot_path_speedup(results):
     """Pre- vs post-optimization substrate on a 20%-scale day workload.
 
@@ -258,7 +286,7 @@ def test_hot_path_speedup(results):
     plan_legacy = time.perf_counter() - start
     batch_planner = planner(False)
     start = time.perf_counter()
-    batch_rows = batch_planner.plan_many(pairs)
+    batch_rows = batch_planner.plan_many(pair_requests(pairs))
     plan_opt = time.perf_counter() - start
     assert len(legacy_rows) == len(batch_rows)
     assert all(

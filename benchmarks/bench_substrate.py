@@ -8,8 +8,8 @@ paths plan, and how fast a campaign day executes.
 import numpy as np
 
 from repro import run_campaign
-from repro.measure.batch import PingRequest
 from repro.measure.path import PathPlanner
+from repro.measure.requests import PingRequest, PingRequests, pair_requests
 from repro.resolve.pipeline import TracerouteResolver
 from repro.resolve.pyasn import PyASNResolver
 
@@ -36,7 +36,9 @@ def test_path_planning_throughput(benchmark, world):
     unit plans its new pairs."""
     probes = world.speedchecker.probes[:50]
     regions = world.catalog.all()[::10]
-    pairs = [(probe, region) for probe in probes for region in regions]
+    requests = pair_requests(
+        [(probe, region) for probe in probes for region in regions]
+    )
 
     def fresh_planner():
         planner = PathPlanner(
@@ -50,12 +52,12 @@ def test_path_planning_throughput(benchmark, world):
         return (planner,), {}
 
     def plan_all(planner):
-        return planner.plan_many(pairs)
+        return planner.plan_many(requests)
 
     planned = benchmark.pedantic(
         plan_all, setup=fresh_planner, rounds=10, iterations=1, warmup_rounds=1
     )
-    assert len(planned) == len(pairs)
+    assert len(planned) == len(requests)
 
 
 def test_ping_throughput(benchmark, world):
@@ -67,7 +69,7 @@ def test_ping_throughput(benchmark, world):
     ]
 
     def ping_batch():
-        return world.engine.ping_batch(requests)
+        return world.engine.ping_batch(PingRequests.from_records(requests))
 
     block = benchmark(ping_batch)
     assert len(block) == 50

@@ -15,6 +15,8 @@ from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.measure.results import first_seen
+
 
 @dataclass(frozen=True)
 class BoxStats:
@@ -98,10 +100,8 @@ def group_ids(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     for column in columns:
         _, codes = np.unique(column, return_inverse=True)
         combined = combined * (int(codes.max()) + 1) + codes
-    _, first, inverse = np.unique(combined, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse], np.sort(first)
+    firsts, groups = first_seen(combined)
+    return groups, firsts
 
 
 def group_rows(*columns: np.ndarray) -> List[Tuple[Tuple[Any, ...], np.ndarray]]:

@@ -29,7 +29,7 @@ from repro.query.spec import QuerySpec
 
 #: The event mix both experiments inject: roughly 4-5 events per day
 #: across all three families, long enough windows that several routing
-#: epochs fall inside one unit's request list.
+#: epochs fall inside one unit's request block.
 EXPERIMENT_NETFAULTS = NetworkFaultConfig(
     link_failure_rate=0.4,
     peering_flap_rate=0.9,

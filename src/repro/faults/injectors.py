@@ -21,14 +21,14 @@ across units.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.faults.errors import FsyncFailure, PlatformError, PlatformTimeout, TornWrite
 from repro.faults.plan import AttemptFaults
-from repro.measure.batch import PingRequest, TraceRequest
 from repro.measure.engine import BatchEngine
+from repro.measure.requests import PingRequests, RequestBlock, TraceRequests
 from repro.measure.results import PingBlock, TraceBlock
 from repro.platforms.probe import Probe
 from repro.platforms.protocols import AtlasLike, SpeedcheckerLike
@@ -164,7 +164,9 @@ class FaultyEngine:
     victim probe keeps only the pings issued before the disconnect and
     loses all of its traceroutes (a disconnected device answers
     nothing).  Reply loss and trace truncation are per-request draws
-    from the measurement fault stream.
+    from the measurement fault stream.  Every fault is a row mask over
+    the request block; a filtered block keeps the first-seen order of
+    its tables (:meth:`~repro.measure.requests.RequestBlock.take`).
     """
 
     def __init__(self, inner: BatchEngine, faults: AttemptFaults) -> None:
@@ -174,80 +176,73 @@ class FaultyEngine:
         self._disconnect_victim: Optional[str] = None
         self._disconnect_after = 0
 
-    def _decide_disconnect(self, requests: Sequence[PingRequest]) -> None:
+    def _victim_rows(self, requests: RequestBlock) -> np.ndarray:
+        """Mask of the rows whose probe is the disconnect victim."""
+        codes = [
+            code
+            for code, probe in enumerate(requests.probes)
+            if probe.probe_id == self._disconnect_victim
+        ]
+        return np.isin(requests.probe_codes, codes)
+
+    def _decide_disconnect(self, requests: PingRequests) -> None:
         """One disconnect draw per attempt, over the ping batch."""
         if self._disconnect_decided:
             return
         self._disconnect_decided = True
         config = self._faults.config
-        if config.probe_disconnect_rate <= 0.0 or not requests:
+        if config.probe_disconnect_rate <= 0.0 or not len(requests):
             return
         if float(self._faults.measure.random()) >= config.probe_disconnect_rate:
             return
-        probe_ids = sorted({request.probe.probe_id for request in requests})
-        victim = probe_ids[int(self._faults.measure.integers(len(probe_ids)))]
-        owned = sum(
-            1 for request in requests if request.probe.probe_id == victim
+        probe_ids = sorted(
+            requests.probes[code].probe_id
+            for code in np.unique(requests.probe_codes).tolist()
         )
+        victim = probe_ids[int(self._faults.measure.integers(len(probe_ids)))]
         self._disconnect_victim = victim
+        owned = int(np.count_nonzero(self._victim_rows(requests)))
         self._disconnect_after = int(self._faults.measure.integers(owned))
         self._faults.record(
             f"probe-disconnect:{victim}@{self._disconnect_after}"
         )
 
-    def _surviving_pings(
-        self, requests: List[PingRequest]
-    ) -> List[PingRequest]:
-        if self._disconnect_victim is None:
-            return requests
-        kept: List[PingRequest] = []
-        seen_of_victim = 0
-        for request in requests:
-            if request.probe.probe_id == self._disconnect_victim:
-                if seen_of_victim >= self._disconnect_after:
-                    continue
-                seen_of_victim += 1
-            kept.append(request)
-        return kept
-
     def ping_batch(
         self,
-        requests: Sequence[PingRequest],
+        requests: PingRequests,
         rng: Optional[np.random.Generator] = None,
     ) -> PingBlock:
-        batch = list(requests)
+        batch = requests
         self._decide_disconnect(batch)
-        batch = self._surviving_pings(batch)
+        if self._disconnect_victim is not None:
+            # The victim's pings after the disconnect are never issued.
+            cut = np.flatnonzero(self._victim_rows(batch))[self._disconnect_after :]
+            if len(cut):
+                keep = np.ones(len(batch), bool)
+                keep[cut] = False
+                batch = batch.take(keep)
         config = self._faults.config
-        if config.reply_loss_rate > 0.0 and batch:
+        if config.reply_loss_rate > 0.0 and len(batch):
             draws = self._faults.measure.random(len(batch))
-            lost = int(np.count_nonzero(draws < config.reply_loss_rate))
+            answered = draws >= config.reply_loss_rate
+            lost = len(batch) - int(np.count_nonzero(answered))
             if lost:
-                batch = [
-                    request
-                    for request, draw in zip(batch, draws)
-                    if draw >= config.reply_loss_rate
-                ]
+                batch = batch.take(answered)
                 self._faults.record(f"reply-loss:{lost}")
         return self._inner.ping_batch(batch, rng=rng)
 
     def traceroute_batch(
         self,
-        requests: Sequence[TraceRequest],
+        requests: TraceRequests,
         rng: Optional[np.random.Generator] = None,
     ) -> TraceBlock:
-        batch = list(requests)
+        batch = requests
         if self._disconnect_victim is not None:
-            survivors = [
-                request
-                for request in batch
-                if request.probe.probe_id != self._disconnect_victim
-            ]
-            if len(survivors) != len(batch):
-                self._faults.record(
-                    f"trace-drop:{len(batch) - len(survivors)}"
-                )
-            batch = survivors
+            dropped = self._victim_rows(batch)
+            count = int(np.count_nonzero(dropped))
+            if count:
+                self._faults.record(f"trace-drop:{count}")
+                batch = batch.take(~dropped)
         block = self._inner.traceroute_batch(batch, rng=rng)
         config = self._faults.config
         if config.trace_truncation_rate > 0.0 and len(block):

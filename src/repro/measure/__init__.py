@@ -1,6 +1,5 @@
 """Measurement engines: ping, traceroute, and the campaign scheduler."""
 
-from repro.measure.batch import PingRequest, TraceRequest
 from repro.measure.campaign import (
     run_campaign,
     run_case_study,
@@ -9,6 +8,12 @@ from repro.measure.campaign import (
 from repro.measure.engine import MeasurementEngine
 from repro.measure.io import load_dataset, save_dataset
 from repro.measure.path import InterconnectKind, PlannedHop, PlannedPath
+from repro.measure.requests import (
+    PingRequest,
+    PingRequests,
+    TraceRequest,
+    TraceRequests,
+)
 from repro.measure.results import (
     MeasurementDataset,
     PingBlock,
@@ -26,12 +31,14 @@ __all__ = [
     "PingBlock",
     "PingMeasurement",
     "PingRequest",
+    "PingRequests",
     "PlannedHop",
     "PlannedPath",
     "Protocol",
     "RegionTargeter",
     "TraceHop",
     "TraceRequest",
+    "TraceRequests",
     "TracerouteMeasurement",
     "load_dataset",
     "run_campaign",

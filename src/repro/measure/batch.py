@@ -1,38 +1,36 @@
 """The vectorized measurement path: every ping and traceroute batch.
 
-A whole request list is planned into the planner's
-:class:`~repro.measure.path.PathTable`, its path parameters are gathered
-from the table by row, and *all* jitter / congestion / ICMP-penalty /
-last-mile noise for every sample of every request is drawn as a handful
-of NumPy arrays, never one generator call per sample.
+A request block (:mod:`repro.measure.requests`) is planned into the
+planner's :class:`~repro.measure.path.PathTable`, its path parameters
+are gathered from the table by row, and *all* jitter / congestion /
+ICMP-penalty / last-mile noise for every sample of every request is
+drawn as a handful of NumPy arrays, never one generator call per
+sample.
 
 The results are columnar: a :class:`~repro.measure.results.PingBlock`
 per ping batch and a :class:`~repro.measure.results.TraceBlock` per
-traceroute batch.  No per-request
-:class:`~repro.measure.results.PingMeasurement` or
-:class:`~repro.measure.results.TracerouteMeasurement` is allocated on
-the way to the dataset or the store; analysis code materializes the
-record views lazily via :meth:`MeasurementDataset.pings` and
-:meth:`MeasurementDataset.traceroutes`.
+traceroute batch, each with the probe and region tables and the code,
+day and protocol columns of its request block.  No per-request object
+is allocated between the scheduler and the dataset or the store; the
+analyses group the block columns (:func:`~repro.measure.results.dataset_pings`,
+:func:`~repro.resolve.pipeline.resolve_dataset`).
 
 Determinism: the draw order inside a batch is fixed (core-path arrays
 first, then last-mile arrays -- see
 :func:`repro.measure.latency.sample_path_rtt_block`,
 :func:`repro.lastmile.base.sample_lastmile_block` and
 :func:`execute_traceroute_batch`), so the same seed and the same request
-list always produce an identical block.  The KS-equivalence tests in
+block always produce an identical block.  The KS-equivalence tests in
 ``tests/unit/test_batch.py`` check the batch distributions against a
 per-sample scalar reference sampler (``tests/oracles/latency.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.cloud.regions import CloudRegion
 from repro.lastmile.base import AccessKind, sample_lastmile_block
 from repro.measure.latency import (
     congestion_cycle_multiplier,
@@ -41,6 +39,7 @@ from repro.measure.latency import (
     sample_path_rtt_block,
 )
 from repro.measure.path import HOME_ROUTER_ADDRESS
+from repro.measure.requests import PingRequests, TraceRequests
 from repro.measure.results import (
     PROTOCOL_CODES,
     PingBlock,
@@ -52,27 +51,6 @@ from repro.platforms.probe import Probe
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import SimulationConfig
     from repro.measure.engine import MeasurementEngine
-
-
-@dataclass(frozen=True)
-class PingRequest:
-    """One planned ping request: ``samples`` RTT draws probe -> region."""
-
-    probe: Probe
-    region: CloudRegion
-    protocol: Protocol = Protocol.TCP
-    samples: int = 4
-    day: int = 0
-
-
-@dataclass(frozen=True)
-class TraceRequest:
-    """One planned traceroute request probe -> region."""
-
-    probe: Probe
-    region: CloudRegion
-    protocol: Protocol = Protocol.ICMP
-    day: int = 0
 
 
 def _day_multipliers(days: np.ndarray, config: "SimulationConfig") -> np.ndarray:
@@ -96,17 +74,17 @@ def _icmp_penalties(
 
 def execute_ping_batch(
     engine: "MeasurementEngine",
-    requests: Sequence[PingRequest],
+    requests: PingRequests,
     rng: Optional[np.random.Generator] = None,
 ) -> PingBlock:
     """Execute a request batch in one vectorized pass.
 
     Phase 1 plans every pair into the planner's
-    :class:`~repro.measure.path.PathTable` (cached per pair) and walks
-    the request list once to intern probe and region codes; the
+    :class:`~repro.measure.path.PathTable` (cached per pair); the
     per-request path parameters are gathered from the table by row, the
-    last-mile parameters and ICMP penalties per probe.  Phase 2 is pure
-    array math over every sample of every request.
+    last-mile parameters and ICMP penalties per probe of the block's
+    probe table.  Phase 2 is pure array math over every sample of every
+    request.  The block keeps the request block's tables and columns.
 
     ``rng`` overrides the engine's measurement stream -- checkpointed
     campaigns pass a per-unit generator so a unit's draws are independent
@@ -127,20 +105,16 @@ def execute_ping_batch(
             sample_values=np.empty(0, np.float64),
             sample_offsets=np.zeros(1, np.int64),
         )
-    counts = np.array([request.samples for request in requests], np.int64)
+    counts = requests.samples
     if counts.min() < 1:
         raise ValueError(f"samples must be >= 1, got {counts[counts < 1][0]}")
 
     planner = engine.planner
-    rows = np.array(
-        planner.plan_many([(request.probe, request.region) for request in requests]),
-        np.int64,
-    )
-    probes, probe_codes, regions, region_codes = _intern(requests)
-    days = np.array([request.day for request in requests], np.int32)
-    protocol_codes = np.array(
-        [PROTOCOL_CODES[request.protocol] for request in requests], np.uint8
-    )
+    rows = np.array(planner.plan_many(requests), np.int64)
+    probes = requests.probes
+    probe_codes = requests.probe_codes
+    days = requests.days
+    protocol_codes = requests.protocol_codes
     icmp = protocol_codes == PROTOCOL_CODES[Protocol.ICMP]
     table = planner.table
     base = table.base_rtt[rows]
@@ -171,9 +145,9 @@ def execute_ping_batch(
 
     return PingBlock(
         probes=probes,
-        regions=regions,
+        regions=requests.regions,
         probe_codes=probe_codes,
-        region_codes=region_codes,
+        region_codes=requests.region_codes,
         days=days,
         protocol_codes=protocol_codes,
         sample_values=np.round(air + wire + core, 3),
@@ -181,55 +155,19 @@ def execute_ping_batch(
     )
 
 
-def _intern(
-    requests: Sequence[PingRequest | TraceRequest],
-) -> Tuple[List[Probe], np.ndarray, List[CloudRegion], np.ndarray]:
-    """Probe and region codes of a request list, in first-seen order
-    (the order a block lists its probes and regions in)."""
-    probes: List[Probe] = []
-    probe_codes_by_id: Dict[str, int] = {}
-    regions: List[CloudRegion] = []
-    region_codes_by_key: Dict[Tuple[str, str], int] = {}
-    probe_code_list: List[int] = []
-    region_code_list: List[int] = []
-    # Dict-based code interning is inherently sequential.
-    for request in requests:
-        probe = request.probe
-        probe_code = probe_codes_by_id.get(probe.probe_id)
-        if probe_code is None:
-            probe_code = len(probes)
-            probes.append(probe)
-            probe_codes_by_id[probe.probe_id] = probe_code
-        region = request.region
-        region_key = (region.provider_code, region.region_id)
-        region_code = region_codes_by_key.get(region_key)
-        if region_code is None:
-            region_code = len(regions)
-            regions.append(region)
-            region_codes_by_key[region_key] = region_code
-        probe_code_list.append(probe_code)
-        region_code_list.append(region_code)
-    return (
-        probes,
-        np.array(probe_code_list, np.int32),
-        regions,
-        np.array(region_code_list, np.int32),
-    )
-
-
 def execute_traceroute_batch(
     engine: "MeasurementEngine",
-    requests: Sequence["TraceRequest"],
+    requests: TraceRequests,
     rng: Optional[np.random.Generator] = None,
 ) -> TraceBlock:
     """Execute a traceroute batch in one vectorized pass.
 
     Phase 1 plans every pair into the planner's
-    :class:`~repro.measure.path.PathTable` (cached per pair), interns
-    probe/region codes in first-seen order, draws the per-trace last
-    mile, and marks home probes behind a NAT router for their private
-    first hop.  Phase 2 gathers every trace's planned hops from the
-    table by row, samples jitter / congestion / ICMP penalty /
+    :class:`~repro.measure.path.PathTable` (cached per pair), draws the
+    per-trace last mile, and marks home probes behind a NAT router for
+    their private first hop, from per-probe columns of the request
+    block's probe table.  Phase 2 gathers every trace's planned hops
+    from the table by row, samples jitter / congestion / ICMP penalty /
     control-plane processing for *every hop of every trace* as flat
     arrays, silences unresponsive hops in place, and inserts the router
     hops at their traces' hop offsets -- the result is the columnar
@@ -264,49 +202,43 @@ def execute_traceroute_batch(
     # Plan (or fetch) every trace's path first so the planner's own RNG
     # draws stay grouped ahead of the measurement draws below.
     planner = engine.planner
-    rows = np.array(
-        planner.plan_many([(request.probe, request.region) for request in requests]),
-        np.int64,
-    )
-    probes, probe_codes, regions, region_codes = _intern(requests)
-    lastmile_rows: List[Tuple[float, ...]] = []
-    routed_list: List[bool] = []
+    rows = np.array(planner.plan_many(requests), np.int64)
+    probes = requests.probes
+    probe_codes = requests.probe_codes
 
     # One array draw decides every trace's access switch: a wireless
     # probe measures over the other medium (WiFi <-> cellular) when its
     # draw falls below the access-switch probability, which flips the
     # traceroute's first-hop signature (a section-5 caveat); wired
     # probes never switch.
+    wifi = np.array([probe.access is AccessKind.HOME_WIFI for probe in probes])
+    cellular = np.array([probe.access is AccessKind.CELLULAR for probe in probes])
     switch_p = config.last_mile.access_switch_probability
-    access_draws = rng.random(n).tolist()
-    # Per-request access resolution branches on probe state; the draws
-    # it consumes are already a single array pull.
-    for request, draw in zip(requests, access_draws):  # repro-lint: disable=PERF001
-        probe = request.probe
-        access = probe.access
-        if access.is_wireless and draw < switch_p:
-            access = (
-                AccessKind.CELLULAR
-                if access is AccessKind.HOME_WIFI
-                else AccessKind.HOME_WIFI
-            )
-        lastmile_rows.append(
-            engine.lastmile_model(probe, access).batch_params()
-        )
-        # Hop 1 is the home router, reached over the WiFi air segment,
-        # for a probe measuring over WiFi from behind a NAT.
-        routed_list.append(
-            access is AccessKind.HOME_WIFI
-            and (
-                probe.access is not AccessKind.HOME_WIFI
-                or probe.device_address != probe.public_address
-            )
-        )
-
-    days = np.array([request.day for request in requests], np.int32)
-    protocol_codes = np.array(
-        [PROTOCOL_CODES[request.protocol] for request in requests], np.uint8
+    switched = (wifi | cellular)[probe_codes] & (rng.random(n) < switch_p)
+    lastmile = np.array(
+        [engine.lastmile_model(probe).batch_params() for probe in probes],
+        np.float64,
     )
+    flipped = lastmile.copy()
+    for code in np.unique(probe_codes[switched]).tolist():
+        probe = probes[code]
+        other = AccessKind.CELLULAR if wifi[code] else AccessKind.HOME_WIFI
+        flipped[code] = engine.lastmile_model(probe, other).batch_params()
+    lastmile_rows = np.where(
+        switched[:, None], flipped[probe_codes], lastmile[probe_codes]
+    )
+    # Hop 1 is the home router, reached over the WiFi air segment, for a
+    # probe measuring over WiFi from behind a NAT; a cellular probe that
+    # switched to WiFi always is.
+    nat = np.array(
+        [probe.device_address != probe.public_address for probe in probes], bool
+    )
+    routed = ((wifi & nat)[probe_codes] & ~switched) | (
+        cellular[probe_codes] & switched
+    )
+
+    days = requests.days
+    protocol_codes = requests.protocol_codes
     icmp = protocol_codes == PROTOCOL_CODES[Protocol.ICMP]
     table = planner.table
     dest_addresses = table.dest[rows]
@@ -314,10 +246,9 @@ def execute_traceroute_batch(
     sigma = table.sigma[rows]
     congestion_p = table.congestion[rows] * _day_multipliers(days, config)
     icmp_p = np.where(icmp, _icmp_penalties(probes, config)[probe_codes], 0.0)
-    routed = np.array(routed_list, bool)
 
     # One last-mile draw per trace, all traces at once.
-    air, wire = sample_lastmile_block(np.array(lastmile_rows, np.float64), rng)
+    air, wire = sample_lastmile_block(lastmile_rows, rng)
     lastmile_total = air + wire
     # Hop-1 home-router RTT for probes measuring from behind a NAT: the
     # WiFi air segment plus the router's own processing.
@@ -363,14 +294,14 @@ def execute_traceroute_batch(
 
     return TraceBlock(
         probes=probes,
-        regions=regions,
+        regions=requests.regions,
         probe_codes=probe_codes,
-        region_codes=region_codes,
+        region_codes=requests.region_codes,
         days=days,
         protocol_codes=protocol_codes,
         source_addresses=np.array(
-            [request.probe.device_address for request in requests], np.int64
-        ),
+            [probe.device_address for probe in probes], np.int64
+        )[probe_codes],
         dest_addresses=dest_addresses,
         hop_offsets=hop_offsets,
         hop_addresses=hop_addresses,

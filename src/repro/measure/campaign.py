@@ -7,10 +7,11 @@ Reproduces the paper's operational setup:
 - probe selection per country keys off the day's first connected-VP
   snapshot and is delegated to the platform (probes cannot be pinned);
 - a daily request quota and a self-imposed rate limit bound the volume,
-  truncating the day's assembled request list up front;
-- each day's requests are issued through the vectorized batch engine
-  (:meth:`MeasurementEngine.ping_batch`) and land in the dataset as
-  columnar ping blocks;
+  truncating the day's request rows as they are assembled;
+- each day's requests are assembled as columns
+  (:class:`~repro.measure.requests.RequestRows`), issued through the
+  vectorized batch engine (:meth:`MeasurementEngine.ping_batch`) as one
+  request block, and land in the dataset as columnar ping blocks;
 - probes target the cloud regions of their own continent, plus the
   neighbouring well-provisioned continents for Africa (EU, NA) and South
   America (NA);
@@ -38,10 +39,10 @@ from repro.faults.config import FaultConfig, RetryPolicy, fault_digest
 from repro.faults.injectors import FaultyAtlas, FaultyEngine, FaultySpeedchecker
 from repro.faults.plan import AttemptFaults, FaultPlan
 from repro.geo.continents import INTERCONTINENTAL_TARGETS, Continent
-from repro.measure.batch import PingRequest, TraceRequest
 from repro.measure.engine import BatchEngine, MeasurementEngine
 from repro.measure.path import PathPlanner
 from repro.measure.pathpolicy import FailoverPathPolicy, PathSelectionPolicy
+from repro.measure.requests import RequestRows
 from repro.measure.resilience import CommitHook, UnitResult, execute_plan
 from repro.measure.results import MeasurementDataset, Protocol
 from repro.netfaults.config import NetworkFaultConfig, netfault_digest
@@ -168,15 +169,15 @@ def _run_speedchecker(
         cycle_position = (day % campaign.cycle_days) * per_day
         todays = cycle_order[cycle_position : cycle_position + per_day]
 
-        # Assemble the whole day's request list up front, truncating
-        # against the rate cap and the remaining daily quota on the list
-        # itself -- once the budget is reached the rest of the day's
+        # Assemble the whole day's request rows up front, truncating
+        # against the rate cap and the remaining daily quota as they
+        # grow -- once the budget is reached the rest of the day's
         # country and probe loops are skipped entirely.
         budget = min(rate_cap, platform.remaining_quota)
-        requests: List[PingRequest] = []
-        traces: List[TraceRequest] = []
+        rows = RequestRows()
+        trace_rows: List[np.ndarray] = [np.empty(0, np.int64)]
         for iso in todays:
-            if len(requests) >= budget:
+            if len(rows) >= budget:
                 break
             connected = platform.connected_in_country(iso, selection_snapshot)
             visit_count = min(
@@ -186,36 +187,29 @@ def _run_speedchecker(
                 iso, selection_snapshot, visit_count, pool=connected
             )
             for probe in probes:
-                if len(requests) >= budget:
+                if len(rows) >= budget:
                     break
-                for region in target_regions(world, probe, rng):
-                    if len(requests) >= budget:
-                        break
-                    requests.append(
-                        PingRequest(
-                            probe=probe,
-                            region=region,
-                            protocol=Protocol.TCP,
-                            samples=campaign.pings_per_request,
-                            day=day,
-                        )
-                    )
-                    # The traceroute coin flip happens at scheduling
-                    # time, alongside the ping it rides with.
-                    if rng.random() < campaign.traceroute_share:
-                        traces.append(
-                            TraceRequest(
-                                probe=probe,
-                                region=region,
-                                protocol=Protocol.ICMP,
-                                day=day,
-                            )
-                        )
-        if not requests:
+                regions = target_regions(world, probe, rng)[: budget - len(rows)]
+                # The traceroute coin flips happen at scheduling time, one
+                # per ping, right after the visit's targets are drawn.
+                flips = rng.random(len(regions))
+                trace_rows.append(
+                    len(rows) + np.flatnonzero(flips < campaign.traceroute_share)
+                )
+                rows.add(probe, regions, day)
+        if not len(rows):
             continue
-        platform.charge(len(requests))
-        dataset.add_ping_block(engine.ping_batch(requests))
-        dataset.add_trace_block(engine.traceroute_batch(traces))
+        platform.charge(len(rows))
+        dataset.add_ping_block(
+            engine.ping_batch(
+                rows.pings((Protocol.TCP,), campaign.pings_per_request)
+            )
+        )
+        dataset.add_trace_block(
+            engine.traceroute_batch(
+                rows.traces(Protocol.ICMP).take(np.concatenate(trace_rows))
+            )
+        )
 
 
 def _run_atlas(
@@ -239,32 +233,25 @@ def _run_atlas(
         # record TCP pings as well so the cross-platform latency
         # comparison uses TCP on both sides (section 3.3).  Both
         # protocols for every (probe, region) pair go into one batch.
-        pairs: List[Tuple[Probe, CloudRegion]] = []
-        requests: List[PingRequest] = []
+        rows = RequestRows()
         for pick in picks:
             probe = connected[int(pick)]
-            for region in target_regions(world, probe, rng):
-                pairs.append((probe, region))
-                for protocol in (Protocol.TCP, Protocol.ICMP):
-                    requests.append(
-                        PingRequest(
-                            probe=probe,
-                            region=region,
-                            protocol=protocol,
-                            samples=campaign.pings_per_request,
-                            day=day,
-                        )
-                    )
-        if not requests:
+            rows.add(probe, target_regions(world, probe, rng), day)
+        if not len(rows):
             continue
-        dataset.add_ping_block(engine.ping_batch(requests))
-        traceroute_draws = rng.random(len(pairs))
-        traces = [
-            TraceRequest(probe=probe, region=region, protocol=Protocol.TCP, day=day)
-            for (probe, region), draw in zip(pairs, traceroute_draws)
-            if draw < campaign.traceroute_share
-        ]
-        dataset.add_trace_block(engine.traceroute_batch(traces))
+        dataset.add_ping_block(
+            engine.ping_batch(
+                rows.pings((Protocol.TCP, Protocol.ICMP), campaign.pings_per_request)
+            )
+        )
+        traceroute_draws = rng.random(len(rows))
+        dataset.add_trace_block(
+            engine.traceroute_batch(
+                rows.traces(Protocol.TCP).take(
+                    traceroute_draws < campaign.traceroute_share
+                )
+            )
+        )
 
 
 # -- checkpointed campaigns ----------------------------------------------
@@ -407,13 +394,13 @@ def _speedchecker_unit(
     )
     sched_rng = rngs.fork("checkpoint.speedchecker.schedule", day)
     budget = min(rate_cap, platform.remaining_quota)
-    requests: List[PingRequest] = []
-    # Each traceroute is tagged with the index of the ping it rides
-    # with, so quota degradation below can keep exactly the traceroutes
-    # whose ping was actually issued.
-    traces: List[Tuple[int, TraceRequest]] = []
+    rows = RequestRows()
+    # The rows of the pings a traceroute rides with, so quota
+    # degradation below can keep exactly the traceroutes whose ping was
+    # actually issued.
+    trace_rows: List[np.ndarray] = [np.empty(0, np.int64)]
     for iso in todays:
-        if len(requests) >= budget:
+        if len(rows) >= budget:
             break
         connected = platform.connected_in_country(iso, snapshot)
         visit_count = min(visit_cap, max(2, int(len(connected) * _VISIT_SHARE)))
@@ -421,35 +408,18 @@ def _speedchecker_unit(
             iso, snapshot, visit_count, pool=connected, rng=sched_rng
         )
         for probe in probes:
-            if len(requests) >= budget:
+            if len(rows) >= budget:
                 break
-            for region in target_regions(world, probe, sched_rng):
-                if len(requests) >= budget:
-                    break
-                requests.append(
-                    PingRequest(
-                        probe=probe,
-                        region=region,
-                        protocol=Protocol.TCP,
-                        samples=campaign.pings_per_request,
-                        day=day,
-                    )
-                )
-                if sched_rng.random() < campaign.traceroute_share:
-                    traces.append(
-                        (
-                            len(requests) - 1,
-                            TraceRequest(
-                                probe=probe,
-                                region=region,
-                                protocol=Protocol.ICMP,
-                                day=day,
-                            ),
-                        )
-                    )
-    scheduled = len(requests)
+            regions = target_regions(world, probe, sched_rng)[: budget - len(rows)]
+            flips = sched_rng.random(len(regions))
+            trace_rows.append(
+                len(rows) + np.flatnonzero(flips < campaign.traceroute_share)
+            )
+            rows.add(probe, regions, day)
+    traced = np.concatenate(trace_rows)
+    scheduled = len(rows)
     issued = scheduled
-    if requests:
+    if scheduled:
         try:
             platform.charge(scheduled)
         except QuotaExhausted:
@@ -460,14 +430,16 @@ def _speedchecker_unit(
             # in the journal -- a half-populated unit must never go
             # uncounted.
             issued = platform.charge_up_to(scheduled)
-    issued_requests = requests[:issued]
-    issued_traces = [trace for index, trace in traces if index < issued]
+    issued_pings = rows.pings((Protocol.TCP,), campaign.pings_per_request)
+    if issued < scheduled:
+        issued_pings = issued_pings.take(np.arange(issued))
+    issued_traces = rows.traces(Protocol.ICMP).take(traced[traced < issued])
     netfault = find_netfault_engine(engine)
     if netfault is not None:
         # Discard effects journaled by a failed earlier attempt.
         netfault.take_events()
     engine_rng = rngs.fork("checkpoint.speedchecker.engine", day)
-    ping_block = engine.ping_batch(issued_requests, rng=engine_rng)
+    ping_block = engine.ping_batch(issued_pings, rng=engine_rng)
     trace_block = engine.traceroute_batch(issued_traces, rng=engine_rng)
     netfault_events: List[str] = []
     if netfault is not None:
@@ -476,7 +448,7 @@ def _speedchecker_unit(
         ping_block=ping_block,
         trace_block=trace_block,
         scheduled_pings=scheduled,
-        scheduled_traceroutes=len(traces),
+        scheduled_traceroutes=len(traced),
         netfault_events=netfault_events,
     )
 
@@ -497,37 +469,24 @@ def _atlas_unit(
         rng=rngs.fork("checkpoint.atlas.connected", day)
     )
     sched_rng = rngs.fork("checkpoint.atlas.schedule", day)
-    pairs: List[Tuple[Probe, CloudRegion]] = []
-    requests: List[PingRequest] = []
+    rows = RequestRows()
     if connected:
         count = max(1, int(len(connected) * _ATLAS_DAILY_SHARE))
         picks = sched_rng.choice(len(connected), size=count, replace=False)
         for pick in picks:
             probe = connected[int(pick)]
-            for region in target_regions(world, probe, sched_rng):
-                pairs.append((probe, region))
-                for protocol in (Protocol.TCP, Protocol.ICMP):
-                    requests.append(
-                        PingRequest(
-                            probe=probe,
-                            region=region,
-                            protocol=protocol,
-                            samples=campaign.pings_per_request,
-                            day=day,
-                        )
-                    )
+            rows.add(probe, target_regions(world, probe, sched_rng), day)
+    pings = rows.pings((Protocol.TCP, Protocol.ICMP), campaign.pings_per_request)
     netfault = find_netfault_engine(engine)
     if netfault is not None:
         # Discard effects journaled by a failed earlier attempt.
         netfault.take_events()
     engine_rng = rngs.fork("checkpoint.atlas.engine", day)
-    ping_block = engine.ping_batch(requests, rng=engine_rng)
-    traceroute_draws = sched_rng.random(len(pairs))
-    traces = [
-        TraceRequest(probe=probe, region=region, protocol=Protocol.TCP, day=day)
-        for (probe, region), draw in zip(pairs, traceroute_draws)
-        if draw < campaign.traceroute_share
-    ]
+    ping_block = engine.ping_batch(pings, rng=engine_rng)
+    traceroute_draws = sched_rng.random(len(rows))
+    traces = rows.traces(Protocol.TCP).take(
+        traceroute_draws < campaign.traceroute_share
+    )
     trace_block = engine.traceroute_batch(traces, rng=engine_rng)
     netfault_events: List[str] = []
     if netfault is not None:
@@ -535,7 +494,7 @@ def _atlas_unit(
     return UnitResult(
         ping_block=ping_block,
         trace_block=trace_block,
-        scheduled_pings=len(requests),
+        scheduled_pings=len(pings),
         scheduled_traceroutes=len(traces),
         netfault_events=netfault_events,
     )
@@ -841,7 +800,7 @@ def run_intercontinental_study(
     rng = world.rngs.fork(f"{stream}.probes", 0)
     samples = world.config.campaign.pings_per_request
     catalog = world.catalog
-    requests: List[PingRequest] = []
+    rows = RequestRows()
     for iso in countries:
         probes = world.speedchecker.probes_in_country(iso)
         if len(probes) > max_probes_per_country:
@@ -864,20 +823,12 @@ def run_intercontinental_study(
                     )
                     targets[(nearest.provider_code, nearest.region_id)] = nearest
             for round_index in range(rounds):
-                for region in targets.values():
-                    requests.append(
-                        PingRequest(
-                            probe=probe,
-                            region=region,
-                            protocol=Protocol.TCP,
-                            samples=samples,
-                            day=round_index,
-                        )
-                    )
+                rows.add(probe, list(targets.values()), round_index)
     dataset = MeasurementDataset()
     dataset.add_ping_block(
         world.engine.ping_batch(
-            requests, rng=world.rngs.fork(f"{stream}.engine", 0)
+            rows.pings((Protocol.TCP,), samples),
+            rng=world.rngs.fork(f"{stream}.engine", 0),
         )
     )
     return dataset
@@ -914,30 +865,16 @@ def run_case_study(
     if not regions:
         raise ValueError(f"no cloud regions in {dest_country!r}")
     samples = world.config.campaign.pings_per_request
-    requests: List[PingRequest] = []
-    traces: List[TraceRequest] = []
+    rows = RequestRows()
     for round_index in range(rounds):
         for probe in probes:
-            for region in regions:
-                requests.append(
-                    PingRequest(
-                        probe=probe,
-                        region=region,
-                        protocol=Protocol.TCP,
-                        samples=samples,
-                        day=round_index,
-                    )
-                )
-                traces.append(
-                    TraceRequest(
-                        probe=probe,
-                        region=region,
-                        protocol=Protocol.ICMP,
-                        day=round_index,
-                    )
-                )
+            rows.add(probe, regions, round_index)
     engine_rng = world.rngs.fork(f"{stream}.engine", 0)
     dataset = MeasurementDataset()
-    dataset.add_ping_block(world.engine.ping_batch(requests, rng=engine_rng))
-    dataset.add_trace_block(world.engine.traceroute_batch(traces, rng=engine_rng))
+    dataset.add_ping_block(
+        world.engine.ping_batch(rows.pings((Protocol.TCP,), samples), rng=engine_rng)
+    )
+    dataset.add_trace_block(
+        world.engine.traceroute_batch(rows.traces(Protocol.ICMP), rng=engine_rng)
+    )
     return dataset

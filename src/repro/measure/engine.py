@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import typing
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -11,13 +11,9 @@ from repro.cloud.regions import CloudRegion
 from repro.core.config import SimulationConfig
 from repro.lastmile.base import AccessKind, LastMileModel
 from repro.lastmile.models import CellularLastMile, HomeWifiLastMile, WiredLastMile
-from repro.measure.batch import (
-    PingRequest,
-    TraceRequest,
-    execute_ping_batch,
-    execute_traceroute_batch,
-)
+from repro.measure.batch import execute_ping_batch, execute_traceroute_batch
 from repro.measure.path import PathPlanner, PlannedPath
+from repro.measure.requests import PingRequests, TraceRequests
 from repro.measure.results import PingBlock, TraceBlock
 
 # Re-exported for backwards compatibility; the canonical home is the
@@ -42,13 +38,13 @@ class BatchEngine(typing.Protocol):
 
     def ping_batch(
         self,
-        requests: Sequence[PingRequest],
+        requests: PingRequests,
         rng: Optional[np.random.Generator] = None,
     ) -> PingBlock: ...
 
     def traceroute_batch(
         self,
-        requests: Sequence[TraceRequest],
+        requests: TraceRequests,
         rng: Optional[np.random.Generator] = None,
     ) -> TraceBlock: ...
 
@@ -109,14 +105,14 @@ class MeasurementEngine:
 
     def ping_batch(
         self,
-        requests: Sequence[PingRequest],
+        requests: PingRequests,
         rng: Optional[np.random.Generator] = None,
     ) -> PingBlock:
         """Execute a whole ping request batch in one vectorized pass.
 
         Every noise process is drawn as NumPy arrays over all samples of
         all requests at once.  Returns a columnar :class:`PingBlock`, one
-        row per request in request order; feed it to
+        row per request in block order; feed it to
         :meth:`MeasurementDataset.add_ping_block`.  ``rng`` overrides the
         engine's stream (used by checkpointed campaign units and the
         focused studies).
@@ -125,7 +121,7 @@ class MeasurementEngine:
 
     def traceroute_batch(
         self,
-        requests: Sequence[TraceRequest],
+        requests: TraceRequests,
         rng: Optional[np.random.Generator] = None,
     ) -> TraceBlock:
         """Execute a whole traceroute batch in one vectorized pass.
@@ -134,7 +130,7 @@ class MeasurementEngine:
         probes behind a NAT expose their router as a private-address
         first hop; cellular (and artifact) probes hit the ISP directly
         -- the signal the paper's home/cell classifier keys on.  Returns
-        a columnar :class:`TraceBlock`, one row per request in request
+        a columnar :class:`TraceBlock`, one row per request in block
         order; feed it to :meth:`MeasurementDataset.add_trace_block`.
         ``rng`` overrides the engine's stream (used by checkpointed
         campaign units and the focused studies).

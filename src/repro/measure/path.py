@@ -28,11 +28,13 @@ from repro.cloud.wan import PrivateWAN
 from repro.core.config import SimulationConfig
 from repro.core.rng import DerivedStreams, name_digest
 from repro.core.topology import Topology
-from repro.core.units import one_way_fiber_ms
+from repro.core.units import FIBER_PATH_MS_PER_KM
 from repro.geo.continents import Continent
 from repro.geo.coords import EARTH_RADIUS_KM, GeoPoint
 from repro.geo.countries import CountryRegistry
 from repro.measure.pathpolicy import BASELINE_TOKEN, PathSelectionPolicy
+from repro.measure.requests import RequestBlock, pair_requests
+from repro.measure.results import first_seen
 from repro.net.asn import AS, ASKind
 from repro.net.ip import parse_ip
 from repro.platforms.probe import Probe
@@ -419,15 +421,21 @@ class _RouteMeta(NamedTuple):
 class _Prepared(NamedTuple):
     """A batch of new pairs, prepared for hop placement.
 
-    The per-pair route meta, great-circle distance, jitter sigma and
-    two-way fibre RTT; the routers each AS of each path exposes, flat in
-    path order; and one address uniform per router, flat in hop order.
+    The batch's route metas (``metas``, first-seen order) and each
+    pair's meta (``meta_of``); per pair its AS count, great-circle
+    distance, jitter sigma and two-way fibre RTT; per AS of each path,
+    flat in path order, its row among the metas' AS terms (``as_rows``)
+    and its router count; and one address uniform per router, flat in
+    hop order.
     """
 
     metas: List[_RouteMeta]
-    distances: List[float]
+    meta_of: np.ndarray
+    n_systems: np.ndarray
+    as_rows: np.ndarray
+    distances: np.ndarray
     sigmas: np.ndarray
-    fibers: List[float]
+    fibers: np.ndarray
     counts: np.ndarray
     address_draws: np.ndarray
 
@@ -496,24 +504,6 @@ class PathPlanner:
         #: O(1) instead of re-folding the whole name per pair.
         self._probe_digest: Dict[str, int] = {}
         self._region_digest: Dict[Tuple[str, str], Tuple[int, int]] = {}
-
-    def _pair_digest(self, probe: Probe, region: CloudRegion) -> int:
-        """The spawn key of one pair's planning stream.
-
-        Equals ``name_digest(f"path.{probe_id}.{provider}.{region}")``,
-        assembled from cached prefix/suffix folds.
-        """
-        prefix = self._probe_digest.get(probe.probe_id)
-        if prefix is None:
-            prefix = name_digest(f"path.{probe.probe_id}.")
-            self._probe_digest[probe.probe_id] = prefix
-        region_key = (region.provider_code, region.region_id)
-        suffix = self._region_digest.get(region_key)
-        if suffix is None:
-            tail = f"{region.provider_code}.{region.region_id}"
-            suffix = (name_digest(tail), pow(1_000_003, len(tail), 2**63))
-            self._region_digest[region_key] = suffix
-        return (prefix * suffix[1] + suffix[0]) % 2**63
 
     # -- path selection policy ---------------------------------------------
 
@@ -602,7 +592,7 @@ class PathPlanner:
 
     def plan(self, probe: Probe, region: CloudRegion) -> PlannedPath:
         """The planned path for a (probe, region) pair, as a view."""
-        return self.path(self.plan_many([(probe, region)])[0])
+        return self.path(self.plan_many(pair_requests([(probe, region)]))[0])
 
     def path(self, row: int) -> PlannedPath:
         """A :class:`PlannedPath` view of one table row.
@@ -640,65 +630,77 @@ class PathPlanner:
             ),
         )
 
-    def plan_many(self, pairs: Sequence[Tuple[Probe, CloudRegion]]) -> List[int]:
-        """Table rows of the planned paths for many (probe, region) pairs.
+    def plan_many(self, requests: RequestBlock) -> List[int]:
+        """Table rows of the planned paths of a request block, one per row.
 
-        A pair planned before returns the same ``int`` object its row
-        was built with.  Every new pair in the batch shares one pass of
-        draws (:meth:`_prepare_many`) and one vectorized append
-        (:meth:`_add_paths`), so a cold campaign day pays array setup
-        once rather than per pair.
+        One ``np.unique`` pass dedups the block's (probe, region) pairs in
+        first-seen order, and the pair cache is probed once per distinct
+        pair.  A pair planned before returns the same ``int`` object its
+        row was built with, and so do a pair's repeats in the block.
+        Every new pair shares one pass of draws (:meth:`_prepare_many`)
+        and one vectorized append (:meth:`_add_paths`), so a cold
+        campaign day pays array setup once rather than per pair.
         """
-        rows: List[Optional[int]] = [None] * len(pairs)
-        keys: List[Optional[tuple]] = [None] * len(pairs)
-        tokens: List[Optional[Hashable]] = [None] * len(pairs)
-        misses: List[int] = []
-        cache = self._cache
-        policy = self._route_policy
-        scope_tokens: Dict[Tuple[str, Continent], Optional[Hashable]] = {}
-        # Cache probing is per-pair by design: dict hits cost ~100ns.
-        for i, (probe, region) in enumerate(pairs):  # repro-lint: disable=PERF001
-            key: Tuple[Hashable, ...] = (
-                probe.probe_id,
-                region.provider_code,
-                region.region_id,
-            )
-            if policy is not None:
-                scope = (region.provider_code, probe.continent)
-                try:
-                    token = scope_tokens[scope]
-                except KeyError:
-                    token = self._pair_token(*scope)
-                    scope_tokens[scope] = token
-                if token is not None:
-                    key = key + (token,)
-                    tokens[i] = token
-            cached = cache.get(key)
-            if cached is not None:
-                rows[i] = cached
-            else:
-                keys[i] = key
-                misses.append(i)
-        if not misses:
-            return rows
-        # Dedup repeats inside the batch, preserving first-seen order so
-        # the RNG draw sequence depends only on the request sequence.
-        first_seen: dict = {}
-        unique: List[int] = []
-        for i in misses:
-            if keys[i] not in first_seen:
-                first_seen[keys[i]] = len(unique)
-                unique.append(i)
-        prepared = self._prepare_many(
-            [pairs[i] for i in unique], [tokens[i] for i in unique]
+        if not len(requests):
+            return []
+        probes, regions = requests.probes, requests.regions
+        firsts, pair_of = first_seen(
+            requests.probe_codes.astype(np.int64) * len(regions)
+            + requests.region_codes
         )
-        first = self._add_paths([pairs[i][0] for i in unique], prepared)
-        built = list(range(first, first + len(unique)))
-        for i, row in zip(unique, built):
-            cache[keys[i]] = row
-        for i in misses:
-            rows[i] = built[first_seen[keys[i]]]
-        return rows
+        pair_probes = requests.probe_codes[firsts].astype(np.int64)
+        pair_regions = requests.region_codes[firsts].astype(np.int64)
+        probe_ids = [probe.probe_id for probe in probes]
+        region_keys = [
+            (region.provider_code, region.region_id) for region in regions
+        ]
+        keys: List[Tuple[Hashable, ...]] = [
+            (probe_ids[p],) + region_keys[r]
+            for p, r in zip(pair_probes.tolist(), pair_regions.tolist())
+        ]
+        tokens: List[Optional[Hashable]] = [None] * len(keys)
+        if self._route_policy is not None:
+            tokens = self._scope_tokens(probes, regions, pair_probes, pair_regions)
+            keys = [
+                key if token is None else key + (token,)
+                for key, token in zip(keys, tokens)
+            ]
+        cache = self._cache
+        found: List[Optional[int]] = [cache.get(key) for key in keys]
+        misses = [j for j, row in enumerate(found) if row is None]
+        rows = np.array(found, dtype=object)
+        if misses:
+            miss = np.array(misses, np.int64)
+            prepared = self._prepare_many(
+                probes,
+                regions,
+                pair_probes[miss],
+                pair_regions[miss],
+                [tokens[j] for j in misses],
+            )
+            first = self._add_paths(probes, pair_probes[miss], prepared)
+            built = list(range(first, first + len(misses)))
+            cache.update(zip([keys[j] for j in misses], built))
+            rows[miss] = built
+        return rows[pair_of].tolist()
+
+    def _scope_tokens(
+        self,
+        probes: Sequence[Probe],
+        regions: Sequence[CloudRegion],
+        pair_probes: np.ndarray,
+        pair_regions: np.ndarray,
+    ) -> List[Optional[Hashable]]:
+        """Each pair's scope token (see :meth:`_pair_token`), resolved
+        once per (provider, source continent) scope."""
+        scopes = [
+            (regions[r].provider_code, probes[p].continent)
+            for p, r in zip(pair_probes.tolist(), pair_regions.tolist())
+        ]
+        tokens = {
+            scope: self._pair_token(*scope) for scope in dict.fromkeys(scopes)
+        }
+        return [tokens[scope] for scope in scopes]
 
     def _route_meta(
         self,
@@ -845,84 +847,181 @@ class PathPlanner:
 
     def _prepare_many(
         self,
-        pairs: Sequence[Tuple[Probe, CloudRegion]],
+        probes: Sequence[Probe],
+        regions: Sequence[CloudRegion],
+        pair_probes: np.ndarray,
+        pair_regions: np.ndarray,
         tokens: Sequence[Optional[Hashable]],
     ) -> _Prepared:
         """The per-pair prefix of path building for a batch of new pairs,
         plus the address draw of every hop, in hop order.
 
-        Routing, classification, stretch geography, fixed overheads and
-        the hop-count terms come from the :meth:`_route_meta` cache; only
-        the great-circle distance, the distance-dependent jitter sigma
-        and the fibre RTT remain per pair.  ``tokens`` are the
-        caller-resolved scope tokens (``None`` for baseline planning).
-        Each pair draws one uniform per AS for its hop counts, then one
-        per hop for its addresses, as the first draws of its own stream;
-        every pair's draws come from two array passes.  The per-pair
-        reference in ``tests/oracles/planner.py`` overrides this method
-        and produces bit-identical preparations.
+        ``pair_probes``/``pair_regions`` index ``probes``/``regions``;
+        ``tokens`` are the pairs' scope tokens (``None`` for baseline
+        planning).  Routing, classification, stretch geography, fixed
+        overheads and the hop-count terms come from the
+        :meth:`_route_meta` cache, resolved once per distinct (ISP,
+        continent, country, region, token) key in first-seen order; the
+        pairs gather their meta's terms from arrays.  Only the
+        great-circle distance stays a per-pair call.  Each pair draws one
+        uniform per AS for its hop counts, then one per hop for its
+        addresses, as the first draws of its own stream; every pair's
+        draws come from two array passes.
         """
-        metas = [
-            self._route_meta(probe, region, token)
-            for (probe, region), token in zip(pairs, tokens)
-        ]
-        n_systems = np.array([len(meta.ases.systems) for meta in metas])
-        digests = [self._pair_digest(probe, region) for probe, region in pairs]
-        lanes = self._pair_streams.lanes(np.array(digests, dtype=np.uint64))
-        count_draws = lanes.random(np.zeros_like(n_systems), n_systems)
-        scales = np.array(
-            [scale for meta in metas for scale in meta.ases.count_scales]
+        groups: Dict[Tuple[Hashable, ...], int] = {}
+        probe_groups = np.array(
+            [
+                groups.setdefault(
+                    (probe.isp_asn, probe.continent, probe.country), len(groups)
+                )
+                for probe in probes
+            ],
+            np.int64,
         )
-        bases = np.array([base for meta in metas for base in meta.ases.count_bases])
+        meta_keys = probe_groups[pair_probes] * len(regions) + pair_regions
+        if self._route_policy is not None:
+            token_codes: Dict[Optional[Hashable], int] = {}
+            token_of = [
+                token_codes.setdefault(token, len(token_codes)) for token in tokens
+            ]
+            meta_keys = meta_keys * len(token_codes) + np.array(token_of, np.int64)
+        meta_firsts, meta_of = first_seen(meta_keys)
+        metas = [
+            self._route_meta(probes[p], regions[r], tokens[j])
+            for j, p, r in zip(
+                meta_firsts.tolist(),
+                pair_probes[meta_firsts].tolist(),
+                pair_regions[meta_firsts].tolist(),
+            )
+        ]
+        meta_systems = np.array([len(meta.ases.systems) for meta in metas])
+        n_systems = meta_systems[meta_of]
+        as_rows = _ragged_rows(
+            (np.cumsum(meta_systems) - meta_systems)[meta_of], n_systems
+        )
+
+        lanes = self._pair_streams.lanes(
+            self._pair_digests(probes, regions, pair_probes, pair_regions)
+        )
+        count_draws = lanes.random(np.zeros_like(n_systems), n_systems)
+        scales = _as_terms(metas, "count_scales", np.float64)[as_rows]
+        bases = _as_terms(metas, "count_bases", np.int64)[as_rows]
         counts = bases + (count_draws * scales).astype(np.int64)
         total_hops = np.add.reduceat(counts, np.cumsum(n_systems) - n_systems)
         address_draws = lanes.random(n_systems, total_hops)
-        distances = [
-            probe.location.distance_km(region.location) for probe, region in pairs
-        ]
-        sigmas = np.array([meta.sigma_base for meta in metas]) + (
-            np.array(distances) / 1000.0
-        ) * np.array([meta.sigma_per_1000km for meta in metas])
-        fibers = [
-            2.0 * one_way_fiber_ms(distance, meta.stretch)
-            for distance, meta in zip(distances, metas)
-        ]
-        return _Prepared(metas, distances, sigmas, fibers, counts, address_draws)
 
-    def _add_paths(self, probes: Sequence[Probe], prepared: _Prepared) -> int:
+        probe_points = [probe.location for probe in probes]
+        region_points = [region.location for region in regions]
+        distances = np.array(
+            [
+                probe_points[p].distance_km(region_points[r])
+                for p, r in zip(pair_probes.tolist(), pair_regions.tolist())
+            ]
+        )
+        sigma_base = np.array([meta.sigma_base for meta in metas])[meta_of]
+        sigma_slope = np.array([meta.sigma_per_1000km for meta in metas])[meta_of]
+        sigmas = sigma_base + (distances / 1000.0) * sigma_slope
+        # Two-way one_way_fiber_ms: the same products in the same order.
+        stretches = np.array([meta.stretch for meta in metas])[meta_of]
+        fibers = 2.0 * (distances * stretches * FIBER_PATH_MS_PER_KM)
+        return _Prepared(
+            metas,
+            meta_of,
+            n_systems,
+            as_rows,
+            distances,
+            sigmas,
+            fibers,
+            counts,
+            address_draws,
+        )
+
+    def _pair_digests(
+        self,
+        probes: Sequence[Probe],
+        regions: Sequence[CloudRegion],
+        pair_probes: np.ndarray,
+        pair_regions: np.ndarray,
+    ) -> np.ndarray:
+        """The spawn key of every pair's planning stream.
+
+        Equals ``name_digest(f"path.{probe_id}.{provider}.{region}")``.
+        The digest is a linear fold, so a pair's digest is its probe's
+        prefix fold times the region suffix's power plus the suffix
+        fold, modulo 2**63: computed in wrapping ``uint64`` arithmetic
+        and masked to 63 bits, which is exact because 2**63 divides
+        2**64.  Prefix and suffix folds are cached per probe and region.
+        """
+        prefixes = np.zeros(len(probes), np.uint64)
+        for code in np.unique(pair_probes).tolist():
+            probe_id = probes[code].probe_id
+            prefix = self._probe_digest.get(probe_id)
+            if prefix is None:
+                prefix = self._probe_digest[probe_id] = name_digest(
+                    f"path.{probe_id}."
+                )
+            prefixes[code] = prefix
+        suffixes = np.zeros((len(regions), 2), np.uint64)
+        for code in np.unique(pair_regions).tolist():
+            region = regions[code]
+            region_key = (region.provider_code, region.region_id)
+            suffix = self._region_digest.get(region_key)
+            if suffix is None:
+                tail = f"{region.provider_code}.{region.region_id}"
+                suffix = (name_digest(tail), pow(1_000_003, len(tail), 2**63))
+                self._region_digest[region_key] = suffix
+            suffixes[code] = suffix
+        return (
+            prefixes[pair_probes] * suffixes[pair_regions, 1]
+            + suffixes[pair_regions, 0]
+        ) & np.uint64(2**63 - 1)
+
+    def _add_paths(
+        self,
+        probes: Sequence[Probe],
+        pair_probes: np.ndarray,
+        prepared: _Prepared,
+    ) -> int:
         """Place every hop of a prepared batch and append the batch's
         paths to the table; returns the first new row.
 
         Fractions along each great circle, spherical interpolation, the
         linear noise-free RTT profile, and router addresses are plain
-        array expressions over the batch's concatenated routers; then
-        each path's IXP port and destination hop go in at their offsets.
+        array expressions over the batch's concatenated routers, with
+        per-meta and per-AS terms gathered from arrays; then each path's
+        IXP port and destination hop go in at their offsets.
         """
         path_config = self._config.path_model
         metas = prepared.metas
+        meta_of = prepared.meta_of
         counts = prepared.counts
-        n_systems = np.array([len(meta.ases.systems) for meta in metas])
-        first_as = np.cumsum(n_systems) - n_systems
+        n_paths = len(meta_of)
+        first_as = np.cumsum(prepared.n_systems) - prepared.n_systems
         routers = np.add.reduceat(counts, first_as)
-        router_offsets = np.zeros(len(metas) + 1, dtype=np.int64)
+        router_offsets = np.zeros(n_paths + 1, dtype=np.int64)
         np.cumsum(routers, out=router_offsets[1:])
         total = int(router_offsets[-1])
-        path_of = np.repeat(np.arange(len(metas)), routers)
+        path_of = np.repeat(np.arange(n_paths), routers)
         local = np.arange(total) - router_offsets[:-1][path_of]
         ordinals = local + 1.0
         fractions = ordinals / (routers + 1.0)[path_of]
+
+        def per_meta(values: List[object], dtype: type = np.float64) -> np.ndarray:
+            return np.array(values, dtype=dtype)[meta_of]
 
         # Spherical interpolation across all paths at once.  The common
         # 1/sin(delta) slerp factor cancels inside atan2 and is skipped;
         # delta is floored at 1e-9 rad so coincident endpoints degrade to
         # the endpoint itself instead of 0/0.
-        region_lats = [meta.region.location.lat for meta in metas]
-        region_lons = [meta.region.location.lon for meta in metas]
-        lat1 = np.radians([probe.location.lat for probe in probes])
-        lon1 = np.radians([probe.location.lon for probe in probes])
+        region_lats = per_meta([meta.region.location.lat for meta in metas])
+        region_lons = per_meta([meta.region.location.lon for meta in metas])
+        probe_lats = np.array([probe.location.lat for probe in probes])
+        probe_lons = np.array([probe.location.lon for probe in probes])
+        lat1 = np.radians(probe_lats[pair_probes])
+        lon1 = np.radians(probe_lons[pair_probes])
         lat2 = np.radians(region_lats)
         lon2 = np.radians(region_lons)
-        delta = np.maximum(np.array(prepared.distances) / EARTH_RADIUS_KM, 1e-9)
+        delta = np.maximum(prepared.distances / EARTH_RADIUS_KM, 1e-9)
         cos1 = np.cos(lat1)
         cos2 = np.cos(lat2)
         scaled = fractions * delta[path_of]
@@ -934,8 +1033,8 @@ class PathPlanner:
 
         # Noise-free RTT profile: linear in the path fraction plus per-hop
         # processing, shared minimum, and the fixed overheads.
-        fibers = np.array(prepared.fibers)
-        fixed = np.array([meta.fixed_rtt for meta in metas])
+        fibers = prepared.fibers
+        fixed = per_meta([meta.fixed_rtt for meta in metas])
         grows = fibers + fixed
         router_rtts = (
             grows[path_of] * fractions
@@ -954,8 +1053,8 @@ class PathPlanner:
         # offset maps onto [16, prefix.size - 16) inside its owner's
         # prefix, matching the old per-AS integer draws in distribution.
         def per_as(field: str, dtype: type) -> np.ndarray:
-            flat = [value for meta in metas for value in getattr(meta.ases, field)]
-            return np.repeat(np.array(flat, dtype=dtype), counts)
+            terms = _as_terms(metas, field, dtype)
+            return np.repeat(terms[prepared.as_rows], counts)
 
         spans = per_as("prefix_spans", np.float64)
         addresses = (
@@ -966,9 +1065,10 @@ class PathPlanner:
 
         # Where every hop goes: routers in order, shifted past the IXP
         # port that follows the ISP's routers; the endpoint last.
-        has_ixp = np.array([meta.ixp_hop is not None for meta in metas])
+        ixp_hops = [meta.ixp_hop or (NO_IXP, 0, 0.0, 0.0) for meta in metas]
+        has_ixp = per_meta([meta.ixp_hop is not None for meta in metas], bool)
         hop_counts = routers + has_ixp + 1
-        hop_offsets = np.zeros(len(metas) + 1, dtype=np.int64)
+        hop_offsets = np.zeros(n_paths + 1, dtype=np.int64)
         np.cumsum(hop_counts, out=hop_offsets[1:])
         isp_routers = counts[first_as]
         at = (
@@ -982,13 +1082,15 @@ class PathPlanner:
         ixp_neighbor = router_offsets[ixp_paths] + np.minimum(
             isp_routers[ixp_paths], routers[ixp_paths] - 1
         )
-        ixp_hops = [metas[p].ixp_hop for p in ixp_paths.tolist()]
         ixp_ids, ixp_addresses, ixp_lats, ixp_lons = (
-            [hop[field] for hop in ixp_hops] for field in range(4)
+            per_meta([hop[field] for hop in ixp_hops], dtype)[ixp_paths]
+            for field, dtype in enumerate(
+                (np.int64, np.int64, np.float64, np.float64)
+            )
         )
         end_at = hop_offsets[1:] - 1
-        dests = np.array([meta.dest_address for meta in metas], dtype=np.int64)
-        cloud_asns = [meta.ases.as_path[-1] for meta in metas]
+        dests = per_meta([meta.dest_address for meta in metas], np.int64)
+        cloud_asns = per_meta([meta.ases.as_path[-1] for meta in metas], np.int64)
         router_lats = np.degrees(np.arctan2(z, np.hypot(x, y)))
         router_lons = np.degrees(np.arctan2(y, x))
         # Each hop column's (router, IXP port, endpoint) values.
@@ -1014,20 +1116,22 @@ class PathPlanner:
             column[end_at] = end
             hops[name] = column
 
-        public = np.array(
-            [meta.interconnect is InterconnectKind.PUBLIC for meta in metas]
+        public = per_meta(
+            [meta.interconnect is InterconnectKind.PUBLIC for meta in metas], bool
         )
         congestion = path_config.congestion_probability
         return self.table.append(
-            [probe.probe_id for probe in probes],
+            np.array([probe.probe_id for probe in probes], dtype=object)[
+                pair_probes
+            ].tolist(),
             {
                 "base_rtt": base_rtts,
                 "sigma": prepared.sigmas,
                 "congestion": np.where(public, congestion, congestion * 0.25),
                 "dest": dests,
                 "hop_count": hop_counts,
-                "distance": np.array(prepared.distances),
-                "meta": np.array([meta.index for meta in metas]),
+                "distance": prepared.distances,
+                "meta": per_meta([meta.index for meta in metas], np.int64),
             },
             hops,
         )
@@ -1089,3 +1193,19 @@ def _hop_count_terms(
         for system in systems
     )
     return scales, bases
+
+
+def _as_terms(metas: Sequence[_RouteMeta], field: str, dtype: type) -> np.ndarray:
+    """One per-AS term of every meta's AS path, flat in meta order."""
+    return np.array(
+        [value for meta in metas for value in getattr(meta.ases, field)], dtype=dtype
+    )
+
+
+def _ragged_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i], ..., starts[i] + lengths[i] - 1``, for
+    every ``i`` in turn."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(
+        int(ends[-1]) if len(ends) else 0
+    )

@@ -831,6 +831,17 @@ def trace_block_from_records(
     )
 
 
+def first_seen(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each distinct key of ``keys`` first occurs, in that order,
+    and each key's index among the distinct keys: the order in which a
+    dict filled row by row would hold them."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
 def join_offsets(parts: Sequence[np.ndarray]) -> np.ndarray:
     """Offsets of ragged columns laid end to end."""
     counts = np.concatenate([np.diff(part) for part in parts])
@@ -901,12 +912,55 @@ def concatenate_blocks(blocks: Sequence[Block]) -> Block:
 def dataset_pings(dataset: "MeasurementDataset") -> PingBlock:
     """Every ping of an in-memory or stored dataset as one block, in the
     order of its ``pings()``: its scalar records (as one block), then its
-    blocks.  This is the column view the ping analyses group."""
+    blocks.  This is the column view the ping analyses group.
+
+    The view is built once per dataset revision and shared by every
+    caller until the dataset changes (see :class:`PingsView`), so its
+    arrays are read-only.
+    """
+    return dataset.pings_view.get(dataset)
+
+
+class PingsView:
+    """A dataset's :func:`dataset_pings` view, kept until its revision
+    changes.
+
+    A dataset's ``revision`` changes whenever its pings may have: an
+    in-memory dataset counts its additions, and a stored dataset reports
+    its journal digest.
+    """
+
+    __slots__ = ("_revision", "_view")
+
+    def __init__(self) -> None:
+        self._revision: object = None
+        self._view: Optional[PingBlock] = None
+
+    def get(self, dataset: "MeasurementDataset") -> PingBlock:
+        revision = dataset.revision
+        if self._view is None or revision != self._revision:
+            self._view = None  # let the old view go before the new one
+            self._view = _read_only(_join_pings(dataset))
+            self._revision = revision
+        return self._view
+
+
+def _join_pings(dataset: "MeasurementDataset") -> PingBlock:
     blocks = list(dataset.iter_ping_blocks())
     scalar = list(dataset.iter_scalar_pings())
     if scalar or not blocks:
         blocks.insert(0, ping_block_from_records(scalar))
     return concatenate_blocks(blocks)
+
+
+def _read_only(block: PingBlock) -> PingBlock:
+    """A block over read-only views of ``block``'s columns."""
+    columns = {
+        name: getattr(block, name).view() for name in PING_COLUMN_DTYPES
+    }
+    for column in columns.values():
+        column.flags.writeable = False
+    return PingBlock(probes=block.probes, regions=block.regions, **columns)
 
 
 class MeasurementDataset:
@@ -924,11 +978,21 @@ class MeasurementDataset:
         self._ping_blocks: List[PingBlock] = []
         self._traceroutes: List[TracerouteMeasurement] = []
         self._trace_blocks: List[TraceBlock] = []
+        self._revision = 0
+        #: The shared :func:`dataset_pings` view.
+        self.pings_view = PingsView()
+
+    @property
+    def revision(self) -> int:
+        """The number of additions so far: it changes whenever the
+        dataset does."""
+        return self._revision
 
     # -- construction -----------------------------------------------------
 
     def add_ping(self, measurement: PingMeasurement) -> None:
         self._pings.append(measurement)
+        self._revision += 1
 
     def add_ping_block(self, block: PingBlock) -> None:
         """Append a ping batch.  The block is schema-validated first, so a
@@ -936,15 +1000,18 @@ class MeasurementDataset:
         codes) fails here instead of in an analysis or a shard later."""
         block.validate()
         self._ping_blocks.append(block)
+        self._revision += 1
 
     def add_traceroute(self, measurement: TracerouteMeasurement) -> None:
         self._traceroutes.append(measurement)
+        self._revision += 1
 
     def add_trace_block(self, block: TraceBlock) -> None:
         """Append a traceroute batch, schema-validated like
         :meth:`add_ping_block`."""
         block.validate()
         self._trace_blocks.append(block)
+        self._revision += 1
 
     def extend(self, other: "MeasurementDataset") -> None:
         """Merge another dataset -- in memory or a store view -- into this
@@ -955,6 +1022,7 @@ class MeasurementDataset:
         self._traceroutes.extend(other.iter_scalar_traceroutes())
         for trace_block in other.iter_trace_blocks():
             self.add_trace_block(trace_block)
+        self._revision += 1
 
     # -- access ------------------------------------------------------------
 

@@ -4,15 +4,20 @@
 :class:`repro.faults.injectors.FaultyEngine` does for harness faults,
 but instead of corrupting calls it *reshapes* them around the network:
 
-- a unit's request list is mapped onto the day's virtual-time slots
+- a unit's request block is mapped onto the day's virtual-time slots
   (request ``i`` of ``n`` executes at slot ``i * SLOTS_PER_DAY // n``),
-  splitting the batch into contiguous per-epoch segments;
+  splitting the batch into contiguous per-epoch segments cut from one
+  slot array;
 - each segment installs its epoch's :class:`EpochTopologyView` on the
   planner's :class:`~repro.measure.pathpolicy.FailoverPathPolicy`, so
   surviving requests plan over re-converged routes;
 - requests towards a region under a regional outage, and requests whose
   serving ISP lost all routes to the provider in this epoch, are dropped
-  (no measurement row) with the responsible event recorded;
+  (no measurement row) with the responsible event recorded.  Outages
+  are decided once per region of the block's table and routing verdicts
+  once per (provider, ISP, continent) scope, then applied to the rows as
+  masks; a segment's survivors are a
+  :meth:`~repro.measure.requests.RequestBlock.take` of the block;
 - survivors execute through the inner engine *with the unit's own
   generator threaded sequentially through the segments*, so the wrapper
   adds no draws of its own and an event-free day is draw-for-draw
@@ -40,21 +45,19 @@ from typing import (
 import numpy as np
 
 from repro.cloud.regions import CloudRegion
-from repro.measure.batch import PingRequest, TraceRequest
 from repro.measure.engine import BatchEngine
 from repro.measure.pathpolicy import FailoverPathPolicy
+from repro.measure.requests import PingRequests, RequestBlock, TraceRequests
 from repro.measure.results import (
     PING_COLUMN_DTYPES,
     TRACE_COLUMN_DTYPES,
     PingBlock,
     TraceBlock,
+    first_seen,
 )
 from repro.netfaults.events import SLOTS_PER_DAY, DayTimeline, NetworkEvent
 from repro.netfaults.plan import NetworkFaultPlan
 from repro.platforms.probe import Probe
-
-#: Per-request annotation: (epoch, outage event id or -1).
-_Annotation = Tuple[int, int]
 
 
 def find_netfault_engine(engine: object) -> Optional["NetfaultEngine"]:
@@ -162,8 +165,7 @@ class NetfaultEngine:
         #: (keep, blame event id, reroute event id).  Routing verdicts
         #: are pure given the epoch's view and the policy state, and the
         #: key space collapses hard (probes share ISPs, regions share
-        #: networks), so ping and trace batches resolve each scope once
-        #: and the per-request loop is a single dict probe.
+        #: networks), so ping and trace batches resolve each scope once.
         self._verdicts: Dict[
             Tuple, Dict[Tuple, Tuple[bool, int, int]]
         ] = {}
@@ -191,148 +193,173 @@ class NetfaultEngine:
     # -- segmentation ------------------------------------------------------
 
     def _segments(
-        self, requests: Sequence
+        self, requests: RequestBlock
     ) -> List[Tuple[int, int, int, int]]:
-        """Contiguous (start, end, day, epoch) runs of a request list.
+        """Contiguous (start, end, day, epoch) runs of a request block.
 
         Request ``i`` of ``n`` executes at virtual slot
         ``i * SLOTS_PER_DAY // n``; the slot is non-decreasing in ``i``
-        so equal-epoch runs are contiguous and the inner engine sees
-        each epoch's survivors as one ordered sub-batch.
+        so a day's equal-epoch runs are contiguous and the inner engine
+        sees each epoch's survivors as one ordered sub-batch.  Every
+        row's epoch comes from one slot array per day of the block.
         """
         n = len(requests)
-        segments: List[Tuple[int, int, int, int]] = []
-        start = 0
-        current: Optional[Tuple[int, int]] = None
-        slots_day = -1
-        slots: List[int] = []
-        for i in range(n):
-            day = int(requests[i].day)
-            if day != slots_day:
-                timeline = self._plan.timeline(day)
-                slots = [
-                    timeline.epoch_at(slot) for slot in range(SLOTS_PER_DAY)
-                ]
-                slots_day = day
-            epoch = slots[i * SLOTS_PER_DAY // n]
-            if current is None:
-                current = (day, epoch)
-            elif (day, epoch) != current:
-                segments.append((start, i, current[0], current[1]))
-                start = i
-                current = (day, epoch)
-        if current is not None:
-            segments.append((start, n, current[0], current[1]))
-        return segments
+        if not n:
+            return []
+        days = requests.days
+        slots = np.arange(n, dtype=np.int64) * SLOTS_PER_DAY // n
+        epochs = np.empty(n, np.int64)
+        for day in np.unique(days).tolist():
+            boundaries = self._plan.timeline(day).boundaries
+            on_day = days == day
+            epochs[on_day] = (
+                np.searchsorted(boundaries, slots[on_day], side="right") - 1
+            )
+        cuts = np.ones(n, bool)
+        cuts[1:] = (days[1:] != days[:-1]) | (epochs[1:] != epochs[:-1])
+        starts = np.flatnonzero(cuts)
+        ends = np.append(starts[1:], n)
+        return list(
+            zip(
+                starts.tolist(),
+                ends.tolist(),
+                days[starts].tolist(),
+                epochs[starts].tolist(),
+            )
+        )
 
     def _filter_segment(
         self,
-        requests: Sequence,
+        requests: RequestBlock,
+        scopes: np.ndarray,
+        rows: np.ndarray,
         timeline: DayTimeline,
         epoch: int,
         view,
-    ) -> Tuple[List, List[_Annotation], Dict[int, List[int]]]:
-        """Apply one epoch's events to a segment's requests.
+    ) -> Tuple[np.ndarray, np.ndarray, Dict[int, List[int]]]:
+        """Apply one epoch's events to the block's ``rows``.
 
-        Returns the surviving requests, their (epoch, outage id)
-        annotations, and per-event (dropped, rerouted) counters.
+        ``scopes`` are the block's :func:`_verdict_scopes`.  Returns the
+        surviving rows, their outage ids (the rerouting event, or
+        ``-1``), and per-event (dropped, rerouted) counters.
         """
-        topology = self._plan.topology
         outages = timeline.outages(epoch)
         removed = timeline.removed_edges(epoch)
-        graph_events = tuple(
-            event
-            for event in timeline.active[epoch]
-            if event.edge is not None
-        )
         effects: Dict[int, List[int]] = {}
-        survivors: List = []
-        annotations: List[_Annotation] = []
+        reroutes = np.full(len(rows), -1, np.int64)
         outage_keys = {
             (event.network, event.continent): event.event_id
             for event in reversed(outages)
         }
         if not outage_keys and not removed:
             # Event-free epoch: everything survives on baseline routes.
-            return (
-                list(requests),
-                [(epoch, -1)] * len(requests),
-                effects,
-            )
-        network_of = self._network_of
-        has_outages = bool(outage_keys)
-        # Scopes whose table is the baseline object need no per-pair
-        # verdict at all: every measured pair has a baseline route
-        # (the planner raises otherwise), and a baseline table proves no
-        # selected path rides a removed edge, so the verdict is always
-        # (keep, no reroute).  Only valid while no path is explicitly
-        # marked down -- down marks are per (isp, network, continent),
-        # finer than scope.
-        scope_fastpath = bool(removed) and not self._policy.down_paths
-        verdicts: Dict[Tuple, Tuple[bool, int, int]] = {}
+            return rows, reroutes, effects
+        keep = np.ones(len(rows), bool)
+        if outage_keys:
+            outage_of = np.array(
+                [
+                    outage_keys.get(
+                        (self._network(region.provider_code), region.continent),
+                        -1,
+                    )
+                    for region in requests.regions
+                ],
+                np.int64,
+            )[requests.region_codes[rows]]
+            keep = outage_of < 0
+            _count_effects(effects, outage_of[~keep], 0)
         if removed:
-            verdicts = self._verdicts.setdefault(
-                (timeline.day, epoch, self._policy.cache_token()), {}
+            live = np.flatnonzero(keep)
+            keeps, blames, reroute_ids = self._verdicts_of(
+                requests, scopes, rows[live], timeline, epoch, view
             )
-        keep_verdict = (True, -1, -1)
-        for request in requests:
-            probe = request.probe
-            region = request.region
-            provider_code = region.provider_code
-            if has_outages:
-                network = network_of.get(provider_code)
-                if network is None:
-                    network = topology.network_code(provider_code)
-                    network_of[provider_code] = network
-                outage_id = outage_keys.get((network, region.continent))
-                if outage_id is not None:
-                    effects.setdefault(outage_id, [0, 0])[0] += 1
-                    continue
-            reroute_id = -1
-            if removed:
-                vkey = (provider_code, probe.isp_asn, probe.continent)
-                verdict = verdicts.get(vkey)
-                if verdict is None:
-                    if scope_fastpath and (
-                        view.scope_token(provider_code, probe.continent)
-                        is None
-                    ):
-                        verdict = keep_verdict
-                    elif (
-                        self._policy.as_path(
-                            topology,
-                            probe.isp_asn,
-                            provider_code,
-                            probe.continent,
-                        )
-                        is None
-                    ):
-                        blame = (
-                            graph_events[0].event_id if graph_events else -1
-                        )
-                        verdict = (False, blame, -1)
-                    else:
-                        verdict = (
-                            True,
-                            -1,
-                            self._reroute_event(
-                                topology,
-                                probe,
-                                provider_code,
-                                graph_events,
-                            ),
-                        )
-                    verdicts[vkey] = verdict
-                keep, blame, reroute_id = verdict
-                if not keep:
-                    if blame >= 0:
-                        effects.setdefault(blame, [0, 0])[0] += 1
-                    continue
-                if reroute_id >= 0:
-                    effects.setdefault(reroute_id, [0, 0])[1] += 1
-            survivors.append(request)
-            annotations.append((epoch, reroute_id))
-        return survivors, annotations, effects
+            _count_effects(effects, blames[~keeps & (blames >= 0)], 0)
+            rerouted = keeps & (reroute_ids >= 0)
+            _count_effects(effects, reroute_ids[rerouted], 1)
+            keep[live[~keeps]] = False
+            reroutes[live] = np.where(keeps, reroute_ids, -1)
+        return rows[keep], reroutes[keep], effects
+
+    def _network(self, provider_code: str) -> str:
+        network = self._network_of.get(provider_code)
+        if network is None:
+            network = self._network_of[provider_code] = (
+                self._plan.topology.network_code(provider_code)
+            )
+        return network
+
+    def _verdicts_of(
+        self,
+        requests: RequestBlock,
+        scopes: np.ndarray,
+        rows: np.ndarray,
+        timeline: DayTimeline,
+        epoch: int,
+        view,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row, whether it keeps a route, the event blamed when it
+        does not, and the event that rerouted it: one verdict per
+        distinct scope (``scopes``) of the rows.
+
+        Scopes whose table is the baseline object need no per-pair
+        verdict at all: every measured pair has a baseline route (the
+        planner raises otherwise), and a baseline table proves no
+        selected path rides a removed edge, so the verdict is always
+        (keep, no reroute).  Only valid while no path is explicitly
+        marked down -- down marks are per (isp, network, continent),
+        finer than scope.
+        """
+        topology = self._plan.topology
+        graph_events = tuple(
+            event for event in timeline.active[epoch] if event.edge is not None
+        )
+        scope_fastpath = not self._policy.down_paths
+        verdicts = self._verdicts.setdefault(
+            (timeline.day, epoch, self._policy.cache_token()), {}
+        )
+        probes, regions = requests.probes, requests.regions
+        firsts, scope_of = first_seen(scopes[rows])
+        probe_codes = requests.probe_codes[rows]
+        region_codes = requests.region_codes[rows]
+        scope_verdicts: List[Tuple[bool, int, int]] = []
+        for probe_code, region_code in zip(
+            probe_codes[firsts].tolist(), region_codes[firsts].tolist()
+        ):
+            probe = probes[probe_code]
+            provider_code = regions[region_code].provider_code
+            vkey = (provider_code, probe.isp_asn, probe.continent)
+            verdict = verdicts.get(vkey)
+            if verdict is None:
+                if scope_fastpath and (
+                    view.scope_token(provider_code, probe.continent) is None
+                ):
+                    verdict = (True, -1, -1)
+                elif (
+                    self._policy.as_path(
+                        topology, probe.isp_asn, provider_code, probe.continent
+                    )
+                    is None
+                ):
+                    blame = graph_events[0].event_id if graph_events else -1
+                    verdict = (False, blame, -1)
+                else:
+                    verdict = (
+                        True,
+                        -1,
+                        self._reroute_event(
+                            topology, probe, provider_code, graph_events
+                        ),
+                    )
+                verdicts[vkey] = verdict
+            scope_verdicts.append(verdict)
+        if not scope_verdicts:
+            return np.empty(0, bool), np.empty(0, np.int64), np.empty(0, np.int64)
+        keeps, blames, reroute_ids = zip(*scope_verdicts)
+        return (
+            np.array(keeps, bool)[scope_of],
+            np.array(blames, np.int64)[scope_of],
+            np.array(reroute_ids, np.int64)[scope_of],
+        )
 
     @staticmethod
     def _reroute_event(
@@ -377,7 +404,7 @@ class NetfaultEngine:
         self,
         kind: Type[_Block],
         execute: Callable[..., _Block],
-        requests: Sequence,
+        requests: RequestBlock,
         rng: Optional[np.random.Generator],
     ) -> _Block:
         """Run ``execute`` on each epoch segment's survivors; one block.
@@ -386,44 +413,43 @@ class NetfaultEngine:
         its ``epochs`` / ``outage_ids`` columns.
         """
         blocks: List[_Block] = []
-        annotations: List[_Annotation] = []
+        epochs: List[np.ndarray] = [np.empty(0, np.int32)]
+        outage_ids: List[np.ndarray] = [np.empty(0, np.int32)]
+        scopes = _verdict_scopes(requests)
         try:
             for start, end, day, epoch in self._segments(requests):
                 timeline = self._plan.timeline(day)
                 view = self._plan.view(timeline.removed_edges(epoch))
                 self._policy.set_view(view)
-                survivors, notes, effects = self._filter_segment(
-                    requests[start:end], timeline, epoch, view
+                rows, reroutes, effects = self._filter_segment(
+                    requests, scopes, np.arange(start, end), timeline, epoch, view
                 )
                 self._journal(timeline, effects)
-                if survivors:
-                    blocks.append(execute(survivors, rng=rng))
-                    annotations.extend(notes)
+                if len(rows):
+                    blocks.append(execute(requests.take(rows), rng=rng))
+                    epochs.append(np.full(len(rows), epoch, np.int32))
+                    outage_ids.append(reroutes.astype(np.int32))
         finally:
             self._policy.set_view(None)
-        epochs = np.array(
-            [note[0] for note in annotations], np.int32
-        )
-        outage_ids = np.array(
-            [note[1] for note in annotations], np.int32
-        )
+        epoch_column = np.concatenate(epochs)
+        outage_column = np.concatenate(outage_ids)
         if len(blocks) == 1:
             block = blocks[0]
-            block.epochs = epochs
-            block.outage_ids = outage_ids
+            block.epochs = epoch_column
+            block.outage_ids = outage_column
             return block
-        return _merge_blocks(kind, blocks, epochs, outage_ids)
+        return _merge_blocks(kind, blocks, epoch_column, outage_column)
 
     def ping_batch(
         self,
-        requests: Sequence[PingRequest],
+        requests: PingRequests,
         rng: Optional[np.random.Generator] = None,
     ) -> PingBlock:
         return self._execute(PingBlock, self._inner.ping_batch, requests, rng)
 
     def traceroute_batch(
         self,
-        requests: Sequence[TraceRequest],
+        requests: TraceRequests,
         rng: Optional[np.random.Generator] = None,
     ) -> TraceBlock:
         return self._execute(
@@ -432,3 +458,39 @@ class NetfaultEngine:
 
     def __repr__(self) -> str:
         return f"NetfaultEngine(plan={self._plan!r})"
+
+
+def _count_effects(
+    effects: Dict[int, List[int]], event_ids: np.ndarray, slot: int
+) -> None:
+    """Add each event's number of rows in ``event_ids`` to its
+    (dropped, rerouted) counter ``slot``."""
+    ids, counts = np.unique(event_ids, return_counts=True)
+    for event_id, count in zip(ids.tolist(), counts.tolist()):
+        effects.setdefault(event_id, [0, 0])[slot] += count
+
+
+def _verdict_scopes(requests: RequestBlock) -> np.ndarray:
+    """Per row, a code two rows share exactly when their probes' (ISP,
+    continent) and their regions' provider are equal: the scope of a
+    routing verdict."""
+    probe_scopes: Dict[Tuple[int, object], int] = {}
+    probe_scope = np.array(
+        [
+            probe_scopes.setdefault((probe.isp_asn, probe.continent), len(probe_scopes))
+            for probe in requests.probes
+        ],
+        np.int64,
+    )
+    providers: Dict[str, int] = {}
+    region_provider = np.array(
+        [
+            providers.setdefault(region.provider_code, len(providers))
+            for region in requests.regions
+        ],
+        np.int64,
+    )
+    return (
+        probe_scope[requests.probe_codes] * max(len(providers), 1)
+        + region_provider[requests.region_codes]
+    )

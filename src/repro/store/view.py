@@ -2,12 +2,13 @@
 
 :class:`StoredDataset` duck-types the :class:`MeasurementDataset` read
 API -- ``pings()``, ``traceroutes()``, the count properties, and the
-columnar accessors used by the JSONL fast path -- but never holds more
-than one decoded shard at a time.  Analyses (:class:`StudyContext`, the
+columnar accessors used by the JSONL fast path.  Iteration holds one
+decoded shard at a time.  Analyses (:class:`StudyContext`, the
 experiment modules, :func:`repro.measure.io.save_dataset`) consume it
 unchanged.  Export streams shard by shard; the analyses join the shards'
 columns (:func:`repro.measure.results.dataset_pings`, trace resolution)
-and never build a record.
+and never build a record.  The joined ping columns are kept, once,
+until the store's journal changes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 from repro.measure.results import (
     PingBlock,
     PingMeasurement,
+    PingsView,
     Protocol,
     TraceBlock,
     TracerouteMeasurement,
@@ -33,15 +35,25 @@ class StoredDataset:
     call walks the journal, maps one shard, yields its records, and lets
     the block (and its page cache) go before touching the next.  Counts
     come straight from the journal, so ``len``-style queries read no
-    shard bytes at all.
+    shard bytes at all.  The one thing kept is the
+    :func:`~repro.measure.results.dataset_pings` view, which joins every
+    ping shard's columns: the ping figures share it until the journal's
+    digest changes.
     """
 
     def __init__(self, store: "DatasetStore") -> None:
         self._store = store
+        #: The shared :func:`~repro.measure.results.dataset_pings` view.
+        self.pings_view = PingsView()
 
     @property
     def store(self) -> "DatasetStore":
         return self._store
+
+    @property
+    def revision(self) -> str:
+        """The journal's digest: it changes whenever the store does."""
+        return self._store.journal.digest()
 
     # -- counts (journal-only, no shard I/O) -------------------------------
 

@@ -368,6 +368,19 @@ class DatasetStore:
             if problems:
                 raise ShardFormatError(problems[0].replace(str(path), name))
 
+    def _require_open(self, unit: str) -> None:
+        """Raise unless ``unit`` is neither completed nor skipped, from one
+        read of the journal."""
+        kinds = {
+            entry["type"]
+            for entry in self._journal.entries()
+            if entry.get("unit") == unit
+        }
+        if UNIT_ENTRY in kinds:
+            raise StoreError(f"{self._run_dir}: unit {unit!r} already completed")
+        if SKIP_ENTRY in kinds:
+            raise StoreError(f"{self._run_dir}: unit {unit!r} already skipped")
+
     def journal_unit(
         self, entry: Dict[str, Any], extra: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
@@ -377,11 +390,7 @@ class DatasetStore:
         append -- attempt counts, virtual backoff, fault events, and the
         ``"status": "partial"`` marker for degraded units.
         """
-        unit = entry["unit"]
-        if unit in self.completed_units():
-            raise StoreError(f"{self._run_dir}: unit {unit!r} already completed")
-        if unit in self.skipped_units():
-            raise StoreError(f"{self._run_dir}: unit {unit!r} already skipped")
+        self._require_open(entry["unit"])
         if extra:
             entry = {**entry, **extra}
         self._journal.append(entry)
@@ -419,10 +428,7 @@ class DatasetStore:
         journaled, so a serial run leaves the same files as a parallel
         one, whose workers' failed writes stay in discarded staging.
         """
-        if unit in self.completed_units():
-            raise StoreError(f"{self._run_dir}: unit {unit!r} already completed")
-        if unit in self.skipped_units():
-            raise StoreError(f"{self._run_dir}: unit {unit!r} already skipped")
+        self._require_open(unit)
         stem = unit_file_stem(unit)
         for suffix in ("-pings.shard", "-traces.shard"):
             (self.shard_dir / f"{stem}{suffix}").unlink(missing_ok=True)

@@ -8,7 +8,12 @@ import numpy as np
 from repro import SimulationConfig, build_world, run_campaign
 from repro.analysis.peering import CATEGORIES, DIRECT, ONE_IXP, classify_traces
 from repro.core.config import CampaignConfig, PathModelConfig, PlatformConfig
-from repro.measure.batch import PingRequest, TraceRequest
+from repro.measure.requests import (
+    PingRequest,
+    PingRequests,
+    TraceRequest,
+    TraceRequests,
+)
 from repro.measure.results import trace_block_from_records
 from repro.resolve.pipeline import TracerouteResolver
 
@@ -35,7 +40,7 @@ class TestDarkTraceroutes:
         probe = world.speedchecker.probes[0]
         region = world.catalog.all()[0]
         block = world.engine.traceroute_batch(
-            [TraceRequest(probe=probe, region=region)]
+            TraceRequests.from_records([TraceRequest(probe=probe, region=region)])
         )
         trace = block.record(0)
         # Destination hop always answers (it is the measured endpoint),
@@ -112,7 +117,7 @@ class TestDegenerateGeography:
         probe = world.speedchecker.probes[0]
         probe.location = region.location  # park the probe on the DC
         ping = world.engine.ping_batch(
-            [PingRequest(probe=probe, region=region)]
+            PingRequests.from_records([PingRequest(probe=probe, region=region)])
         ).record(0)
         assert all(sample > 0 for sample in ping.samples)
 
@@ -125,7 +130,7 @@ class TestDegenerateGeography:
             r for r in world.catalog.all() if r.country == "ES"
         )
         ping = world.engine.ping_batch(
-            [PingRequest(probe=probe, region=region)]
+            PingRequests.from_records([PingRequest(probe=probe, region=region)])
         ).record(0)
         # Antipodal RTT stays below a sanity ceiling even with jitter.
         assert all(50.0 < sample < 3000.0 for sample in ping.samples)

@@ -1,20 +1,30 @@
 """Per-pair reference for :class:`repro.measure.path.PathPlanner`.
 
-This is path preparation as it ran before the planner cached route
-metadata per (ISP, country, region) and derived a batch's draws in array
-passes: every new pair routes, classifies and stretches its path from
-scratch, then draws its hop counts and its hop addresses from its own
-``default_rng(SeedSequence(entropy, spawn_key=(digest,)))``, the digest
-folded over the full pair name.  It overrides the planner's preparation
-only, so its paths go into a :class:`~repro.measure.path.PathTable` the
-same way; parity tests assert that the planner's ``path(row)`` views
-equal this reference's in every :class:`~repro.measure.path.PlannedPath`
-slot.
+This is path planning as it ran before the planner cached route
+metadata per (ISP, country, region), derived a batch's draws in array
+passes and kept its paths as rows of a
+:class:`~repro.measure.path.PathTable`:
+
+- every pair probes its own cache entry, and every new pair routes,
+  classifies and stretches its path from scratch;
+- it draws its hop counts and then its hop addresses from its own
+  ``default_rng(SeedSequence(entropy, spawn_key=(digest,)))``, the digest
+  folded over the full pair name;
+- its hops are placed, and its :class:`~repro.measure.path.PlannedPath`
+  assembled hop list by hop list, as the planner did before it kept
+  its paths in a table (``_place_hops``, ``_hop_columns`` and
+  ``_finalize``).
+
+It shares none of ``plan_many``, ``_prepare_many``, ``_route_meta``,
+``_pair_digest`` and ``_add_paths`` with the planner it checks: only the
+scope-token lookup and the geography correction of the stretch.  Parity
+tests assert that the planner's ``path(row)`` views equal this
+reference's paths in every slot, at full float64 bits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,19 +35,22 @@ from repro.core.rng import name_digest
 from repro.core.topology import Topology
 from repro.core.units import one_way_fiber_ms
 from repro.geo.continents import Continent
+from repro.geo.coords import EARTH_RADIUS_KM
 from repro.geo.countries import CountryRegistry
 from repro.measure.path import (
     _CLOUD_GEO_SHARE,
     InterconnectKind,
     PathPlanner,
-    _Prepared,
-    _RouteMeta,
+    PlannedPath,
     classify_interconnect,
     effective_stretch,
 )
 from repro.measure.pathpolicy import PathSelectionPolicy
 from repro.net.asn import AS, ASKind
 from repro.platforms.probe import Probe
+
+#: Pre-rendered AS-kind labels.
+_KIND_LABELS = {kind: str(kind) for kind in ASKind}
 
 
 def effective_jitter_sigma(
@@ -91,12 +104,49 @@ def _hop_counts(
     return counts
 
 
+class PathPrep(NamedTuple):
+    """Everything about one pair's path that is decided before hop
+    placement, with the address draw of each of its routers."""
+
+    probe: Probe
+    region: CloudRegion
+    as_path: Tuple[int, ...]
+    interconnect: InterconnectKind
+    distance: float
+    stretch: float
+    sigma: float
+    systems: Tuple[AS, ...]
+    counts: List[int]
+    fixed_rtt: float
+    total_hops: int
+    two_way_fiber: float
+    dest_address: int
+    address_draws: np.ndarray
+
+
+def request_pairs(requests: object) -> List[Tuple[Probe, CloudRegion]]:
+    """The (probe, region) pair of every row of a request batch: a list
+    of pairs, or columns with probe and region tables and code arrays."""
+    if isinstance(requests, (list, tuple)):
+        return list(requests)
+    probes = requests.probes  # type: ignore[attr-defined]
+    regions = requests.regions  # type: ignore[attr-defined]
+    return [
+        (probes[p], regions[r])
+        for p, r in zip(
+            requests.probe_codes.tolist(),  # type: ignore[attr-defined]
+            requests.region_codes.tolist(),  # type: ignore[attr-defined]
+        )
+    ]
+
+
 class ReferencePlanner(PathPlanner):
-    """Prepares each new pair on its own, from uncached routing.
+    """Plans each pair on its own, from uncached routing.
 
     Takes the arguments of ``PathPlanner``.  A pair whose scope token is
-    not ``None`` routes through ``route_policy``, as the planner does;
-    every pair registers a route meta of its own.
+    not ``None`` routes through ``route_policy``, as the planner does.
+    Rows index the reference's own list of :class:`PlannedPath` objects,
+    and :meth:`path` returns them; the planner's path table stays empty.
     """
 
     def __init__(
@@ -119,42 +169,34 @@ class ReferencePlanner(PathPlanner):
             route_policy=route_policy,
         )
         self._entropy = pair_entropy
+        self._paths: List[PlannedPath] = []
+        self._rows: Dict[Tuple[Hashable, ...], int] = {}
 
-    def _prepare_many(
-        self,
-        pairs: Sequence[Tuple[Probe, CloudRegion]],
-        tokens: Sequence[Optional[Hashable]],
-    ) -> _Prepared:
-        metas: List[_RouteMeta] = []
-        distances: List[float] = []
-        sigmas: List[float] = []
-        fibers: List[float] = []
-        counts: List[int] = []
-        address_draws: List[np.ndarray] = []
-        for (probe, region), token in zip(pairs, tokens):
-            meta, distance, sigma, pair_counts, generator = self._prepare_pair(
-                probe, region, token
-            )
-            metas.append(meta)
-            distances.append(distance)
-            sigmas.append(sigma)
-            fibers.append(2.0 * one_way_fiber_ms(distance, meta.stretch))
-            counts.extend(pair_counts)
-            address_draws.append(generator.random(sum(pair_counts)))
-        return _Prepared(
-            metas=metas,
-            distances=distances,
-            sigmas=np.array(sigmas),
-            fibers=fibers,
-            counts=np.array(counts, dtype=np.int64),
-            address_draws=np.concatenate(address_draws),
-        )
+    def plan_many(self, requests: object) -> List[int]:  # type: ignore[override]
+        """One row per pair; each new pair is prepared on its own, and
+        the call's new pairs are placed together."""
+        rows: List[int] = []
+        preps: List[PathPrep] = []
+        for probe, region in request_pairs(requests):
+            token = self._pair_token(region.provider_code, probe.continent)
+            key = (probe.probe_id, region.provider_code, region.region_id, token)
+            row = self._rows.get(key)
+            if row is None:
+                row = self._rows[key] = len(self._paths) + len(preps)
+                preps.append(self._prepare_pair(probe, region, token))
+            rows.append(row)
+        if preps:
+            self._paths.extend(self._assemble(preps))
+        return rows
+
+    def path(self, row: int) -> PlannedPath:
+        return self._paths[row]
 
     def _prepare_pair(
         self, probe: Probe, region: CloudRegion, token: Optional[Hashable]
-    ) -> Tuple[_RouteMeta, float, float, List[int], np.random.Generator]:
-        """One pair's route meta, distance, jitter sigma and hop counts,
-        with the generator that continues its draws."""
+    ) -> PathPrep:
+        """One pair's route, distance, jitter sigma, hop counts and
+        address draws."""
         topology = self._topology
         provider_code = region.provider_code
         network = topology.network_code(provider_code)
@@ -163,6 +205,7 @@ class ReferencePlanner(PathPlanner):
                 probe.isp_asn, provider_code, probe.continent
             )
         else:
+            assert self._route_policy is not None
             as_path = self._route_policy.as_path(
                 topology, probe.isp_asn, provider_code, probe.continent
             )
@@ -188,17 +231,7 @@ class ReferencePlanner(PathPlanner):
             path_config.isp_core_rtt_ms
             + intermediates * path_config.per_intermediate_as_rtt_ms
         )
-        # The meta is this pair's alone, so its sigma is a constant.
-        meta = self._add_route_meta(
-            region,
-            as_path,
-            interconnect,
-            stretch,
-            fixed_rtt,
-            sigma_base=sigma,
-            sigma_per_1000km=0.0,
-        )
-        systems = [topology.registry.get(asn) for asn in as_path]
+        systems = tuple(topology.registry.get(asn) for asn in as_path)
         digest = name_digest(
             f"path.{probe.probe_id}.{provider_code}.{region.region_id}"
         )
@@ -206,4 +239,199 @@ class ReferencePlanner(PathPlanner):
             np.random.SeedSequence(entropy=self._entropy, spawn_key=(digest,))
         )
         counts = _hop_counts(systems, _CLOUD_GEO_SHARE[interconnect], pair_rng)
-        return meta, distance, sigma, counts, pair_rng
+        total = sum(counts)
+        return PathPrep(
+            probe=probe,
+            region=region,
+            as_path=tuple(as_path),
+            interconnect=interconnect,
+            distance=distance,
+            stretch=stretch,
+            sigma=sigma,
+            systems=systems,
+            counts=counts,
+            fixed_rtt=fixed_rtt,
+            total_hops=total,
+            two_way_fiber=2.0 * one_way_fiber_ms(distance, stretch),
+            dest_address=self._region_addresses[
+                (provider_code, region.region_id)
+            ],
+            address_draws=pair_rng.random(total),
+        )
+
+    def _assemble(self, preps: Sequence[PathPrep]) -> List[PlannedPath]:
+        """Place every prep's routers in one pass, then build each path."""
+        lat_list, lon_list, rtt_list, addr_list, offsets = self._place_hops(preps)
+        return [
+            self._finalize(
+                prep,
+                *self._hop_columns(
+                    prep, lat_list, lon_list, rtt_list, addr_list, start
+                ),
+            )
+            for prep, start in zip(preps, offsets)
+        ]
+
+    def _place_hops(
+        self, preps: Sequence[PathPrep]
+    ) -> Tuple[List[float], List[float], List[float], List[int], List[int]]:
+        """Place every router of every prep in one vectorized pass.
+
+        Returns per-router lat/lon/RTT/address lists plus the per-prep
+        start offsets into them.
+        """
+        path_config = self._config.path_model
+        n_hops = np.array([prep.total_hops for prep in preps], dtype=np.int64)
+        offsets = np.zeros(len(preps) + 1, dtype=np.int64)
+        np.cumsum(n_hops, out=offsets[1:])
+        total = int(offsets[-1])
+        path_of = np.repeat(np.arange(len(preps)), n_hops)
+        ordinals = (
+            np.arange(1, total + 1, dtype=np.float64) - offsets[:-1][path_of]
+        )
+        fractions = ordinals / (n_hops + 1.0)[path_of]
+
+        # Spherical interpolation; the common 1/sin(delta) factor cancels
+        # inside atan2, and delta is floored at 1e-9 rad.
+        lat1 = np.radians([prep.probe.location.lat for prep in preps])
+        lon1 = np.radians([prep.probe.location.lon for prep in preps])
+        lat2 = np.radians([prep.region.location.lat for prep in preps])
+        lon2 = np.radians([prep.region.location.lon for prep in preps])
+        delta = np.maximum(
+            np.array([prep.distance for prep in preps]) / EARTH_RADIUS_KM,
+            1e-9,
+        )
+        cos1 = np.cos(lat1)
+        cos2 = np.cos(lat2)
+        scaled = fractions * delta[path_of]
+        s1 = np.sin(delta[path_of] - scaled)
+        s2 = np.sin(scaled)
+        x = s1 * (cos1 * np.cos(lon1))[path_of] + s2 * (cos2 * np.cos(lon2))[path_of]
+        y = s1 * (cos1 * np.sin(lon1))[path_of] + s2 * (cos2 * np.sin(lon2))[path_of]
+        z = s1 * np.sin(lat1)[path_of] + s2 * np.sin(lat2)[path_of]
+        lats = np.degrees(np.arctan2(z, np.hypot(x, y)))
+        lons = np.degrees(np.arctan2(y, x))
+
+        # Noise-free RTT profile: linear in the path fraction plus per-hop
+        # processing, shared minimum, and the fixed overheads.
+        grows = np.array([prep.two_way_fiber + prep.fixed_rtt for prep in preps])
+        base_rtts = (
+            grows[path_of] * fractions
+            + ordinals * path_config.hop_processing_ms
+            + path_config.min_path_rtt_ms
+        )
+
+        # Each router's address offset maps onto [16, prefix.size - 16)
+        # inside its owner's prefix.
+        as_counts: List[int] = []
+        as_bases: List[int] = []
+        as_spans: List[int] = []
+        for prep in preps:
+            for autonomous_system, count in zip(prep.systems, prep.counts):
+                prefix = autonomous_system.prefixes[0]
+                as_counts.append(count)
+                as_bases.append(prefix.base)
+                as_spans.append(prefix.size - 32)
+        spans = np.repeat(np.array(as_spans, dtype=np.float64), as_counts)
+        bases = np.repeat(np.array(as_bases, dtype=np.int64), as_counts)
+        draws = np.concatenate([prep.address_draws for prep in preps])
+        addresses = bases + 16 + (draws * spans).astype(np.int64)
+
+        return (
+            lats.tolist(),
+            lons.tolist(),
+            base_rtts.tolist(),
+            addresses.tolist(),
+            offsets.tolist(),
+        )
+
+    def _hop_columns(
+        self,
+        prep: PathPrep,
+        lat_list: List[float],
+        lon_list: List[float],
+        rtt_list: List[float],
+        addr_list: List[int],
+        start: int,
+    ) -> Tuple[tuple, float]:
+        """One prep's hop columns from the placed routers, with its IXP
+        port and its endpoint hop; and the endpoint's RTT."""
+        path_config = self._config.path_model
+        total = prep.total_hops
+        end = start + total
+        addresses: List[int] = addr_list[start:end]
+        lats = lat_list[start:end]
+        lons = lon_list[start:end]
+        rtts = rtt_list[start:end]
+        asns: List[Optional[int]] = []
+        kinds: List[str] = []
+        for autonomous_system, count in zip(prep.systems, prep.counts):
+            asns.extend((autonomous_system.asn,) * count)
+            kinds.extend((_KIND_LABELS[autonomous_system.kind],) * count)
+        ixp_ids: List[Optional[int]] = [None] * total
+        # IXP port hop between the ISP hops and the cloud hops for direct
+        # sessions over a public exchange fabric.
+        if prep.interconnect is InterconnectKind.DIRECT_IXP:
+            peering = self._topology.peering_for(prep.region.provider_code)
+            ixp_id = peering.direct_isps.get(prep.as_path[0])
+            if ixp_id is not None:
+                ixp = self._topology.ixps.get(ixp_id)
+                insert_at = prep.counts[0]
+                neighbor_rtt = rtts[min(insert_at, total - 1)]
+                addresses.insert(insert_at, ixp.lan_address_for(peering.cloud_asn))
+                asns.insert(insert_at, None)
+                kinds.insert(insert_at, "ixp")
+                lats.insert(insert_at, ixp.location.lat)
+                lons.insert(insert_at, ixp.location.lon)
+                rtts.insert(insert_at, neighbor_rtt)
+                ixp_ids.insert(insert_at, ixp_id)
+
+        # Destination endpoint hop (the VM).
+        base_path_rtt = (
+            prep.two_way_fiber
+            + (total + 1) * path_config.hop_processing_ms
+            + path_config.min_path_rtt_ms
+            + prep.fixed_rtt
+        )
+        location = prep.region.location
+        addresses.append(prep.dest_address)
+        asns.append(prep.as_path[-1])
+        kinds.append(_KIND_LABELS[ASKind.CLOUD])
+        lats.append(location.lat)
+        lons.append(location.lon)
+        rtts.append(base_path_rtt)
+        ixp_ids.append(None)
+        columns = (
+            tuple(addresses),
+            tuple(asns),
+            tuple(kinds),
+            tuple(lats),
+            tuple(lons),
+            tuple(rtts),
+            tuple(ixp_ids),
+        )
+        return columns, base_path_rtt
+
+    def _finalize(
+        self, prep: PathPrep, columns: tuple, base_rtt: float
+    ) -> PlannedPath:
+        path_config = self._config.path_model
+        congestion = (
+            path_config.congestion_probability
+            if prep.interconnect is InterconnectKind.PUBLIC
+            else path_config.congestion_probability * 0.25
+        )
+        return PlannedPath(
+            probe_id=prep.probe.probe_id,
+            region_id=prep.region.region_id,
+            provider_code=prep.region.provider_code,
+            as_path=prep.as_path,
+            interconnect=prep.interconnect,
+            distance_km=prep.distance,
+            stretch=prep.stretch,
+            jitter_sigma=prep.sigma,
+            congestion_probability=congestion,
+            base_path_rtt_ms=base_rtt,
+            hop_columns=columns,
+            dest_address=prep.dest_address,
+        )

@@ -21,15 +21,16 @@ import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from oracles.requests import filter_segment, segments
 
 from repro.lastmile.base import AccessKind
-from repro.measure.batch import TraceRequest
 from repro.measure.latency import (
     congestion_cycle_multiplier,
     icmp_penalty_probability_for,
     sample_hop_rtt_block,
 )
 from repro.measure.path import HOME_ROUTER_ADDRESS
+from repro.measure.requests import TraceRequest, pair_requests
 from repro.measure.results import (
     Protocol,
     TraceHop,
@@ -75,7 +76,7 @@ def execute_traceroute_batch(
     paths = [
         planner.path(row)
         for row in planner.plan_many(
-            [(request.probe, request.region) for request in requests]
+            pair_requests([(request.probe, request.region) for request in requests])
         )
     ]
     accesses: List[AccessKind] = []
@@ -255,12 +256,12 @@ def netfault_traceroute_records(
     records: List[TracerouteMeasurement] = []
     annotations: List[Tuple[int, int]] = []
     try:
-        for start, end, day, epoch in netfault._segments(requests):
+        for start, end, day, epoch in segments(netfault, requests):
             timeline = netfault.plan.timeline(day)
             view = netfault.plan.view(timeline.removed_edges(epoch))
             netfault.policy.set_view(view)
-            survivors, notes, effects = netfault._filter_segment(
-                requests[start:end], timeline, epoch, view
+            survivors, notes, effects = filter_segment(
+                netfault, requests[start:end], timeline, epoch, view
             )
             netfault._journal(timeline, effects)
             if survivors:

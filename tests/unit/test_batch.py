@@ -19,9 +19,14 @@ from repro import build_world
 from repro.analysis.stats import ks_distance
 from repro.core.config import SimulationConfig
 from repro.geo.continents import Continent
-from repro.measure.batch import PingRequest, TraceRequest
 from repro.measure.io import load_dataset, save_dataset
 from repro.measure.latency import icmp_penalty_probability_for, sample_hop_rtt_block
+from repro.measure.requests import (
+    PingRequest,
+    PingRequests,
+    TraceRequest,
+    TraceRequests,
+)
 from repro.measure.results import MeasurementDataset, Protocol
 
 SEED = 99
@@ -70,7 +75,7 @@ class TestBatchScalarEquivalence:
         assert batch_probes, "world has no probes"
         for continent, probe in batch_probes.items():
             block = world.engine.ping_batch(
-                [
+                PingRequests.from_records([
                     PingRequest(
                         probe=probe,
                         region=region,
@@ -78,7 +83,7 @@ class TestBatchScalarEquivalence:
                         samples=BATCH_SAMPLES,
                         day=0,
                     )
-                ]
+                ])
             )
             batch = np.asarray(block.sample_values)
             scalar_probe = scalar_probes[continent]
@@ -136,12 +141,12 @@ class TestBatchScalarEquivalence:
         region = next(iter(world.catalog))
         probe = world.speedchecker.probes[0]
         traces = world.engine.traceroute_batch(
-            [
+            TraceRequests.from_records([
                 TraceRequest(
                     probe=probe, region=region, protocol=Protocol.ICMP, day=0
                 )
                 for _ in range(20)
-            ]
+            ])
         )
         path = world.engine.planned_path(probe, region)
         assert len(traces) == 20
@@ -184,7 +189,8 @@ class TestBatchDeterminism:
         blocks = []
         for _ in range(2):
             world = build_world(seed=SEED, scale=SCALE)
-            blocks.append(world.engine.ping_batch(self.requests_for(world)))
+            requests = PingRequests.from_records(self.requests_for(world))
+            blocks.append(world.engine.ping_batch(requests))
         first, second = blocks
         assert np.array_equal(first.sample_values, second.sample_values)
         assert np.array_equal(first.sample_offsets, second.sample_offsets)
@@ -194,7 +200,7 @@ class TestBatchDeterminism:
     def test_batch_order_preserved(self, world):
         """Row i of the block is request i, whatever the path grouping."""
         requests = self.requests_for(world)
-        block = world.engine.ping_batch(requests)
+        block = world.engine.ping_batch(PingRequests.from_records(requests))
         assert len(block) == len(requests)
         for i, request in enumerate(requests):
             record = block.record(i)
@@ -206,13 +212,13 @@ class TestBatchDeterminism:
 
 class TestBatchEdgeCases:
     def test_empty_ping_batch(self, world):
-        block = world.engine.ping_batch([])
+        block = world.engine.ping_batch(PingRequests.from_records([]))
         assert len(block) == 0
         assert block.sample_count == 0
         assert block.records() == []
 
     def test_empty_traceroute_batch(self, world):
-        block = world.engine.traceroute_batch([])
+        block = world.engine.traceroute_batch(TraceRequests.from_records([]))
         assert len(block) == 0
         assert block.hop_count == 0
         assert block.records() == []
@@ -224,7 +230,7 @@ class TestBatchEdgeCases:
             probe=probe, region=region, protocol=Protocol.TCP, samples=0, day=0
         )
         with pytest.raises(ValueError, match="samples"):
-            world.engine.ping_batch([request])
+            world.engine.ping_batch(PingRequests.from_records([request]))
 
 
 class TestBlockBackedDatasetIO:
@@ -241,17 +247,19 @@ class TestBlockBackedDatasetIO:
             for probe in world.speedchecker.probes[:4]
         ]
         dataset = MeasurementDataset()
-        dataset.add_ping_block(world.engine.ping_batch(requests))
+        dataset.add_ping_block(
+            world.engine.ping_batch(PingRequests.from_records(requests))
+        )
         dataset.add_trace_block(
             world.engine.traceroute_batch(
-                [
+                TraceRequests.from_records([
                     TraceRequest(
                         probe=requests[0].probe,
                         region=region,
                         protocol=Protocol.ICMP,
                         day=0,
                     )
-                ]
+                ])
             )
         )
 

@@ -4,8 +4,13 @@ import pytest
 
 from repro.geo.continents import Continent
 from repro.lastmile.base import AccessKind
-from repro.measure.batch import PingRequest, TraceRequest
 from repro.measure.path import HOME_ROUTER_ADDRESS
+from repro.measure.requests import (
+    PingRequest,
+    PingRequests,
+    TraceRequest,
+    TraceRequests,
+)
 from repro.measure.results import Protocol
 from repro.net.ip import is_private_ip
 
@@ -38,7 +43,7 @@ def eu_region(world, home_probe):
 def ping_one(world, probe, region, **request):
     """One ping request, as a batch of one."""
     block = world.engine.ping_batch(
-        [PingRequest(probe=probe, region=region, **request)]
+        PingRequests.from_records([PingRequest(probe=probe, region=region, **request)])
     )
     return block.record(0)
 
@@ -46,7 +51,7 @@ def ping_one(world, probe, region, **request):
 def traceroute_one(world, probe, region):
     """One traceroute request, as a batch of one."""
     block = world.engine.traceroute_batch(
-        [TraceRequest(probe=probe, region=region)]
+        TraceRequests.from_records([TraceRequest(probe=probe, region=region)])
     )
     return block.record(0)
 

@@ -27,7 +27,12 @@ from repro.faults import (
 from repro.geo.continents import Continent
 from repro.geo.coords import GeoPoint
 from repro.lastmile.base import AccessKind
-from repro.measure.batch import PingRequest, TraceRequest
+from repro.measure.requests import (
+    PingRequest,
+    PingRequests,
+    TraceRequest,
+    TraceRequests,
+)
 from repro.measure.results import (
     PingMeasurement,
     TraceHop,
@@ -344,11 +349,11 @@ class TestFaultyEngine:
         inner = StubEngine()
         engine = FaultyEngine(inner, _faults(FaultConfig()))
         requests = _ping_requests()
-        block = engine.ping_batch(requests)
+        block = engine.ping_batch(PingRequests.from_records(requests))
         assert len(block) == len(requests)
         assert inner.ping_requests == requests
         traces = _trace_requests()
-        block = engine.traceroute_batch(traces)
+        block = engine.traceroute_batch(TraceRequests.from_records(traces))
         assert len(block) == len(traces)
         assert block.hop_count == 3 * len(traces)
         assert inner.trace_requests == traces
@@ -357,7 +362,7 @@ class TestFaultyEngine:
         inner = StubEngine()
         faults = _faults(FaultConfig(reply_loss_rate=1.0))
         engine = FaultyEngine(inner, faults)
-        block = engine.ping_batch(_ping_requests())
+        block = engine.ping_batch(PingRequests.from_records(_ping_requests()))
         assert len(block) == 0
         assert inner.ping_requests == []
         assert faults.events == ["reply-loss:6"]
@@ -367,7 +372,7 @@ class TestFaultyEngine:
         faults = _faults(FaultConfig(probe_disconnect_rate=1.0))
         engine = FaultyEngine(inner, faults)
         requests = _ping_requests(probe_ids=("p0", "p1"), per_probe=3)
-        block = engine.ping_batch(requests)
+        block = engine.ping_batch(PingRequests.from_records(requests))
         assert len(faults.events) == 1
         event = faults.events[0]
         assert event.startswith("probe-disconnect:")
@@ -379,7 +384,8 @@ class TestFaultyEngine:
             r for r in inner.ping_requests if r.probe.probe_id == victim
         ]
         assert len(surviving_of_victim) == kept
-        records = engine.traceroute_batch(_trace_requests()).records()
+        traces = TraceRequests.from_records(_trace_requests())
+        records = engine.traceroute_batch(traces).records()
         assert all(
             r.meta.probe_id != victim for r in records
         )
@@ -389,7 +395,8 @@ class TestFaultyEngine:
         inner = StubEngine()
         faults = _faults(FaultConfig(trace_truncation_rate=1.0))
         engine = FaultyEngine(inner, faults)
-        records = engine.traceroute_batch(_trace_requests()).records()
+        traces = TraceRequests.from_records(_trace_requests())
+        records = engine.traceroute_batch(traces).records()
         assert len(records) == 2
         for record in records:
             assert 1 <= len(record.hops) < 3
@@ -400,8 +407,9 @@ class TestFaultyEngine:
         blocks = []
         for _ in range(2):
             engine = FaultyEngine(StubEngine(), _faults(config))
-            block = engine.ping_batch(_ping_requests())
-            records = engine.traceroute_batch(_trace_requests()).records()
+            block = engine.ping_batch(PingRequests.from_records(_ping_requests()))
+            traces = TraceRequests.from_records(_trace_requests())
+            records = engine.traceroute_batch(traces).records()
             blocks.append((len(block), tuple(len(r.hops) for r in records)))
         assert blocks[0] == blocks[1]
 

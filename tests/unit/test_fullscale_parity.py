@@ -3,14 +3,17 @@
 The scale=1.0 fast path rests on three vectorized replacements whose
 pre-optimization implementations are the oracles in ``tests/oracles/``:
 the valley-free array sweep (vs ``oracles.routing``), the sorted-array
-LPM resolver (vs ``oracles.lpm``), and the planner's route-meta cache
-and batched draws (vs ``oracles.planner``).  These tests pin each pair
-bit-identical -- on the real topology, on adversarial random graphs, and
-on the batch boundary cases (empty batch, single element, duplicates)
-that the benchmark workloads never hit.
+LPM resolver (vs ``oracles.lpm``), and the planner's columnar batches
+-- pair dedup, route-meta cache, batched draws and hop placement (vs
+``oracles.planner``, which plans each pair on its own).  These tests pin
+each pair bit-identical -- on the real topology, on adversarial random
+graphs, and on the batch boundary cases (empty batch, single element,
+duplicates) that the benchmark workloads never hit.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from oracles.routing import compute_routes_reference
 
 from repro.measure.path import PathPlanner, PlannedPath
 from repro.measure.pathpolicy import FailoverPathPolicy
+from repro.measure.requests import pair_requests
 from repro.net.ip import IPv4Prefix, parse_ip
 from repro.net.relationships import RelationshipGraph
 from repro.net.routing import RoutePolicy, clear_route_cache, compute_routes
@@ -187,10 +191,21 @@ class TestResolverEngineParity:
         assert (array.lookup_many(batch) == trie.lookup_many(batch)).all()
 
 
+def _bits(value):
+    """A value with every float replaced by its IEEE-754 bytes."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return tuple(_bits(item) for item in value)
+    return value
+
+
 def paths_identical(a, b):
-    """Every :class:`PlannedPath` slot equal, hop columns included."""
+    """Every :class:`PlannedPath` slot equal, hop columns included, with
+    floats compared at full float64 bits."""
     return all(
-        getattr(a, slot) == getattr(b, slot) for slot in PlannedPath.__slots__
+        _bits(getattr(a, slot)) == _bits(getattr(b, slot))
+        for slot in PlannedPath.__slots__
     )
 
 
@@ -258,11 +273,11 @@ class TestPlannerParity:
         }
         split_planner = planners(False)
         half = len(batch) // 3
-        split = split_planner.plan_many(batch[:half]) + split_planner.plan_many(
-            batch[half:]
-        )
+        split = split_planner.plan_many(
+            pair_requests(batch[:half])
+        ) + split_planner.plan_many(pair_requests(batch[half:]))
         batch_planner = planners(False)
-        batched = batch_planner.plan_many(batch)
+        batched = batch_planner.plan_many(pair_requests(batch))
         for (probe, region), one, other in zip(batch, batched, split):
             expected = alone[(probe.probe_id, region.region_id)]
             assert paths_identical(batch_planner.path(one), expected)
@@ -270,12 +285,12 @@ class TestPlannerParity:
 
     def test_empty_batch(self, planners):
         planner = planners(False)
-        assert planner.plan_many([]) == []
+        assert planner.plan_many(pair_requests([])) == []
         assert planner.table.rows == 0
 
     def test_single_pair_batch(self, planners, sample_pairs):
         planner = planners(False)
-        (row,) = planner.plan_many(sample_pairs[:1])
+        (row,) = planner.plan_many(pair_requests(sample_pairs[:1]))
         assert paths_identical(
             planner.path(row), planners(False).plan(*sample_pairs[0])
         )
@@ -287,7 +302,9 @@ class TestPlannerParity:
         the pair's RNG draws exactly once."""
         planner = planners(False)
         pair = sample_pairs[0]
-        first, second, third = planner.plan_many([pair, pair, pair])
+        first, second, third = planner.plan_many(
+            pair_requests([pair, pair, pair])
+        )
         assert first is second is third
         assert planner.table.rows == 1
         assert paths_identical(planner.path(first), planners(False).plan(*pair))
@@ -299,7 +316,7 @@ class TestPlannerParity:
             pair for pair in sample_pairs[:20] for _ in range(3)
         ] + sample_pairs[:20]
         planner = planners(False)
-        rows = planner.plan_many(batch)
+        rows = planner.plan_many(pair_requests(batch))
         assert planner.table.rows == 20
         assert_rows_match_reference(planner, rows, batch, planners(True))
 
@@ -320,7 +337,7 @@ class TestPlannerParity:
         ][:25]
         assert pairs, "no DIRECT_IXP pair among the candidates"
         planner = planners(False)
-        rows = planner.plan_many(pairs)
+        rows = planner.plan_many(pair_requests(pairs))
         assert_rows_match_reference(planner, rows, pairs, reference)
         for row in rows:
             path = planner.path(row)
@@ -346,7 +363,7 @@ class TestPlannerParity:
         rows = []
         for start, stop in ((0, 1000), (1000, 1030), (1030, 1400)):
             capacity = len(planner.table.base_rtt)
-            rows += planner.plan_many(pairs[start:stop])
+            rows += planner.plan_many(pair_requests(pairs[start:stop]))
             if start == 1000:
                 assert len(planner.table.base_rtt) > capacity
         assert rows == list(range(len(pairs)))
@@ -377,7 +394,7 @@ class TestPlannerParity:
             )
             is not None
         ]
-        rows = planner.plan_many(pairs)
+        rows = planner.plan_many(pair_requests(pairs))
         assert_rows_match_reference(
             planner, rows, pairs, planners(True, route_policy=policy)
         )
@@ -395,9 +412,9 @@ class TestPlannerParity:
             for i, probe in enumerate(world.speedchecker.probes[:400])
         ]
         planner = planners(False)
-        rows = planner.plan_many(pairs)
+        rows = planner.plan_many(pair_requests(pairs))
         assert rows[-1] > 256
-        again = planner.plan_many(list(reversed(pairs)))
+        again = planner.plan_many(pair_requests(list(reversed(pairs))))
         assert all(a is b for a, b in zip(rows, reversed(again)))
         assert planner.table.rows == len(rows)
 
@@ -405,7 +422,7 @@ class TestPlannerParity:
         self, planners, sample_pairs, world
     ):
         planner = planners(False)
-        rows = planner.plan_many(sample_pairs[:10])
+        rows = planner.plan_many(pair_requests(sample_pairs[:10]))
         views = [planner.path(row) for row in rows]
         snapshots = [
             [getattr(view, slot) for slot in PlannedPath.__slots__]
@@ -413,10 +430,12 @@ class TestPlannerParity:
         ]
         regions = list(world.catalog)
         planner.plan_many(
-            [
-                (probe, regions[(3 * i) % len(regions)])
-                for i, probe in enumerate(world.speedchecker.probes[:1500])
-            ]
+            pair_requests(
+                [
+                    (probe, regions[(3 * i) % len(regions)])
+                    for i, probe in enumerate(world.speedchecker.probes[:1500])
+                ]
+            )
         )
         for view, snapshot, row in zip(views, snapshots, rows):
             assert [getattr(view, slot) for slot in PlannedPath.__slots__] == (

@@ -6,6 +6,7 @@ from repro.core.units import one_way_fiber_ms
 from repro.geo.continents import Continent
 from repro.lastmile.base import AccessKind
 from repro.measure.path import InterconnectKind, PlannedPath, classify_interconnect
+from repro.measure.requests import pair_requests
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +25,9 @@ class TestPlanBasics:
         """A planned pair keeps its row: later calls return the same row
         object, and its view equals the first one in every slot."""
         probe, region, plan = sample
-        (row,) = world.planner.plan_many([(probe, region)])
-        assert world.planner.plan_many([(probe, region)])[0] is row
+        (row,) = world.planner.plan_many(pair_requests([(probe, region)]))
+        (repeat,) = world.planner.plan_many(pair_requests([(probe, region)]))
+        assert repeat is row
         again = world.planner.plan(probe, region)
         assert again is not plan
         assert all(

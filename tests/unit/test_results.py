@@ -1,5 +1,7 @@
 """Tests for repro.measure.results."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.cloud.regions import CloudRegion
 from repro.geo.continents import Continent
 from repro.geo.coords import GeoPoint
 from repro.lastmile.base import AccessKind
+from repro.measure.campaign import resume_campaign, run_campaign_checkpointed
 from repro.measure.results import (
     MeasurementDataset,
     MeasurementMeta,
@@ -15,6 +18,7 @@ from repro.measure.results import (
     Protocol,
     TraceHop,
     TracerouteMeasurement,
+    dataset_pings,
 )
 from repro.platforms.probe import Probe
 
@@ -257,3 +261,53 @@ class TestBlockBackedDataset:
         a.extend(b)
         assert a.ping_count == 2
         assert sum(len(block) for block in a.ping_blocks()) == 2
+
+
+class TestPingsView:
+    """``dataset_pings`` builds its view once per dataset revision."""
+
+    def test_view_is_shared_until_the_dataset_changes(self):
+        dataset = MeasurementDataset()
+        dataset.add_ping_block(make_block(requests=2))
+        view = dataset_pings(dataset)
+        assert dataset_pings(dataset) is view
+        dataset.add_ping(
+            PingMeasurement(
+                meta=dataclasses.replace(make_meta(), city_key=(25, 4)),
+                protocol=Protocol.TCP,
+                samples=(10.0,),
+            )
+        )
+        grown = dataset_pings(dataset)
+        assert grown is not view and len(grown) == 3
+        dataset.add_ping_block(make_block(requests=1))
+        assert len(dataset_pings(dataset)) == 4
+        other = MeasurementDataset()
+        other.add_ping_block(make_block(requests=2))
+        before = dataset_pings(dataset)
+        dataset.extend(other)
+        assert dataset_pings(dataset) is not before
+        assert len(dataset_pings(dataset)) == 6
+
+    def test_view_arrays_are_read_only_and_the_blocks_are_not(self):
+        dataset = MeasurementDataset()
+        block = make_block(requests=2)
+        dataset.add_ping_block(block)
+        view = dataset_pings(dataset)
+        with pytest.raises(ValueError):
+            view.sample_values[0] = 1.0
+        with pytest.raises(ValueError):
+            view.days[0] = 1
+        block.sample_values[0] = 99.0
+        assert view.sample_values[0] == 99.0
+
+    def test_stored_view_follows_the_journal(self, world, store_run_dir):
+        store = run_campaign_checkpointed(world, store_run_dir, days=2, max_units=1)
+        dataset = store.dataset()
+        view = dataset_pings(dataset)
+        assert dataset_pings(dataset) is view
+        assert len(view) == dataset.ping_count
+        resume_campaign(world, store_run_dir)
+        grown = dataset_pings(dataset)
+        assert grown is not view
+        assert len(grown) == dataset.ping_count > len(view)

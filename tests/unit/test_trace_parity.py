@@ -23,11 +23,17 @@ from oracles import traceroute as reference
 from repro import build_world
 from repro.faults import FaultConfig, FaultPlan, FaultyEngine
 from repro.lastmile.base import AccessKind
-from repro.measure.batch import PingRequest, TraceRequest, execute_traceroute_batch
+from repro.measure.batch import execute_traceroute_batch
 from repro.measure.campaign import _checkpoint_engine
 from repro.measure.engine import MeasurementEngine
 from repro.measure.path import HOME_ROUTER_ADDRESS
 from repro.measure.pathpolicy import FailoverPathPolicy
+from repro.measure.requests import (
+    PingRequest,
+    PingRequests,
+    TraceRequest,
+    TraceRequests,
+)
 from repro.measure.results import (
     TRACE_COLUMN_DTYPES,
     PingBlock,
@@ -137,7 +143,9 @@ def check_engine_parity(world, requests, seed, override=None):
     engine = _engine(world, override)
     rng = np.random.default_rng(seed)
     reference_rng = np.random.default_rng(seed)
-    block = execute_traceroute_batch(engine, requests, rng=rng)
+    block = execute_traceroute_batch(
+        engine, TraceRequests.from_records(requests), rng=rng
+    )
     records = reference.execute_traceroute_batch(engine, requests, rng=reference_rng)
     block.validate()
     assert_blocks_equal(
@@ -163,7 +171,9 @@ class TestEngineBatchParity:
     def test_empty_batch(self, world):
         rng = np.random.default_rng(1)
         before = rng.bit_generator.state
-        block = execute_traceroute_batch(world.engine, [], rng=rng)
+        block = execute_traceroute_batch(
+            world.engine, TraceRequests.from_records([]), rng=rng
+        )
         assert len(block) == 0 and block.hop_count == 0
         block.validate()
         assert rng.bit_generator.state == before
@@ -235,7 +245,9 @@ def check_truncation_parity(world, requests, seed, rate):
     events, the ``measure`` stream left in the same state."""
     config = FaultConfig(trace_truncation_rate=rate)
     engine, reference_faults = _fault_engines(world, config)
-    block = engine.traceroute_batch(requests, rng=np.random.default_rng(seed))
+    block = engine.traceroute_batch(
+        TraceRequests.from_records(requests), rng=np.random.default_rng(seed)
+    )
     records = reference.truncate_records(
         reference.execute_traceroute_batch(
             world.engine, requests, rng=np.random.default_rng(seed)
@@ -271,7 +283,7 @@ class TestFaultyEngineTruncation:
     def test_truncation_keeps_provenance_columns(self, world):
         requests = _requests(world, [(i, i, Protocol.ICMP, 0) for i in range(8)])
         inner = world.engine.traceroute_batch(
-            requests, rng=np.random.default_rng(8)
+            TraceRequests.from_records(requests), rng=np.random.default_rng(8)
         )
         epochs = np.arange(len(inner), dtype=np.int32)
         outage_ids = np.full(len(inner), -1, np.int32)
@@ -287,7 +299,7 @@ class TestFaultyEngineTruncation:
                 "speedchecker:000", 0
             ),
         )
-        block = engine.traceroute_batch(requests)
+        block = engine.traceroute_batch(TraceRequests.from_records(requests))
         assert block.hop_count < inner.hop_count
         assert np.array_equal(block.epochs, epochs)
         assert np.array_equal(block.outage_ids, outage_ids)
@@ -335,7 +347,7 @@ def event_days(world, netfault_plan):
     for day in range(30):
         requests = _full_pool(world, day)
         block = _netfault_engine(world, netfault_plan).traceroute_batch(
-            requests, rng=np.random.default_rng(day)
+            TraceRequests.from_records(requests), rng=np.random.default_rng(day)
         )
         if len(np.unique(block.epochs)) < 2:
             continue
@@ -391,7 +403,9 @@ def check_netfault_parity(world, plan, requests, seed):
     """The block equals the per-epoch records, annotations included."""
     engine = _netfault_engine(world, plan)
     reference_engine = _netfault_engine(world, plan)
-    block = engine.traceroute_batch(requests, rng=np.random.default_rng(seed))
+    block = engine.traceroute_batch(
+        TraceRequests.from_records(requests), rng=np.random.default_rng(seed)
+    )
     records, (epochs, outage_ids) = reference.netfault_traceroute_records(
         reference_engine, requests, rng=np.random.default_rng(seed)
     )
@@ -411,7 +425,8 @@ class TestRecordViews:
     def test_trace_records_equal_row_views(self, world, picks, seed):
         engine = _engine(world, OVERRIDES["all-hops-silent"] if seed % 2 else None)
         block = engine.traceroute_batch(
-            _requests(world, picks), rng=np.random.default_rng(seed)
+            TraceRequests.from_records(_requests(world, picks)),
+            rng=np.random.default_rng(seed),
         )
         assert block.records() == [block.record(i) for i in range(len(block))]
 
@@ -428,12 +443,16 @@ class TestRecordViews:
             )
             for trace in _requests(world, picks)
         ]
-        block = world.engine.ping_batch(requests, rng=np.random.default_rng(seed))
+        block = world.engine.ping_batch(
+            PingRequests.from_records(requests), rng=np.random.default_rng(seed)
+        )
         assert block.records() == [block.record(i) for i in range(len(block))]
 
     def test_unresponsive_hops_are_empty_hops(self, world):
         block = _engine(world, OVERRIDES["all-hops-silent"]).traceroute_batch(
-            _requests(world, [(i, i, Protocol.ICMP, 0) for i in range(6)])
+            TraceRequests.from_records(
+                _requests(world, [(i, i, Protocol.ICMP, 0) for i in range(6)])
+            )
         )
         hops = [hop for record in block.records() for hop in record.hops]
         assert any(hop.address is None and hop.rtt_ms is None for hop in hops)
