@@ -33,6 +33,7 @@ from repro.exec import canonical_store_digest, fork_available, store_digest
 from repro.measure.campaign import run_campaign_checkpointed
 from repro.measure.path import PathPlanner, PlannedPath
 from repro.measure.requests import pair_requests
+from repro.measure.results import TraceBlock
 from repro.net.routing import clear_route_cache, compute_routes
 from repro.resolve.pyasn import PyASNResolver
 
@@ -210,17 +211,10 @@ def test_hot_path_speedup(results):
     world = build_world(seed=FULL_SEED, scale=HOT_PATH_SCALE)
     topo = world.topology
     dataset = run_campaign(world, days=1)
-    addresses = np.asarray(
-        sorted(
-            {
-                hop.address
-                for trace in dataset.traceroutes()
-                for hop in trace.hops
-                if hop.address is not None
-            }
-        ),
-        dtype=np.int64,
+    addresses = np.unique(
+        np.concatenate([block.hop_addresses for block in dataset.trace_blocks()])
     )
+    addresses = addresses[addresses != TraceBlock.NO_ADDRESS]
 
     # -- routing: every (network, continent) table a day can need.
     continents = sorted(

@@ -45,15 +45,20 @@ def _timed(fn, *args):
 
 
 def _materialize_then_filter(store):
-    """The pre-engine baseline: record objects, Python-level filtering."""
+    """The pre-engine baseline: one record object per row, Python-level
+    filtering."""
     per_country = {}
-    for ping in store.dataset().pings(platform="speedchecker"):
-        if not 3 <= ping.meta.day <= 4:
-            continue
-        bucket = per_country.setdefault(ping.meta.country, [0, 0, 0.0])
-        bucket[0] += 1
-        bucket[1] += len(ping.samples)
-        bucket[2] += sum(ping.samples)
+    for block in store.dataset().ping_blocks():
+        for index in range(len(block)):
+            ping = block.record(index)
+            if ping.meta.platform != "speedchecker":
+                continue
+            if not 3 <= ping.meta.day <= 4:
+                continue
+            bucket = per_country.setdefault(ping.meta.country, [0, 0, 0.0])
+            bucket[0] += 1
+            bucket[1] += len(ping.samples)
+            bucket[2] += sum(ping.samples)
     return per_country
 
 

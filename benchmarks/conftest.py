@@ -40,10 +40,12 @@ def store_dir(dataset, tmp_path_factory):
     run_dir = tmp_path_factory.mktemp("bench-store") / "run"
     pings_by_unit = defaultdict(list)
     traces_by_unit = defaultdict(list)
-    for ping in dataset.pings():
-        pings_by_unit[(ping.meta.platform, ping.meta.day)].append(ping)
-    for trace in dataset.traceroutes():
-        traces_by_unit[(trace.meta.platform, trace.meta.day)].append(trace)
+    for ping_block in dataset.ping_blocks():
+        for ping in ping_block.records():
+            pings_by_unit[(ping.meta.platform, ping.meta.day)].append(ping)
+    for trace_block in dataset.trace_blocks():
+        for trace in trace_block.records():
+            traces_by_unit[(trace.meta.platform, trace.meta.day)].append(trace)
     store = DatasetStore.create(run_dir, source="benchmark")
     for platform, day in sorted(set(pings_by_unit) | set(traces_by_unit)):
         store.flush_unit(

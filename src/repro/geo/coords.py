@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -29,10 +28,6 @@ class GeoPoint:
         """Great-circle distance to ``other`` in kilometres."""
         return haversine_km(self, other)
 
-    def midpoint(self, other: "GeoPoint") -> "GeoPoint":
-        """Geographic midpoint along the great circle to ``other``."""
-        return interpolate(self, other, 0.5)
-
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points via the haversine formula.
@@ -46,64 +41,6 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     dlon = lon2 - lon1
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
-
-
-def interpolate(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
-    """Point at ``fraction`` of the way along the great circle from a to b.
-
-    ``fraction`` 0 returns ``a``; 1 returns ``b``.  Used to place
-    intermediate router hops geographically so per-hop RTTs in simulated
-    traceroutes accumulate plausibly.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be within [0, 1], got {fraction}")
-    lat1, lon1 = math.radians(a.lat), math.radians(a.lon)
-    lat2, lon2 = math.radians(b.lat), math.radians(b.lon)
-    delta = haversine_km(a, b) / EARTH_RADIUS_KM
-    if delta < 1e-12:
-        return a
-    sin_delta = math.sin(delta)
-    s1 = math.sin((1.0 - fraction) * delta) / sin_delta
-    s2 = math.sin(fraction * delta) / sin_delta
-    x = s1 * math.cos(lat1) * math.cos(lon1) + s2 * math.cos(lat2) * math.cos(lon2)
-    y = s1 * math.cos(lat1) * math.sin(lon1) + s2 * math.cos(lat2) * math.sin(lon2)
-    z = s1 * math.sin(lat1) + s2 * math.sin(lat2)
-    lat = math.atan2(z, math.sqrt(x * x + y * y))
-    lon = math.atan2(y, x)
-    return GeoPoint(math.degrees(lat), math.degrees(lon))
-
-
-def interpolate_many(
-    a: GeoPoint, b: GeoPoint, fractions: "np.ndarray"
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Vectorized :func:`interpolate`: points at many fractions at once.
-
-    Returns ``(lats, lons)`` as :mod:`numpy` arrays in decimal degrees.
-    Used by the path planner to place all router hops of a path in one
-    pass instead of one spherical interpolation per hop.
-    """
-    fractions = np.asarray(fractions, dtype=np.float64)
-    if fractions.size and (fractions.min() < 0.0 or fractions.max() > 1.0):
-        raise ValueError("fractions must be within [0, 1]")
-    lat1, lon1 = math.radians(a.lat), math.radians(a.lon)
-    lat2, lon2 = math.radians(b.lat), math.radians(b.lon)
-    delta = haversine_km(a, b) / EARTH_RADIUS_KM
-    if delta < 1e-12:
-        return (
-            np.full(fractions.shape, a.lat),
-            np.full(fractions.shape, a.lon),
-        )
-    # The common 1/sin(delta) factor of the slerp weights cancels inside
-    # atan2, so both divisions are skipped.
-    scaled = fractions * delta
-    s1 = np.sin(delta - scaled)
-    s2 = np.sin(scaled)
-    x = s1 * (math.cos(lat1) * math.cos(lon1)) + s2 * (math.cos(lat2) * math.cos(lon2))
-    y = s1 * (math.cos(lat1) * math.sin(lon1)) + s2 * (math.cos(lat2) * math.sin(lon2))
-    z = s1 * math.sin(lat1) + s2 * math.sin(lat2)
-    lats = np.degrees(np.arctan2(z, np.hypot(x, y)))
-    lons = np.degrees(np.arctan2(y, x))
-    return lats, lons
 
 
 def jitter_point(

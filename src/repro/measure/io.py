@@ -5,9 +5,12 @@ for reproducibility; this module provides the equivalent for simulated
 datasets: a line-delimited JSON format (one measurement per line) that
 round-trips exactly and is stable across library versions.
 
-Format: each line is an object with a ``kind`` tag (``"ping"`` or
-``"traceroute"``), the measurement metadata, and the payload.  Files are
-self-describing via a leading ``header`` line.
+Format: a leading ``header`` line names the format and version and
+counts the pings and traceroutes that follow.  Each further line is an
+object with a ``kind`` tag (``"ping"`` or ``"traceroute"``), the
+measurement metadata, and the payload.  The writer serializes a
+dataset's blocks, and the loader parses the lines into records and
+columnarizes them into one ping block and one trace block.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import gzip
 import json
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, List, Union
 
 from repro.geo.continents import Continent
 from repro.lastmile.base import AccessKind
@@ -29,6 +32,8 @@ from repro.measure.results import (
     TraceBlock,
     TraceHop,
     TracerouteMeasurement,
+    ping_block_from_records,
+    trace_block_from_records,
 )
 from repro.platforms.probe import Probe, city_key_for
 
@@ -36,23 +41,6 @@ FORMAT_NAME = "repro-dataset"
 FORMAT_VERSION = 1
 
 PathLike = Union[str, Path]
-
-
-def _meta_to_dict(meta: MeasurementMeta) -> dict:
-    return {
-        "probe_id": meta.probe_id,
-        "platform": meta.platform,
-        "country": meta.country,
-        "continent": meta.continent.value,
-        "access": meta.access.value,
-        "isp_asn": meta.isp_asn,
-        "provider_code": meta.provider_code,
-        "region_id": meta.region_id,
-        "region_country": meta.region_country,
-        "region_continent": meta.region_continent.value,
-        "day": meta.day,
-        "city_key": list(meta.city_key),
-    }
 
 
 def _meta_from_dict(payload: dict) -> MeasurementMeta:
@@ -70,26 +58,6 @@ def _meta_from_dict(payload: dict) -> MeasurementMeta:
         day=payload["day"],
         city_key=tuple(payload["city_key"]),
     )
-
-
-def _ping_to_dict(measurement: PingMeasurement) -> dict:
-    return {
-        "kind": "ping",
-        "meta": _meta_to_dict(measurement.meta),
-        "protocol": measurement.protocol.value,
-        "samples": list(measurement.samples),
-    }
-
-
-def _trace_to_dict(measurement: TracerouteMeasurement) -> dict:
-    return {
-        "kind": "traceroute",
-        "meta": _meta_to_dict(measurement.meta),
-        "protocol": measurement.protocol.value,
-        "source_address": measurement.source_address,
-        "dest_address": measurement.dest_address,
-        "hops": [[hop.address, hop.rtt_ms] for hop in measurement.hops],
-    }
 
 
 def _ping_from_dict(payload: dict) -> PingMeasurement:
@@ -120,14 +88,13 @@ def _open(path: PathLike, mode: str) -> IO:
     return open(path, mode, encoding="utf-8")
 
 
-# -- columnar fast path ------------------------------------------------------
+# -- writers ------------------------------------------------------------------
 #
-# Block-backed datasets hold tens of thousands of measurements per block;
-# routing them through the record view would allocate one frozen
-# MeasurementMeta + PingMeasurement per row just to tear them straight
-# back down into dicts.  The writers below compose each line's meta dict
-# from fragments cached per interned (probe, region) pair -- identical
-# bytes, no per-record dataclass churn.
+# Blocks hold tens of thousands of measurements each; routing them
+# through the record view would allocate one frozen MeasurementMeta +
+# PingMeasurement per row just to tear them straight back down into
+# dicts.  The writers below compose each line's meta dict from fragments
+# cached per interned (probe, region) pair instead.
 
 
 def _probe_meta_fragment(probe: Probe) -> dict:
@@ -225,11 +192,9 @@ def _write_trace_block(fh: IO, block: TraceBlock) -> int:
 def save_dataset(dataset: MeasurementDataset, path: PathLike) -> int:
     """Write a dataset as line-delimited JSON (gzip if path ends ``.gz``).
 
-    Returns the number of measurement lines written.  Record order
-    matches iteration order: scalar records first, then columnar blocks;
-    block-backed measurements take the columnar fast path (no per-record
-    object materialization).  Besides :class:`MeasurementDataset` this
-    accepts any dataset exposing the same read API -- notably the lazy
+    Returns the number of measurement lines written: every ping block's
+    rows in order, then every trace block's.  Besides
+    :class:`MeasurementDataset` this accepts the store view
     :class:`repro.store.view.StoredDataset`, which is streamed
     shard-at-a-time.
     """
@@ -243,22 +208,23 @@ def save_dataset(dataset: MeasurementDataset, path: PathLike) -> int:
             "traceroutes": dataset.traceroute_count,
         }
         fh.write(json.dumps(header) + "\n")
-        for ping in dataset.iter_scalar_pings():
-            fh.write(json.dumps(_ping_to_dict(ping)) + "\n")
-            lines += 1
-        for ping_block in dataset.iter_ping_blocks():
+        for ping_block in dataset.ping_blocks():
             lines += _write_ping_block(fh, ping_block)
-        for trace in dataset.iter_scalar_traceroutes():
-            fh.write(json.dumps(_trace_to_dict(trace)) + "\n")
-            lines += 1
-        for trace_block in dataset.iter_trace_blocks():
+        for trace_block in dataset.trace_blocks():
             lines += _write_trace_block(fh, trace_block)
     return lines
 
 
 def load_dataset(path: PathLike) -> MeasurementDataset:
-    """Read a dataset written by :func:`save_dataset`."""
-    dataset = MeasurementDataset()
+    """Read a dataset written by :func:`save_dataset`, as one ping block
+    and one trace block.
+
+    Raises :class:`ValueError` when the file holds more or fewer pings
+    or traceroutes than its header counts, as a cut-off file does; a
+    header without counts matches no file.
+    """
+    pings: List[PingMeasurement] = []
+    traces: List[TracerouteMeasurement] = []
     with _open(path, "r") as fh:
         header_line = fh.readline()
         if not header_line:
@@ -276,11 +242,20 @@ def load_dataset(path: PathLike) -> MeasurementDataset:
             payload = json.loads(line)
             kind = payload.get("kind")
             if kind == "ping":
-                dataset.add_ping(_ping_from_dict(payload))
+                pings.append(_ping_from_dict(payload))
             elif kind == "traceroute":
-                dataset.add_traceroute(_trace_from_dict(payload))
+                traces.append(_trace_from_dict(payload))
             else:
                 raise ValueError(
                     f"{path}:{line_number}: unknown record kind {kind!r}"
                 )
+    counted = (header.get("pings"), header.get("traceroutes"))
+    if counted != (len(pings), len(traces)):
+        raise ValueError(
+            f"{path}: header counts {counted[0]} pings and {counted[1]} "
+            f"traceroutes, file holds {len(pings)} and {len(traces)}"
+        )
+    dataset = MeasurementDataset()
+    dataset.add_ping_block(ping_block_from_records(pings))
+    dataset.add_trace_block(trace_block_from_records(traces))
     return dataset

@@ -283,7 +283,8 @@ class PingBlock:
     def select(
         self, platform: Optional[str] = None, protocol: Optional[Protocol] = None
     ) -> np.ndarray:
-        """The rows ``pings(platform, protocol)`` would yield, ascending."""
+        """The rows on ``platform`` over ``protocol`` (``None`` keeps
+        every value), ascending."""
         keep = np.ones(len(self), bool)
         if platform is not None:
             on_platform = [probe.platform == platform for probe in self.probes]
@@ -910,9 +911,9 @@ def concatenate_blocks(blocks: Sequence[Block]) -> Block:
 
 
 def dataset_pings(dataset: "MeasurementDataset") -> PingBlock:
-    """Every ping of an in-memory or stored dataset as one block, in the
-    order of its ``pings()``: its scalar records (as one block), then its
-    blocks.  This is the column view the ping analyses group.
+    """Every ping of an in-memory or stored dataset as one block, its
+    blocks' rows in order.  This is the column view the ping analyses
+    group.
 
     The view is built once per dataset revision and shared by every
     caller until the dataset changes (see :class:`PingsView`), so its
@@ -946,11 +947,8 @@ class PingsView:
 
 
 def _join_pings(dataset: "MeasurementDataset") -> PingBlock:
-    blocks = list(dataset.iter_ping_blocks())
-    scalar = list(dataset.iter_scalar_pings())
-    if scalar or not blocks:
-        blocks.insert(0, ping_block_from_records(scalar))
-    return concatenate_blocks(blocks)
+    blocks = list(dataset.ping_blocks())
+    return concatenate_blocks(blocks) if blocks else ping_block_from_records([])
 
 
 def _read_only(block: PingBlock) -> PingBlock:
@@ -964,19 +962,17 @@ def _read_only(block: PingBlock) -> PingBlock:
 
 
 class MeasurementDataset:
-    """An in-memory dataset of ping and traceroute measurements.
+    """An in-memory dataset: an ordered list of ping blocks and one of
+    trace blocks.
 
-    Pings arrive either as individual records (:meth:`add_ping`) or as
-    columnar :class:`PingBlock` batches from the vectorized engine
-    (:meth:`add_ping_block`); :meth:`pings` yields the uniform record
-    view over both backings, and :func:`dataset_pings` the uniform column
-    view.
+    Campaigns add the blocks the batch engine returns, and the JSONL
+    loader adds one block of each kind.  :func:`dataset_pings` is the
+    column view of every ping; ``block.records()`` is the record view of
+    one block.
     """
 
     def __init__(self) -> None:
-        self._pings: List[PingMeasurement] = []
         self._ping_blocks: List[PingBlock] = []
-        self._traceroutes: List[TracerouteMeasurement] = []
         self._trace_blocks: List[TraceBlock] = []
         self._revision = 0
         #: The shared :func:`dataset_pings` view.
@@ -990,20 +986,12 @@ class MeasurementDataset:
 
     # -- construction -----------------------------------------------------
 
-    def add_ping(self, measurement: PingMeasurement) -> None:
-        self._pings.append(measurement)
-        self._revision += 1
-
     def add_ping_block(self, block: PingBlock) -> None:
         """Append a ping batch.  The block is schema-validated first, so a
         malformed one (wrong dtypes, inconsistent offsets, out-of-range
         codes) fails here instead of in an analysis or a shard later."""
         block.validate()
         self._ping_blocks.append(block)
-        self._revision += 1
-
-    def add_traceroute(self, measurement: TracerouteMeasurement) -> None:
-        self._traceroutes.append(measurement)
         self._revision += 1
 
     def add_trace_block(self, block: TraceBlock) -> None:
@@ -1014,13 +1002,11 @@ class MeasurementDataset:
         self._revision += 1
 
     def extend(self, other: "MeasurementDataset") -> None:
-        """Merge another dataset -- in memory or a store view -- into this
-        one, through its public read API."""
-        self._pings.extend(other.iter_scalar_pings())
-        for ping_block in other.iter_ping_blocks():
+        """Append the blocks of another dataset -- in memory or a store
+        view -- to this one."""
+        for ping_block in other.ping_blocks():
             self.add_ping_block(ping_block)
-        self._traceroutes.extend(other.iter_scalar_traceroutes())
-        for trace_block in other.iter_trace_blocks():
+        for trace_block in other.trace_blocks():
             self.add_trace_block(trace_block)
         self._revision += 1
 
@@ -1028,88 +1014,34 @@ class MeasurementDataset:
 
     @property
     def ping_count(self) -> int:
-        return len(self._pings) + sum(len(block) for block in self._ping_blocks)
+        return sum(len(block) for block in self._ping_blocks)
 
     @property
     def traceroute_count(self) -> int:
-        return len(self._traceroutes) + sum(
-            len(block) for block in self._trace_blocks
-        )
+        return sum(len(block) for block in self._trace_blocks)
 
     @property
     def ping_sample_count(self) -> int:
-        return sum(len(p.samples) for p in self._pings) + sum(
-            block.sample_count for block in self._ping_blocks
-        )
+        return sum(block.sample_count for block in self._ping_blocks)
 
-    def pings(
-        self,
-        platform: Optional[str] = None,
-        protocol: Optional[Protocol] = None,
-        predicate: Optional[Callable[[PingMeasurement], bool]] = None,
-    ) -> Iterator[PingMeasurement]:
-        """Iterate pings (scalar records first, then columnar blocks)."""
-        wanted = None if protocol is None else Protocol(protocol)
-        for measurement in self._iter_all_pings():
-            if platform is not None and measurement.meta.platform != platform:
-                continue
-            if wanted is not None and measurement.protocol is not wanted:
-                continue
-            if predicate is not None and not predicate(measurement):
-                continue
-            yield measurement
-
-    def _iter_all_pings(self) -> Iterator[PingMeasurement]:
-        yield from self._pings
-        for block in self._ping_blocks:
-            yield from block.records()
-
-    def traceroutes(
-        self,
-        platform: Optional[str] = None,
-        protocol: Optional[Protocol] = None,
-        predicate: Optional[Callable[[TracerouteMeasurement], bool]] = None,
-    ) -> Iterator[TracerouteMeasurement]:
-        """Iterate traceroutes (scalar records first, then columnar blocks)."""
-        wanted = None if protocol is None else Protocol(protocol)
-        for measurement in self._iter_all_traceroutes():
-            if platform is not None and measurement.meta.platform != platform:
-                continue
-            if wanted is not None and measurement.protocol is not wanted:
-                continue
-            if predicate is not None and not predicate(measurement):
-                continue
-            yield measurement
-
-    def _iter_all_traceroutes(self) -> Iterator[TracerouteMeasurement]:
-        yield from self._traceroutes
-        for block in self._trace_blocks:
-            yield from block.records()
-
-    def iter_scalar_pings(self) -> Iterator[PingMeasurement]:
-        """The individually-added ping records (no columnar blocks)."""
-        return iter(self._pings)
-
-    def iter_scalar_traceroutes(self) -> Iterator[TracerouteMeasurement]:
-        """The individually-added traceroutes (no columnar blocks)."""
-        return iter(self._traceroutes)
-
-    def ping_blocks(self) -> List[PingBlock]:
-        """The columnar ping blocks (batched pings only)."""
-        return list(self._ping_blocks)
-
-    def trace_blocks(self) -> List[TraceBlock]:
-        """The columnar traceroute blocks."""
-        return list(self._trace_blocks)
-
-    def iter_ping_blocks(self) -> Iterator[PingBlock]:
-        """Yield ping blocks lazily (list-copy-free counterpart of
-        :meth:`ping_blocks`, mirroring the store view's generator)."""
+    def ping_blocks(self) -> Iterator[PingBlock]:
+        """The ping blocks, in the order they were added."""
         return iter(self._ping_blocks)
 
-    def iter_trace_blocks(self) -> Iterator[TraceBlock]:
-        """Yield trace blocks lazily."""
+    def trace_blocks(self) -> Iterator[TraceBlock]:
+        """The traceroute blocks, in the order they were added."""
         return iter(self._trace_blocks)
+
+    def iter_scalar_pings(self) -> Iterator[PingMeasurement]:
+        """Always empty: a dataset holds blocks only.  Kept because the
+        benchmark's ``dataset_digest`` (``perfbench/workloads.py``) still
+        reads it."""
+        return iter(())
+
+    def iter_scalar_traceroutes(self) -> Iterator[TracerouteMeasurement]:
+        """Always empty, like the ping stub above, and kept for the same
+        caller."""
+        return iter(())
 
     def __repr__(self) -> str:
         return (

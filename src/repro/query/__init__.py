@@ -2,11 +2,9 @@
 
 Questions about a stored campaign are filtered aggregations -- "median
 TCP RTT per country on the Speedchecker platform", "per-day medians".
-Running them through the record view
-(:class:`repro.store.view.StoredDataset`) materializes one frozen
-dataclass per measurement just to read two fields and throw it away.
 This package evaluates them directly on the memmapped shard columns,
-for ``python -m repro.query``, the service's ``POST /v1/query`` and the
+without one record object per measurement, for ``python -m
+repro.query``, the service's ``POST /v1/query`` and the
 dynamic-topology experiments:
 
 - :mod:`repro.query.spec` -- :class:`QuerySpec`, the canonical,
@@ -23,14 +21,14 @@ dynamic-topology experiments:
   implementation; tests assert engine == oracle.
 - :mod:`repro.query.cache` -- a query-result cache keyed by
   (manifest digest, journal digest, query digest).
-- :mod:`repro.query.builder` -- the fluent :class:`QueryBuilder` API
-  (``store.query().where(...).group_by(...).run()``).
+- :mod:`repro.query.builder` -- :func:`execute`, which plans, scans
+  and caches one spec (``execute(store, QuerySpec(...))``).
 
 ``python -m repro.query`` exposes the same engine on the command line
 with JSON output.
 """
 
-from repro.query.builder import QueryBuilder, QueryResult, execute
+from repro.query.builder import QueryResult, execute
 from repro.query.plan import ScanPlan, ShardPlan, build_plan
 from repro.query.spec import (
     GROUP_KEYS,
@@ -46,7 +44,6 @@ __all__ = [
     "PING_KIND",
     "SCALAR_AGGREGATES",
     "TRACE_KIND",
-    "QueryBuilder",
     "QueryError",
     "QueryResult",
     "QuerySpec",

@@ -1,16 +1,17 @@
-"""The Python-facing query API: :class:`QueryBuilder` and execution.
+"""Query execution: :func:`execute` and its :class:`QueryResult`.
 
-The builder is a thin immutable wrapper that accumulates a
-:class:`~repro.query.spec.QuerySpec`; :func:`execute` is the one
-entry point that ties planner, parallel scan, finalization, and the
-result cache together:
+:func:`execute` is the one entry point that ties planner, parallel
+scan, finalization, and the result cache together:
 
-    result = (
-        store.query()
-        .where(platform="speedchecker", protocol="tcp")
-        .group_by("country")
-        .quantiles(50)
-        .run(workers=4)
+    result = execute(
+        store,
+        QuerySpec(
+            platform="speedchecker",
+            protocol="tcp",
+            group_by=("country",),
+            quantiles=(50,),
+        ),
+        workers=4,
     )
 
 ``result.payload()`` is the canonical JSON-safe form: it contains only
@@ -23,13 +24,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.measure.results import Protocol
 from repro.query.cache import QueryCache
-from repro.query.plan import ScanPlan, build_plan
+from repro.query.plan import build_plan
 from repro.query.scan import GroupKey, GroupState, scan_shards
-from repro.query.spec import PING_KIND, TRACE_KIND, QuerySpec
+from repro.query.spec import QuerySpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.warehouse import DatasetStore
@@ -159,134 +159,3 @@ def execute(
     if cache:
         query_cache.put(store, spec, result.payload())
     return result
-
-
-class QueryBuilder:
-    """Immutable fluent builder over one store.
-
-    Every method returns a *new* builder, so partial queries can be
-    shared and extended without aliasing surprises.
-    """
-
-    def __init__(
-        self, store: "DatasetStore", spec: Optional[QuerySpec] = None
-    ) -> None:
-        self._store = store
-        self._spec = spec if spec is not None else QuerySpec()
-
-    def _with(self, **changes: Any) -> "QueryBuilder":
-        return QueryBuilder(self._store, self._spec.with_(**changes))
-
-    # -- kind --------------------------------------------------------------
-
-    def pings(self) -> "QueryBuilder":
-        return self._with(kind=PING_KIND)
-
-    def traces(self) -> "QueryBuilder":
-        return self._with(kind=TRACE_KIND)
-
-    # -- predicates --------------------------------------------------------
-
-    def where(
-        self,
-        platform: Optional[str] = None,
-        protocol: Optional[Union[str, Protocol]] = None,
-        country: Optional[Union[str, Sequence[str]]] = None,
-        provider: Optional[Union[str, Sequence[str]]] = None,
-        region: Optional[Union[str, Sequence[str]]] = None,
-        continent: Optional[Union[str, Sequence[str]]] = None,
-        same_continent_only: Optional[bool] = None,
-    ) -> "QueryBuilder":
-        """Add conjunctive predicates (repeated calls accumulate)."""
-        changes: Dict[str, Any] = {}
-        if platform is not None:
-            changes["platform"] = platform
-        if protocol is not None:
-            changes["protocol"] = (
-                protocol.value
-                if isinstance(protocol, Protocol)
-                else str(protocol)
-            )
-        if country is not None:
-            changes["countries"] = self._merged(self._spec.countries, country)
-        if provider is not None:
-            changes["providers"] = self._merged(self._spec.providers, provider)
-        if region is not None:
-            changes["regions"] = self._merged(self._spec.regions, region)
-        if continent is not None:
-            changes["continents"] = self._merged(
-                self._spec.continents, continent
-            )
-        if same_continent_only is not None:
-            changes["same_continent_only"] = bool(same_continent_only)
-        return self._with(**changes)
-
-    @staticmethod
-    def _merged(
-        existing: Sequence[str], added: Union[str, Sequence[str]]
-    ) -> "tuple[str, ...]":
-        if isinstance(added, str):
-            added = (added,)
-        return tuple(existing) + tuple(added)
-
-    def days(self, first: int, last: int) -> "QueryBuilder":
-        """Inclusive day range."""
-        return self._with(day_range=(int(first), int(last)))
-
-    def rtt_between(self, low: float, high: float) -> "QueryBuilder":
-        """Inclusive RTT bounds (row predicate + value filter)."""
-        return self._with(rtt_range=(float(low), float(high)))
-
-    def epochs(self, first: int, last: int) -> "QueryBuilder":
-        """Inclusive routing-epoch range (dynamic-topology provenance).
-
-        Rows from static-topology shards count as epoch 0.
-        """
-        return self._with(epoch_range=(int(first), int(last)))
-
-    def outages(self, *ids: int) -> "QueryBuilder":
-        """Keep rows attributed to these network event ids.
-
-        ``-1`` selects rows no event touched (all rows of static runs).
-        Repeated calls accumulate.
-        """
-        return self._with(
-            outage_ids=tuple(self._spec.outage_ids)
-            + tuple(int(oid) for oid in ids)
-        )
-
-    # -- shape -------------------------------------------------------------
-
-    def group_by(self, *keys: str) -> "QueryBuilder":
-        return self._with(group_by=tuple(keys))
-
-    def aggregate(self, *aggregates: str) -> "QueryBuilder":
-        return self._with(aggregates=tuple(aggregates))
-
-    def quantiles(
-        self, *qs: float, epsilon: Optional[float] = None
-    ) -> "QueryBuilder":
-        changes: Dict[str, Any] = {"quantiles": tuple(float(q) for q in qs)}
-        if epsilon is not None:
-            changes["epsilon"] = float(epsilon)
-        return self._with(**changes)
-
-    def collect(self, collect: bool = True) -> "QueryBuilder":
-        """Also return each group's exact value array."""
-        return self._with(collect=collect)
-
-    # -- execution ---------------------------------------------------------
-
-    @property
-    def spec(self) -> QuerySpec:
-        return self._spec
-
-    def plan(self) -> ScanPlan:
-        """The scan plan without executing (``explain``)."""
-        return build_plan(self._store, self._spec)
-
-    def run(self, workers: int = 1, cache: bool = True) -> QueryResult:
-        return execute(self._store, self._spec, workers=workers, cache=cache)
-
-    def __repr__(self) -> str:
-        return f"QueryBuilder({self._spec!r})"

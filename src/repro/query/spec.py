@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.sketch import DEFAULT_EPSILON
@@ -270,7 +270,3 @@ class QuerySpec:
         spec = cls(**kwargs)
         spec.validate()
         return spec
-
-    def with_(self, **changes: Any) -> "QuerySpec":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -302,18 +302,11 @@ class TracerouteResolver:
 
     def resolve_dataset(self, dataset) -> ResolvedTraceBlock:
         """Every traceroute of a dataset, resolved block by block in the
-        dataset's traceroute order: its scalar records (as one block)
-        first, then its columnar blocks."""
-        blocks: List[TraceBlock] = []
-        scalar = list(dataset.iter_scalar_traceroutes())
-        if scalar:
-            blocks.append(trace_block_from_records(scalar))
-        blocks.extend(dataset.iter_trace_blocks())
-        if not blocks:
-            blocks.append(trace_block_from_records([]))
-        return ResolvedTraceBlock.concatenate(
-            [self.resolve_many(block) for block in blocks]
-        )
+        dataset's traceroute order."""
+        resolved = [self.resolve_many(block) for block in dataset.trace_blocks()]
+        if not resolved:
+            resolved.append(self.resolve_many(trace_block_from_records([])))
+        return ResolvedTraceBlock.concatenate(resolved)
 
     def _learn(self, distinct: np.ndarray) -> None:
         """Classify the addresses of ``distinct`` (sorted, unique) that

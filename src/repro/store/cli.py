@@ -198,7 +198,9 @@ def _command_verify(args: argparse.Namespace) -> int:
 
 
 def _command_export(args: argparse.Namespace) -> int:
-    store = DatasetStore.open(args.run_dir)
+    # Pinned like info: the header's counts and the blocks after it
+    # must come from one journal prefix.
+    store = DatasetStore.open(args.run_dir).snapshot()
     lines = save_dataset(store.dataset(), args.output)
     print(f"Wrote {lines} measurements to {args.output}", file=sys.stderr)
     return 0
@@ -210,10 +212,12 @@ def _command_import(args: argparse.Namespace) -> int:
     traces_by_unit: Dict[Tuple[str, int], List[TracerouteMeasurement]] = (
         defaultdict(list)
     )
-    for ping in dataset.pings():
-        pings_by_unit[(ping.meta.platform, ping.meta.day)].append(ping)
-    for trace in dataset.traceroutes():
-        traces_by_unit[(trace.meta.platform, trace.meta.day)].append(trace)
+    for ping_block in dataset.ping_blocks():
+        for ping in ping_block.records():
+            pings_by_unit[(ping.meta.platform, ping.meta.day)].append(ping)
+    for trace_block in dataset.trace_blocks():
+        for trace in trace_block.records():
+            traces_by_unit[(trace.meta.platform, trace.meta.day)].append(trace)
 
     store = DatasetStore.create(Path(args.run_dir), source="import")
     # Units keep the input's first-seen order, so exporting the imported

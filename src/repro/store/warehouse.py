@@ -57,7 +57,7 @@ from repro.store.shards import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.query.builder import QueryBuilder
+    from repro.store.view import StoredDataset
 
 PathLike = Union[str, Path]
 
@@ -550,12 +550,6 @@ class DatasetStore:
         journal references exists on disk.
         """
         return DatasetStore(self._run_dir, self._journal.pin(), self._manifest)
-
-    def query(self) -> "QueryBuilder":
-        """A :class:`repro.query.QueryBuilder` over this store."""
-        from repro.query.builder import QueryBuilder
-
-        return QueryBuilder(self)
 
     def iter_ping_blocks(self, mmap: bool = True) -> Iterator[PingBlock]:
         """Decode journaled ping shards lazily, one block at a time."""

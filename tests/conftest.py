@@ -17,6 +17,8 @@ import pytest
 # Make tests/helpers.py importable as `helpers` from any test module.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from helpers import traceroutes
+
 from repro import build_world, run_campaign
 from repro.experiments import StudyContext
 
@@ -78,7 +80,7 @@ def reference_resolver(world):
 @pytest.fixture(scope="session")
 def oracle_traces(reference_resolver, dataset):
     """The shared dataset's traceroutes resolved record by record."""
-    return reference_resolver.resolve_many(list(dataset.traceroutes()))
+    return reference_resolver.resolve_many(list(traceroutes(dataset)))
 
 
 @pytest.fixture()

@@ -1,8 +1,9 @@
-"""Builders for hand-crafted measurements used by analysis unit tests."""
+"""Builders for hand-crafted measurements used by analysis unit tests,
+and record filters over a dataset's blocks."""
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Any, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.geo.continents import Continent
 from repro.lastmile.base import AccessKind
@@ -12,6 +13,8 @@ from repro.measure.results import (
     PingMeasurement,
     Protocol,
     TracerouteMeasurement,
+    ping_block_from_records,
+    trace_block_from_records,
 )
 
 
@@ -60,12 +63,52 @@ def make_ping(
 def dataset_of(
     *measurements: "PingMeasurement | TracerouteMeasurement",
 ) -> MeasurementDataset:
-    dataset = MeasurementDataset()
+    """A dataset of one ping block and one trace block holding
+    ``measurements`` in order, as the JSONL loader builds it."""
+    pings, traces = [], []
     for measurement in measurements:
         if isinstance(measurement, PingMeasurement):
-            dataset.add_ping(measurement)
+            pings.append(measurement)
         elif isinstance(measurement, TracerouteMeasurement):
-            dataset.add_traceroute(measurement)
+            traces.append(measurement)
         else:
             raise TypeError(f"unsupported measurement {measurement!r}")
+    dataset = MeasurementDataset()
+    dataset.add_ping_block(ping_block_from_records(pings))
+    dataset.add_trace_block(trace_block_from_records(traces))
     return dataset
+
+
+def _records(
+    blocks: Iterable[Any],
+    platform: Optional[str],
+    protocol: Optional[Protocol],
+) -> Iterator[Any]:
+    """The record views of ``blocks`` on ``platform`` over ``protocol``
+    (``None`` keeps every value), block after block."""
+    wanted = None if protocol is None else Protocol(protocol)
+    for block in blocks:
+        for record in block.records():
+            if platform is not None and record.meta.platform != platform:
+                continue
+            if wanted is not None and record.protocol is not wanted:
+                continue
+            yield record
+
+
+def pings(
+    dataset: MeasurementDataset,
+    platform: Optional[str] = None,
+    protocol: Optional[Protocol] = None,
+) -> Iterator[PingMeasurement]:
+    """A dataset's ping records, filtered like :func:`_records`."""
+    return _records(dataset.ping_blocks(), platform, protocol)
+
+
+def traceroutes(
+    dataset: MeasurementDataset,
+    platform: Optional[str] = None,
+    protocol: Optional[Protocol] = None,
+) -> Iterator[TracerouteMeasurement]:
+    """A dataset's traceroute records, filtered like :func:`_records`."""
+    return _records(dataset.trace_blocks(), platform, protocol)

@@ -1,9 +1,9 @@
 """Every experiment renders the same data from every dataset backing.
 
 One classic campaign is analysed three ways: as the in-memory dataset
-the campaign returns (columnar blocks), after a ``save_dataset`` /
-``load_dataset`` round trip (scalar records, which trace resolution
-columnarizes first), and from the store ``repro.store import-jsonl``
+the campaign returns (one block per batch), after a ``save_dataset`` /
+``load_dataset`` round trip (one block of each kind, with stand-in
+probes and regions), and from the store ``repro.store import-jsonl``
 builds out of that file (memmapped shards, one block per unit).
 """
 
@@ -40,12 +40,11 @@ class TestBackingParity:
         capsys.readouterr()
         stored = DatasetStore.open(tmp_path / "store").dataset()
 
-        # The record route reaches the resolver as scalar records only,
-        # the store route as shards only.
-        assert records.trace_blocks() == []
-        assert len(list(records.iter_scalar_traceroutes())) == dataset.traceroute_count
-        assert list(stored.iter_scalar_traceroutes()) == []
-        assert len(stored.trace_blocks()) > 1
+        # The JSONL route reaches the resolver as one block, the store
+        # route as one block per shard.
+        assert len(list(records.trace_blocks())) == 1
+        assert records.traceroute_count == dataset.traceroute_count
+        assert len(list(stored.trace_blocks())) > 1
         assert stored.traceroute_count == dataset.traceroute_count
 
         expected = renders(world, dataset)

@@ -12,6 +12,8 @@ import statistics
 
 import pytest
 
+from helpers import pings, traceroutes
+
 from repro import build_world
 from repro.measure.campaign import (
     plan_units,
@@ -41,15 +43,15 @@ def _headline(dataset):
     summary = {}
     for platform in ("speedchecker", "atlas"):
         for protocol in (None, "tcp", "icmp"):
-            pings = list(dataset.pings(platform=platform, protocol=protocol))
+            rows = list(pings(dataset, platform=platform, protocol=protocol))
             key = (platform, protocol or "any")
             summary[key] = (
-                len(pings),
-                round(statistics.median(p.min_rtt_ms for p in pings), 9)
-                if pings
+                len(rows),
+                round(statistics.median(p.min_rtt_ms for p in rows), 9)
+                if rows
                 else None,
             )
-    traces = list(dataset.traceroutes())
+    traces = list(traceroutes(dataset))
     summary["reached"] = round(
         sum(1 for t in traces if t.reached) / len(traces), 9
     )
@@ -139,9 +141,9 @@ class TestStoredDatasetIntegration:
         lines = save_dataset(store.dataset(), path)
         assert lines == store.ping_count + store.traceroute_count
         loaded = load_dataset(path)
-        assert list(loaded.pings()) == list(store.dataset().pings())
-        assert list(loaded.traceroutes()) == list(
-            store.dataset().traceroutes()
+        assert list(pings(loaded)) == list(pings(store.dataset()))
+        assert list(traceroutes(loaded)) == list(
+            traceroutes(store.dataset())
         )
 
     def test_plan_units_shape(self):

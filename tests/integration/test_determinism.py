@@ -4,6 +4,8 @@ import hashlib
 
 import pytest
 
+from helpers import pings, traceroutes
+
 from repro import build_world, run_campaign
 from repro.experiments import StudyContext, run_experiment
 
@@ -14,11 +16,11 @@ FOCUSED_STUDIES = ("fig6a", "fig6b", "fig12", "fig13", "fig17", "fig18")
 
 def dataset_digest(dataset) -> str:
     hasher = hashlib.sha256()
-    for ping in dataset.pings():
+    for ping in pings(dataset):
         hasher.update(ping.meta.probe_id.encode())
         hasher.update(ping.meta.region_id.encode())
         hasher.update(repr(ping.samples).encode())
-    for trace in dataset.traceroutes():
+    for trace in traceroutes(dataset):
         hasher.update(trace.meta.probe_id.encode())
         hasher.update(repr([(h.address, h.rtt_ms) for h in trace.hops]).encode())
     return hasher.hexdigest()

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from helpers import traceroutes
+
 from repro import SimulationConfig, build_world, run_campaign
 from repro.analysis.peering import CATEGORIES, DIRECT, ONE_IXP, classify_traces
 from repro.core.config import CampaignConfig, PathModelConfig, PlatformConfig
@@ -85,7 +87,7 @@ class TestEmptyRib:
             rib_coverage=0.01,
             rng=world.rngs.fork("empty-rib", 0),
         )
-        traces = list(dataset.traceroutes())[:50]
+        traces = list(traceroutes(dataset))[:50]
         resolved = resolver.resolve_many(trace_block_from_records(traces))
         assert resolver.cymru_query_count > 0
         # AS paths still come out whole thanks to the fallback.

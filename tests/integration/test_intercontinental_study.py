@@ -2,6 +2,8 @@
 
 import pytest
 
+from helpers import pings
+
 from repro import build_world
 from repro.geo.continents import Continent
 from repro.measure.campaign import run_intercontinental_study
@@ -17,21 +19,21 @@ class TestRunIntercontinentalStudy:
         dataset = run_intercontinental_study(
             small_world, ["EG", "KE"], [Continent.EU, Continent.AF], rounds=1
         )
-        countries = {ping.meta.country for ping in dataset.pings()}
+        countries = {ping.meta.country for ping in pings(dataset)}
         assert countries <= {"EG", "KE"}
 
     def test_targets_cover_requested_continents(self, small_world):
         dataset = run_intercontinental_study(
             small_world, ["EG"], [Continent.EU, Continent.NA], rounds=1
         )
-        targets = {ping.meta.region_continent for ping in dataset.pings()}
+        targets = {ping.meta.region_continent for ping in pings(dataset)}
         assert targets == {Continent.EU, Continent.NA}
 
     def test_every_provider_with_regions_is_covered(self, small_world):
         dataset = run_intercontinental_study(
             small_world, ["EG"], [Continent.EU], rounds=1
         )
-        measured = {ping.meta.provider_code for ping in dataset.pings()}
+        measured = {ping.meta.provider_code for ping in pings(dataset)}
         available = {
             region.provider_code
             for region in small_world.catalog.in_continent(Continent.EU)
@@ -51,7 +53,7 @@ class TestRunIntercontinentalStudy:
         dataset = run_intercontinental_study(
             small_world, ["EG"], [Continent.EU], rounds=1, max_probes_per_country=2
         )
-        probes = {ping.meta.probe_id for ping in dataset.pings()}
+        probes = {ping.meta.probe_id for ping in pings(dataset)}
         assert len(probes) <= 2
 
     def test_no_traceroutes_collected(self, small_world):

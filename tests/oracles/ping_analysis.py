@@ -4,8 +4,8 @@ These are :mod:`repro.analysis.nearest`, :mod:`~repro.analysis.compare`,
 :mod:`~repro.analysis.intercontinental`, :mod:`~repro.analysis.providers`,
 :mod:`~repro.analysis.composition`, :mod:`~repro.analysis.temporal` and
 :mod:`repro.experiments.stats_exp` as they ran before they became
-group-bys over a dataset's ping columns: one Python pass over
-``dataset.pings()``, filling dicts of lists.  Parity tests assert that
+group-bys over a dataset's ping columns: one Python pass over the
+record views of ``helpers.pings``, filling dicts of lists.  Parity tests assert that
 each group-by returns what its reference here returns: the same dict
 and list order and the same float bits.  Fig. 15's TCP loop lives with
 the trace references (``oracles.trace_analysis.protocol_comparison``).
@@ -16,6 +16,8 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from helpers import pings
 
 from repro.analysis.compare import (
     DifferenceDistribution,
@@ -44,7 +46,7 @@ def nearest_by_probe(
 ) -> NearestMap:
     """Estimate each probe's nearest datacenter from its measurements."""
     sums: Dict[Tuple[str, RegionKey], List[float]] = {}
-    for ping in dataset.pings(platform=platform, protocol=protocol):
+    for ping in pings(dataset, platform=platform, protocol=protocol):
         meta = ping.meta
         if same_continent_only and meta.region_continent is not meta.continent:
             continue
@@ -73,7 +75,7 @@ def samples_to_nearest(
         nearest = nearest_by_probe(
             dataset, platform, protocol, same_continent_only
         )
-    for ping in dataset.pings(platform=platform, protocol=protocol):
+    for ping in pings(dataset, platform=platform, protocol=protocol):
         meta = ping.meta
         if nearest.region_for(meta.probe_id) != (
             meta.provider_code,
@@ -158,7 +160,7 @@ def matched_city_asn_differences(
 
     def collect(platform: str) -> Dict[GroupKey, List[float]]:
         grouped: Dict[GroupKey, List[float]] = {}
-        for ping in dataset.pings(platform=platform, protocol=protocol):
+        for ping in pings(dataset, platform=platform, protocol=protocol):
             meta = ping.meta
             key = (meta.city_key, meta.isp_asn, meta.provider_code, meta.region_id)
             grouped.setdefault(key, []).extend(ping.samples)
@@ -169,7 +171,7 @@ def matched_city_asn_differences(
     # Continent per group key is recoverable from any member measurement;
     # rebuild a key -> continent map from the Speedchecker side.
     continent_of: Dict[GroupKey, Continent] = {}
-    for ping in dataset.pings(platform="speedchecker", protocol=protocol):
+    for ping in pings(dataset, platform="speedchecker", protocol=protocol):
         meta = ping.meta
         continent_of[
             (meta.city_key, meta.isp_asn, meta.provider_code, meta.region_id)
@@ -218,7 +220,7 @@ def nearest_region_samples(
     sums: Dict[Tuple[str, Continent, Tuple[str, str]], List[float]] = {}
     samples: Dict[Tuple[str, Continent, Tuple[str, str]], List[float]] = {}
     country_of: Dict[str, str] = {}
-    for ping in dataset.pings(platform=platform, protocol=protocol):
+    for ping in pings(dataset, platform=platform, protocol=protocol):
         meta = ping.meta
         if meta.country not in wanted:
             continue
@@ -268,7 +270,7 @@ def provider_consistency(
     sums: Dict[Tuple[str, str, str, str], List[float]] = {}
     samples: Dict[Tuple[str, str, str, str], List[float]] = {}
     continent_of: Dict[str, Continent] = {}
-    for ping in dataset.pings(platform=platform, protocol=protocol):
+    for ping in pings(dataset, platform=platform, protocol=protocol):
         meta = ping.meta
         if meta.region_continent is not meta.continent:
             continue
@@ -322,7 +324,7 @@ def dataset_composition(
     intra: Dict[Continent, int] = {}
     inter: Dict[Continent, int] = {}
     total = 0
-    for ping in dataset.pings(platform=platform):
+    for ping in pings(dataset, platform=platform):
         count = len(ping.samples)
         continent = ping.meta.continent
         per_continent[continent] = per_continent.get(continent, 0) + count
@@ -360,7 +362,7 @@ def temporal_report(
 ) -> TemporalReport:
     """Summarize per-day latency across a campaign."""
     per_day: Dict[int, List[float]] = {}
-    for ping in dataset.pings(platform=platform, protocol=protocol):
+    for ping in pings(dataset, platform=platform, protocol=protocol):
         per_day.setdefault(ping.meta.day, []).extend(ping.samples)
     daily_median = {
         day: float(np.median(samples))
@@ -400,7 +402,7 @@ def run_stats(world, dataset=None) -> ExperimentResult:
     data = {"paper_requirement": paper_n}
     if dataset is not None:
         per_country: Dict[str, int] = {}
-        for ping in dataset.pings(platform="speedchecker"):
+        for ping in pings(dataset, platform="speedchecker"):
             per_country[ping.meta.country] = (
                 per_country.get(ping.meta.country, 0) + len(ping.samples)
             )

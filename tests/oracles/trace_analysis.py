@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from helpers import pings
 from oracles.resolver import ResolvedTrace
 
 from repro.analysis.ingress import IngressStats
@@ -504,7 +505,7 @@ def protocol_comparison(
     """
     tcp_by_probe: Dict[PairKey, Dict[str, List[float]]] = {}
     continents: Dict[PairKey, Continent] = {}
-    for ping in dataset.pings(platform=platform, protocol=Protocol.TCP):
+    for ping in pings(dataset, platform=platform, protocol=Protocol.TCP):
         meta = ping.meta
         key = (meta.country, meta.provider_code, meta.region_id)
         tcp_by_probe.setdefault(key, {}).setdefault(meta.probe_id, []).extend(

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import pings, traceroutes
 from oracles import latency as scalar_oracle
 
 from repro import build_world
@@ -268,8 +269,8 @@ class TestBlockBackedDatasetIO:
         loaded = load_dataset(path)
         assert loaded.ping_count == dataset.ping_count
         assert loaded.traceroute_count == dataset.traceroute_count
-        original = list(dataset.pings())
-        restored = list(loaded.pings())
+        original = list(pings(dataset))
+        restored = list(pings(loaded))
         assert [p.samples for p in restored] == [p.samples for p in original]
         assert [p.meta for p in restored] == [p.meta for p in original]
-        assert list(loaded.traceroutes()) == list(dataset.traceroutes())
+        assert list(traceroutes(loaded)) == list(traceroutes(dataset))

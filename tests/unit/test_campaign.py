@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import pings, traceroutes
+
 from repro import build_world, run_campaign
 from repro.geo.continents import Continent
 from repro.measure.campaign import run_case_study, target_regions
@@ -25,7 +27,7 @@ class TestRunCampaign:
         assert small_dataset.traceroute_count > 20
 
     def test_day_range(self, small_dataset):
-        days = {ping.meta.day for ping in small_dataset.pings()}
+        days = {ping.meta.day for ping in pings(small_dataset)}
         assert days <= set(range(6))
         assert len(days) > 1
 
@@ -36,36 +38,36 @@ class TestRunCampaign:
     def test_platform_selection(self, small_world):
         sc_only = run_campaign(small_world, days=2, platforms=("speedchecker",))
         assert all(
-            ping.meta.platform == "speedchecker" for ping in sc_only.pings()
+            ping.meta.platform == "speedchecker" for ping in pings(sc_only)
         )
 
     def test_speedchecker_pings_are_tcp(self, small_dataset):
         protocols = {
-            ping.protocol for ping in small_dataset.pings(platform="speedchecker")
+            ping.protocol for ping in pings(small_dataset, platform="speedchecker")
         }
         assert protocols == {Protocol.TCP}
 
     def test_speedchecker_traceroutes_are_icmp(self, small_dataset):
         protocols = {
             trace.protocol
-            for trace in small_dataset.traceroutes(platform="speedchecker")
+            for trace in traceroutes(small_dataset, platform="speedchecker")
         }
         assert protocols == {Protocol.ICMP}
 
     def test_atlas_records_both_ping_protocols(self, small_dataset):
         protocols = {
-            ping.protocol for ping in small_dataset.pings(platform="atlas")
+            ping.protocol for ping in pings(small_dataset, platform="atlas")
         }
         assert protocols == {Protocol.TCP, Protocol.ICMP}
 
     def test_atlas_traceroutes_are_tcp(self, small_dataset):
         protocols = {
-            trace.protocol for trace in small_dataset.traceroutes(platform="atlas")
+            trace.protocol for trace in traceroutes(small_dataset, platform="atlas")
         }
         assert protocols == {Protocol.TCP}
 
     def test_targets_stay_in_continent_except_af_sa(self, small_dataset):
-        for ping in small_dataset.pings():
+        for ping in pings(small_dataset):
             meta = ping.meta
             if meta.continent in (Continent.AF, Continent.SA):
                 continue
@@ -74,7 +76,7 @@ class TestRunCampaign:
     def test_african_probes_also_target_eu_and_na(self, small_dataset):
         targets = {
             ping.meta.region_continent
-            for ping in small_dataset.pings()
+            for ping in pings(small_dataset)
             if ping.meta.continent is Continent.AF
         }
         assert Continent.EU in targets
@@ -83,7 +85,7 @@ class TestRunCampaign:
     def test_south_american_probes_also_target_na(self, small_dataset):
         targets = {
             ping.meta.region_continent
-            for ping in small_dataset.pings()
+            for ping in pings(small_dataset)
             if ping.meta.continent is Continent.SA
         }
         assert Continent.NA in targets
@@ -114,7 +116,7 @@ class TestTargetRegions:
 class TestCaseStudy:
     def test_source_and_destination_respected(self, small_world):
         dataset = run_case_study(small_world, "DE", "GB", rounds=1, max_probes=4)
-        for ping in dataset.pings():
+        for ping in pings(dataset):
             assert ping.meta.country == "DE"
             assert ping.meta.region_country == "GB"
         assert dataset.traceroute_count == dataset.ping_count
@@ -125,5 +127,5 @@ class TestCaseStudy:
 
     def test_max_probes_cap(self, small_world):
         dataset = run_case_study(small_world, "DE", "GB", rounds=1, max_probes=2)
-        probes = {ping.meta.probe_id for ping in dataset.pings()}
+        probes = {ping.meta.probe_id for ping in pings(dataset)}
         assert len(probes) <= 2

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +10,6 @@ from repro.geo.coords import (
     EARTH_RADIUS_KM,
     GeoPoint,
     haversine_km,
-    interpolate,
-    interpolate_many,
     jitter_point,
 )
 
@@ -75,63 +72,6 @@ class TestHaversine:
         assert haversine_km(a, c) <= (
             haversine_km(a, b) + haversine_km(b, c) + 1e-6
         )
-
-
-class TestInterpolate:
-    def test_endpoints(self):
-        start = interpolate(LONDON, NEW_YORK, 0.0)
-        end = interpolate(LONDON, NEW_YORK, 1.0)
-        assert haversine_km(start, LONDON) < 1.0
-        assert haversine_km(end, NEW_YORK) < 1.0
-
-    def test_midpoint_is_equidistant(self):
-        mid = interpolate(LONDON, NEW_YORK, 0.5)
-        assert haversine_km(LONDON, mid) == pytest.approx(
-            haversine_km(mid, NEW_YORK), rel=0.01
-        )
-
-    def test_midpoint_method(self):
-        assert haversine_km(
-            LONDON.midpoint(NEW_YORK), interpolate(LONDON, NEW_YORK, 0.5)
-        ) < 1.0
-
-    def test_identical_points(self):
-        assert interpolate(LONDON, LONDON, 0.7) == LONDON
-
-    def test_fraction_out_of_range(self):
-        with pytest.raises(ValueError, match="fraction"):
-            interpolate(LONDON, NEW_YORK, 1.5)
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=40)
-    def test_distance_monotone_in_fraction(self, fraction):
-        point = interpolate(LONDON, SYDNEY, fraction)
-        total = haversine_km(LONDON, SYDNEY)
-        assert haversine_km(LONDON, point) == pytest.approx(
-            fraction * total, abs=5.0
-        )
-
-
-class TestInterpolateMany:
-    def test_matches_scalar_interpolate(self):
-        fractions = np.linspace(0.0, 1.0, 17)
-        lats, lons = interpolate_many(LONDON, SYDNEY, fractions)
-        for fraction, lat, lon in zip(fractions, lats, lons):
-            expected = interpolate(LONDON, SYDNEY, float(fraction))
-            assert haversine_km(GeoPoint(lat, lon), expected) < 0.5
-
-    def test_identical_points(self):
-        lats, lons = interpolate_many(LONDON, LONDON, [0.0, 0.4, 1.0])
-        assert np.allclose(lats, LONDON.lat)
-        assert np.allclose(lons, LONDON.lon)
-
-    def test_empty_fractions(self):
-        lats, lons = interpolate_many(LONDON, NEW_YORK, [])
-        assert lats.size == 0 and lons.size == 0
-
-    def test_fraction_out_of_range(self):
-        with pytest.raises(ValueError, match="fractions"):
-            interpolate_many(LONDON, NEW_YORK, [0.2, 1.2])
 
 
 class TestJitterPoint:

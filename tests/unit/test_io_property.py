@@ -6,17 +6,23 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import dataset_of, pings, traceroutes
+
 from repro.geo.continents import Continent
 from repro.lastmile.base import AccessKind
 from repro.measure.io import load_dataset, save_dataset
 from repro.measure.results import (
-    MeasurementDataset,
     MeasurementMeta,
     PingMeasurement,
     Protocol,
     TraceHop,
     TracerouteMeasurement,
 )
+from repro.platforms.probe import CITY_CELL_DEGREES
+
+#: The largest city-key components a valid location quantizes to.
+LAT_CELLS = round(90 / CITY_CELL_DEGREES)
+LON_CELLS = round(180 / CITY_CELL_DEGREES)
 
 identifiers = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=12
@@ -37,12 +43,12 @@ metas = st.builds(
     region_continent=st.sampled_from(list(Continent)),
     day=st.integers(min_value=0, max_value=365),
     city_key=st.tuples(
-        st.integers(min_value=-90, max_value=90),
-        st.integers(min_value=-180, max_value=180),
+        st.integers(min_value=-LAT_CELLS, max_value=LAT_CELLS),
+        st.integers(min_value=-LON_CELLS, max_value=LON_CELLS),
     ),
 )
 
-pings = st.builds(
+ping_records = st.builds(
     PingMeasurement,
     meta=metas,
     protocol=st.sampled_from(list(Protocol)),
@@ -58,7 +64,7 @@ hops = st.one_of(
     ),
 )
 
-traces = st.builds(
+trace_records = st.builds(
     TracerouteMeasurement,
     meta=metas,
     protocol=st.sampled_from(list(Protocol)),
@@ -69,19 +75,15 @@ traces = st.builds(
 
 
 @given(
-    ping_list=st.lists(pings, max_size=10),
-    trace_list=st.lists(traces, max_size=6),
+    ping_list=st.lists(ping_records, max_size=10),
+    trace_list=st.lists(trace_records, max_size=6),
 )
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow], deadline=None)
 def test_roundtrip_preserves_every_record(ping_list, trace_list):
-    dataset = MeasurementDataset()
-    for ping in ping_list:
-        dataset.add_ping(ping)
-    for trace in trace_list:
-        dataset.add_traceroute(trace)
+    dataset = dataset_of(*ping_list, *trace_list)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "roundtrip.jsonl"
         save_dataset(dataset, path)
         loaded = load_dataset(path)
-    assert list(loaded.pings()) == ping_list
-    assert list(loaded.traceroutes()) == trace_list
+    assert list(pings(loaded)) == ping_list
+    assert list(traceroutes(loaded)) == trace_list

@@ -1,13 +1,15 @@
 """Each ping group-by against its record-loop reference.
 
 Every analysis that groups a dataset's ping columns must return what the
-matching loop in ``oracles.ping_analysis`` returns over
-``dataset.pings()``: the same keys and list entries in the same order,
+matching loop in ``oracles.ping_analysis`` returns over the
+dataset's ping records: the same keys and list entries in the same order,
 and the same float bits.  ``repr`` checks all three at once, since it
 spells every float exactly.  The datasets are the shared 21-day 2%
 campaign, a store holding the campaign's blocks as separately interned
 shards, hand-built records and an empty dataset.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -106,7 +108,8 @@ def edge_case_records():
 
 
 def edge_case_dataset():
-    """The records above: the first half scalar, the rest as a block."""
+    """The records above: the first ten as one block, the rest as
+    another."""
     records = edge_case_records()
     dataset = dataset_of(*records[:10])
     dataset.add_ping_block(ping_block_from_records(records[10:]))
@@ -118,7 +121,8 @@ def stored_campaign(dataset, tmp_path_factory):
     """Blocks of the shared campaign, one store unit (and shard, with
     its own probe and region tables) per block."""
     store = DatasetStore.create(tmp_path_factory.mktemp("ping-parity") / "run")
-    for index, block in enumerate(dataset.ping_blocks()[:STORED_BLOCKS]):
+    blocks = itertools.islice(dataset.ping_blocks(), STORED_BLOCKS)
+    for index, block in enumerate(blocks):
         store.flush_unit(
             f"speedchecker:{index:03d}",
             ping_block=block,

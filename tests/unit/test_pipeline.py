@@ -203,5 +203,5 @@ class TestDatasetResolution:
             rib_coverage=0.7,
             rng=world.rngs.fork("test-partial-rib", 0),
         )
-        partial.resolve_many(next(dataset.iter_trace_blocks()))
+        partial.resolve_many(next(dataset.trace_blocks()))
         assert partial.cymru_query_count > 0

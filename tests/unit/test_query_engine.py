@@ -8,6 +8,7 @@ and the cache-invalidation contract.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -199,8 +200,9 @@ class TestQuerySpec:
             QuerySpec.from_dict({"kind": PING_KIND, "order_by": "rtt"})
 
     def test_with_returns_modified_copy(self):
+        """A replaced field is normalized like a constructed one."""
         spec = QuerySpec()
-        narrowed = spec.with_(countries=("DE",))
+        narrowed = dataclasses.replace(spec, countries=["DE"])
         assert narrowed.countries == ("DE",)
         assert spec.countries == ()
 
@@ -306,24 +308,25 @@ class TestEngineMatchesOracle:
             assert parallel.to_json() == serial.to_json()
 
     def test_builder_fluent_chain(self, query_store):
-        result = (
-            query_store.query()
-            .pings()
-            .where(platform="speedchecker", country="DE")
-            .days(0, 1)
-            .group_by("day")
-            .aggregate("samples", "sum")
-            .run(cache=False)
+        """Conjunctive filters, a day range, a group key and two
+        aggregates in one spec."""
+        spec = QuerySpec(
+            kind=PING_KIND,
+            platform="speedchecker",
+            countries=("DE",),
+            day_range=(0, 1),
+            group_by=("day",),
+            aggregates=("samples", "sum"),
         )
+        result = execute(query_store, spec, cache=False)
         by_day = {row["group"]["day"]: row for row in result.rows}
         assert by_day[0]["samples"] == 4
         assert by_day[1]["samples"] == 2
         assert by_day[0]["sum"] == 75.0
 
     def test_trace_values_are_end_to_end_rtts(self, query_store):
-        result = (
-            query_store.query().traces().group_by("day").collect().run(cache=False)
-        )
+        spec = QuerySpec(kind=TRACE_KIND, group_by=("day",), collect=True)
+        result = execute(query_store, spec, cache=False)
         by_day = {row["group"]["day"]: row["values"] for row in result.rows}
         # The unreached day-0 trace contributes a row but no value.
         assert by_day[0] == [31.5]

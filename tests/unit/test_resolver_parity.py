@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dataset_of, make_meta
+from helpers import make_meta
 from oracles.resolver import ReferenceResolver, block_rows, trace_rows
 
 from repro.geo.continents import Continent
@@ -290,16 +290,3 @@ class TestCampaignParity:
         for got, want in zip(block_rows(resolved), trace_rows(oracle_traces)):
             assert got == want
         assert batch.cymru_query_count == reference_resolver.cymru_query_count > 0
-
-    def test_scalar_records_resolve_before_blocks(self, world, ixps, dataset):
-        """``resolve_dataset`` follows ``traceroutes()`` order: the
-        scalar records as one block, then the columnar blocks."""
-        records = list(dataset.traceroutes())
-        mixed = dataset_of(*records[-50:])
-        for block in dataset.iter_trace_blocks():
-            mixed.add_trace_block(block)
-        batch, reference = resolvers(world, ixps, 0.5)
-        resolved = batch.resolve_dataset(mixed)
-        expected = reference.resolve_many(list(mixed.traceroutes()))
-        assert block_rows(resolved) == trace_rows(expected)
-        assert batch.cymru_query_count == reference.cymru_query_count

@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import dataset_of, pings, traceroutes
+
 from repro.cloud.regions import CloudRegion
 from repro.geo.continents import Continent
 from repro.geo.coords import GeoPoint
@@ -19,6 +21,7 @@ from repro.measure.results import (
     TraceHop,
     TracerouteMeasurement,
     dataset_pings,
+    ping_block_from_records,
 )
 from repro.platforms.probe import Probe
 
@@ -36,7 +39,7 @@ def make_meta(platform="speedchecker", country="DE", provider="GCP"):
         region_country="DE",
         region_continent=Continent.EU,
         day=0,
-        city_key=(50, 8),
+        city_key=(25, 4),
     )
 
 
@@ -90,46 +93,44 @@ class TestTracerouteMeasurement:
 
 class TestMeasurementDataset:
     def test_counts(self):
-        dataset = MeasurementDataset()
-        dataset.add_ping(make_ping())
-        dataset.add_ping(make_ping())
-        dataset.add_traceroute(make_trace())
+        dataset = dataset_of(make_ping(), make_ping(), make_trace())
         assert dataset.ping_count == 2
         assert dataset.traceroute_count == 1
         assert dataset.ping_sample_count == 6
 
     def test_platform_filter(self):
-        dataset = MeasurementDataset()
-        dataset.add_ping(make_ping(platform="speedchecker"))
-        dataset.add_ping(make_ping(platform="atlas"))
-        assert len(list(dataset.pings(platform="atlas"))) == 1
+        """``PingBlock.select`` keeps the rows of one platform."""
+        block = ping_block_from_records(
+            [
+                make_ping(platform="atlas"),
+                make_ping(platform="speedchecker"),
+                make_ping(platform="atlas"),
+            ]
+        )
+        assert block.select(platform="atlas").tolist() == [0, 2]
+        assert block.select(platform="speedchecker").tolist() == [1]
+        assert block.select(platform="other").tolist() == []
+        assert block.select().tolist() == [0, 1, 2]
 
     def test_protocol_filter(self):
-        dataset = MeasurementDataset()
-        dataset.add_ping(make_ping())
-        assert len(list(dataset.pings(protocol=Protocol.ICMP))) == 0
-        assert len(list(dataset.pings(protocol="tcp"))) == 1
-
-    def test_predicate_filter(self):
-        dataset = MeasurementDataset()
-        dataset.add_ping(make_ping(country="DE"))
-        dataset.add_ping(make_ping(country="FR"))
-        filtered = list(dataset.pings(predicate=lambda m: m.meta.country == "FR"))
-        assert len(filtered) == 1
+        """``PingBlock.select`` keeps the rows of one protocol, given as
+        a member or a value, and ANDs it with the platform."""
+        icmp = dataclasses.replace(make_ping(), protocol=Protocol.ICMP)
+        block = ping_block_from_records([make_ping(), icmp, make_ping()])
+        assert block.select(protocol=Protocol.ICMP).tolist() == [1]
+        assert block.select(protocol="tcp").tolist() == [0, 2]
+        assert block.select(platform="atlas", protocol="tcp").tolist() == []
+        assert block.select("speedchecker", "icmp").tolist() == [1]
 
     def test_traceroute_filters(self):
-        dataset = MeasurementDataset()
-        dataset.add_traceroute(make_trace(platform="atlas"))
-        assert len(list(dataset.traceroutes(platform="atlas"))) == 1
-        assert len(list(dataset.traceroutes(platform="speedchecker"))) == 0
-        assert len(list(dataset.traceroutes(protocol=Protocol.ICMP))) == 1
+        dataset = dataset_of(make_trace(platform="atlas"))
+        assert len(list(traceroutes(dataset, platform="atlas"))) == 1
+        assert len(list(traceroutes(dataset, platform="speedchecker"))) == 0
+        assert len(list(traceroutes(dataset, protocol=Protocol.ICMP))) == 1
 
     def test_extend(self):
-        a = MeasurementDataset()
-        a.add_ping(make_ping())
-        b = MeasurementDataset()
-        b.add_ping(make_ping())
-        b.add_traceroute(make_trace())
+        a = dataset_of(make_ping())
+        b = dataset_of(make_ping(), make_trace())
         a.extend(b)
         assert a.ping_count == 2
         assert a.traceroute_count == 1
@@ -224,7 +225,7 @@ class TestColumnarPingStore:
         dataset.add_ping_block(make_block(requests=1, samples_per_request=2))
         assert dataset.ping_count == 3
         assert dataset.ping_sample_count == 7 + 2
-        assert len(list(dataset.pings())) == 3
+        assert len(list(pings(dataset))) == 3
 
     def test_append_block_keeps_blocks_apart(self):
         dataset = MeasurementDataset()
@@ -235,25 +236,13 @@ class TestColumnarPingStore:
 
 
 class TestBlockBackedDataset:
-    def test_block_and_scalar_pings_merge(self):
-        dataset = MeasurementDataset()
-        dataset.add_ping(make_ping())
-        dataset.add_ping_block(make_block(requests=2, samples_per_request=3))
-        assert dataset.ping_count == 3
-        assert dataset.ping_sample_count == 3 + 7
-        records = list(dataset.pings())
-        assert len(records) == 3
-        assert all(isinstance(r, PingMeasurement) for r in records)
-
     def test_filters_apply_to_block_records(self):
         dataset = MeasurementDataset()
         dataset.add_ping_block(make_block(requests=2))
-        assert len(list(dataset.pings(platform="speedchecker"))) == 2
-        assert len(list(dataset.pings(platform="atlas"))) == 0
-        assert len(list(dataset.pings(protocol=Protocol.ICMP))) == 0
-        assert (
-            len(list(dataset.pings(predicate=lambda m: m.meta.day == 1))) == 1
-        )
+        assert len(list(pings(dataset, platform="speedchecker"))) == 2
+        assert len(list(pings(dataset, platform="atlas"))) == 0
+        assert len(list(pings(dataset, protocol=Protocol.ICMP))) == 0
+        assert [ping.meta.day for ping in pings(dataset)] == [0, 1]
 
     def test_extend_carries_blocks(self):
         a, b = MeasurementDataset(), MeasurementDataset()
@@ -271,13 +260,7 @@ class TestPingsView:
         dataset.add_ping_block(make_block(requests=2))
         view = dataset_pings(dataset)
         assert dataset_pings(dataset) is view
-        dataset.add_ping(
-            PingMeasurement(
-                meta=dataclasses.replace(make_meta(), city_key=(25, 4)),
-                protocol=Protocol.TCP,
-                samples=(10.0,),
-            )
-        )
+        dataset.add_ping_block(ping_block_from_records([make_ping((10.0,))]))
         grown = dataset_pings(dataset)
         assert grown is not view and len(grown) == 3
         dataset.add_ping_block(make_block(requests=1))

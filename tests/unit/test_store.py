@@ -7,13 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from helpers import dataset_of, make_ping
+from helpers import dataset_of, make_ping, pings, traceroutes
 
 from repro.analysis.composition import dataset_composition
 from repro.geo.continents import Continent
 from repro.geo.coords import GeoPoint
 from repro.lastmile.base import AccessKind
-from repro.measure.io import save_dataset
+from repro.measure.campaign import resume_campaign, run_campaign_checkpointed
+from repro.measure.io import load_dataset, save_dataset
 from repro.measure.results import (
     MeasurementDataset,
     MeasurementMeta,
@@ -247,8 +248,8 @@ class TestDatasetStore:
     def test_materialize_round_trips_records(self, store_run_dir):
         store = self._filled_store(store_run_dir)
         dataset = store.materialize()
-        assert sorted(p.meta.probe_id for p in dataset.pings()) == ["p0", "p1", "p2"]
-        assert [t.meta.probe_id for t in dataset.traceroutes()] == ["p0"]
+        assert sorted(p.meta.probe_id for p in pings(dataset)) == ["p0", "p1", "p2"]
+        assert [t.meta.probe_id for t in traceroutes(dataset)] == ["p0"]
 
     def test_verify_clean_store(self, store_run_dir):
         assert self._filled_store(store_run_dir).verify() == []
@@ -269,8 +270,8 @@ class TestDatasetStore:
         view = store.dataset()
         assert view.ping_count == 3
         assert view.traceroute_count == 1
-        assert list(view.pings()) == list(store.materialize().pings())
-        assert [p.meta.probe_id for p in view.pings(predicate=lambda p: p.meta.day == 1)] == ["p2"]
+        assert list(pings(view)) == list(pings(store.materialize()))
+        assert [p.meta.probe_id for p in pings(view) if p.meta.day == 1] == ["p2"]
 
 
 class TestStoreCli:
@@ -317,6 +318,33 @@ class TestStoreCli:
     def test_missing_store_is_an_error(self, tmp_path, capsys):
         assert store_cli(["info", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_export_across_a_commit_matches_its_header(
+        self, world, store_run_dir, tmp_path, monkeypatch
+    ):
+        """Units committed after an export has written its header stay
+        out of the file: the counts and the lines read one journal."""
+        run_campaign_checkpointed(world, store_run_dir, days=2, max_units=1)
+        read_ping_blocks = DatasetStore.iter_ping_blocks
+        commits = []
+
+        def commit_then_read(store, mmap=True):
+            if not commits:
+                commits.append(resume_campaign(world, store_run_dir))
+            return read_ping_blocks(store, mmap)
+
+        monkeypatch.setattr(DatasetStore, "iter_ping_blocks", commit_then_read)
+        path = tmp_path / "export.jsonl"
+        assert store_cli(["export-jsonl", str(store_run_dir), str(path)]) == 0
+        monkeypatch.undo()
+        with open(path, encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+        loaded = load_dataset(path)
+        assert (loaded.ping_count, loaded.traceroute_count) == (
+            header["pings"],
+            header["traceroutes"],
+        )
+        assert commits and commits[0].ping_count > header["pings"]
 
 
 class TestExtendValidation:

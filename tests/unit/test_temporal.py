@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import dataset_of, make_ping
+from helpers import dataset_of, make_ping, pings
 
 from repro.analysis.temporal import temporal_report
 from repro.core.config import SimulationConfig
@@ -64,7 +64,7 @@ class TestTemporalReport:
 
     def test_thin_days_dropped(self):
         dataset = self.make_dataset()
-        dataset.add_ping(make_ping([500.0], day=99))
+        dataset.extend(dataset_of(make_ping([500.0], day=99)))
         report = temporal_report(dataset, min_samples_per_day=8)
         assert 99 not in report.daily_median_ms
 
@@ -78,7 +78,7 @@ class TestCampaignTemporalBehaviour:
         """The weekly congestion cycle should surface in a real campaign:
         the tail (P95 over daily samples) is heavier on weekdays."""
         per_bucket = {"weekday": [], "weekend": []}
-        for ping in dataset.pings(platform="speedchecker"):
+        for ping in pings(dataset, platform="speedchecker"):
             bucket = "weekend" if ping.meta.day % 7 in (5, 6) else "weekday"
             per_bucket[bucket].extend(ping.samples)
         if not per_bucket["weekend"]:
