@@ -28,8 +28,8 @@ import numpy as np
 from repro.faults.errors import FsyncFailure, PlatformError, PlatformTimeout, TornWrite
 from repro.faults.plan import AttemptFaults
 from repro.measure.engine import BatchEngine
-from repro.measure.requests import PingRequests, RequestBlock, TraceRequests
-from repro.measure.results import PingBlock, TraceBlock
+from repro.measure.requests import PingRequests, TraceRequests
+from repro.measure.results import Block, PingBlock, TraceBlock
 from repro.platforms.probe import Probe
 from repro.platforms.protocols import AtlasLike, SpeedcheckerLike
 from repro.platforms.speedchecker import VPSnapshot
@@ -166,7 +166,7 @@ class FaultyEngine:
     nothing).  Reply loss and trace truncation are per-request draws
     from the measurement fault stream.  Every fault is a row mask over
     the request block; a filtered block keeps the first-seen order of
-    its tables (:meth:`~repro.measure.requests.RequestBlock.take`).
+    its tables (:meth:`~repro.measure.results.Block.take`).
     """
 
     def __init__(self, inner: BatchEngine, faults: AttemptFaults) -> None:
@@ -176,7 +176,7 @@ class FaultyEngine:
         self._disconnect_victim: Optional[str] = None
         self._disconnect_after = 0
 
-    def _victim_rows(self, requests: RequestBlock) -> np.ndarray:
+    def _victim_rows(self, requests: Block) -> np.ndarray:
         """Mask of the rows whose probe is the disconnect victim."""
         codes = [
             code

@@ -76,10 +76,10 @@ _STDLIB_SINKS = frozenset(
 _PROJECT_SINKS = frozenset(
     {
         "repro.build_world",
-        "repro.world.build_world",
+        "repro.core.scenario.build_world",
+        "repro.measure.campaign.run_campaign",
         "repro.measure.campaign.run_campaign_checkpointed",
         "repro.measure.campaign.resume_campaign",
-        "repro.measure.collect.run_campaign",
         "repro.run_campaign",
         "repro.measure.resilience.execute_plan",
         "repro.exec.runner.execute_plan_parallel",

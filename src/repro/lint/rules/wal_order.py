@@ -13,11 +13,11 @@ write (``write_unit_shards`` -> ``verify_unit_shards`` ->
 ``journal_unit``).  This rule follows *unit entry* values -- dict
 literals carrying a ``"shards"`` key or ``"type": UNIT_ENTRY`` --
 through assignments and call boundaries, marks them durable once a
-shard-write primitive (``write_unit_shards``, ``write_ping_shard``,
-``write_trace_shard``, ``FileOps.write_bytes``, ...) has executed on
-the path, and reports any journal append (``*journal*.append(...)``,
-``journal_unit(...)``, or a parameter that flows into one) reached by
-an entry that is not yet durable.
+shard-write primitive (``write_unit_shards``, ``write_block_shard``,
+``FileOps.write_bytes``, ...) has executed on the path, and reports any
+journal append (``*journal*.append(...)``, ``journal_unit(...)``, or a
+parameter that flows into one) reached by an entry that is not yet
+durable.
 
 Interprocedural summaries record, per function: whether calling it
 performs shard writes, whether it returns a unit entry (and in what
@@ -56,8 +56,7 @@ DURABLE = "durable"
 _SHARD_WRITE_NAMES = frozenset(
     {
         "write_unit_shards",
-        "write_ping_shard",
-        "write_trace_shard",
+        "write_block_shard",
         "write_bytes",
         "verify_unit_shards",
         "merge_staged_unit",

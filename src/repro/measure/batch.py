@@ -95,16 +95,7 @@ def execute_ping_batch(
     if rng is None:
         rng = engine.rng
     if n == 0:
-        return PingBlock(
-            probes=[],
-            regions=[],
-            probe_codes=np.empty(0, np.int32),
-            region_codes=np.empty(0, np.int32),
-            days=np.empty(0, np.int32),
-            protocol_codes=np.empty(0, np.uint8),
-            sample_values=np.empty(0, np.float64),
-            sample_offsets=np.zeros(1, np.int64),
-        )
+        return PingBlock.concatenate([])
     counts = requests.samples
     if counts.min() < 1:
         raise ValueError(f"samples must be >= 1, got {counts[counts < 1][0]}")
@@ -181,19 +172,7 @@ def execute_traceroute_batch(
     """
     n = len(requests)
     if n == 0:
-        return TraceBlock(
-            probes=[],
-            regions=[],
-            probe_codes=np.empty(0, np.int32),
-            region_codes=np.empty(0, np.int32),
-            days=np.empty(0, np.int32),
-            protocol_codes=np.empty(0, np.uint8),
-            source_addresses=np.empty(0, np.int64),
-            dest_addresses=np.empty(0, np.int64),
-            hop_offsets=np.zeros(1, np.int64),
-            hop_addresses=np.empty(0, np.int64),
-            hop_rtts=np.empty(0, np.float64),
-        )
+        return TraceBlock.concatenate([])
     config = engine.config
     if rng is None:
         rng = engine.rng

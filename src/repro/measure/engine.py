@@ -15,10 +15,7 @@ from repro.measure.batch import execute_ping_batch, execute_traceroute_batch
 from repro.measure.path import PathPlanner, PlannedPath
 from repro.measure.requests import PingRequests, TraceRequests
 from repro.measure.results import PingBlock, TraceBlock
-
-# Re-exported for backwards compatibility; the canonical home is the
-# probe module so the results layer can build metas without the engine.
-from repro.platforms.probe import CITY_CELL_DEGREES, Probe, city_key_for  # noqa: F401
+from repro.platforms.probe import Probe
 
 #: Bound on the per-(probe, access) last-mile model cache.  A full-scale
 #: fleet has >100k probes; without a bound a year-long campaign would

@@ -18,7 +18,7 @@ from __future__ import annotations
 import gzip
 import json
 from pathlib import Path
-from typing import IO, List, Union
+from typing import IO, List, Tuple, Union
 
 from repro.geo.continents import Continent
 from repro.lastmile.base import AccessKind
@@ -35,12 +35,21 @@ from repro.measure.results import (
     ping_block_from_records,
     trace_block_from_records,
 )
-from repro.platforms.probe import Probe, city_key_for
+from repro.platforms.probe import CITY_CELL_DEGREES, Probe, city_key_for
 
 FORMAT_NAME = "repro-dataset"
 FORMAT_VERSION = 1
 
 PathLike = Union[str, Path]
+
+
+def _city_key(payload: dict) -> Tuple[int, int]:
+    """A meta's ``city_key``, which must name a cell of the
+    ``CITY_CELL_DEGREES`` grid over valid locations."""
+    lat, lon = payload["city_key"]
+    if abs(lat) * CITY_CELL_DEGREES > 90 or abs(lon) * CITY_CELL_DEGREES > 180:
+        raise ValueError(f"city_key {[lat, lon]} lies off the grid")
+    return (lat, lon)
 
 
 def _meta_from_dict(payload: dict) -> MeasurementMeta:
@@ -56,7 +65,7 @@ def _meta_from_dict(payload: dict) -> MeasurementMeta:
         region_country=payload["region_country"],
         region_continent=Continent(payload["region_continent"]),
         day=payload["day"],
-        city_key=tuple(payload["city_key"]),
+        city_key=_city_key(payload),
     )
 
 
@@ -221,7 +230,9 @@ def load_dataset(path: PathLike) -> MeasurementDataset:
 
     Raises :class:`ValueError` when the file holds more or fewer pings
     or traceroutes than its header counts, as a cut-off file does; a
-    header without counts matches no file.
+    header without counts matches no file.  A line that does not parse
+    (bad JSON, a missing field, an unknown value, a ``city_key`` off the
+    grid) raises :class:`ValueError` naming the file and the line.
     """
     pings: List[PingMeasurement] = []
     traces: List[TracerouteMeasurement] = []
@@ -239,16 +250,19 @@ def load_dataset(path: PathLike) -> MeasurementDataset:
         for line_number, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            payload = json.loads(line)
-            kind = payload.get("kind")
-            if kind == "ping":
-                pings.append(_ping_from_dict(payload))
-            elif kind == "traceroute":
-                traces.append(_trace_from_dict(payload))
-            else:
-                raise ValueError(
-                    f"{path}:{line_number}: unknown record kind {kind!r}"
-                )
+            try:
+                payload = json.loads(line)
+                kind = payload.get("kind")
+                if kind == "ping":
+                    pings.append(_ping_from_dict(payload))
+                elif kind == "traceroute":
+                    traces.append(_trace_from_dict(payload))
+                else:
+                    raise ValueError(f"unknown record kind {kind!r}")
+            except KeyError as exc:
+                raise ValueError(f"{path}:{line_number}: missing field {exc}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_number}: {exc}") from exc
     counted = (header.get("pings"), header.get("traceroutes"))
     if counted != (len(pings), len(traces)):
         raise ValueError(

@@ -33,8 +33,8 @@ from repro.geo.continents import Continent
 from repro.geo.coords import EARTH_RADIUS_KM, GeoPoint
 from repro.geo.countries import CountryRegistry
 from repro.measure.pathpolicy import BASELINE_TOKEN, PathSelectionPolicy
-from repro.measure.requests import RequestBlock, pair_requests
-from repro.measure.results import first_seen
+from repro.measure.requests import pair_requests
+from repro.measure.results import Block, first_seen
 from repro.net.asn import AS, ASKind
 from repro.net.ip import parse_ip
 from repro.platforms.probe import Probe
@@ -630,7 +630,7 @@ class PathPlanner:
             ),
         )
 
-    def plan_many(self, requests: RequestBlock) -> List[int]:
+    def plan_many(self, requests: Block) -> List[int]:
         """Table rows of the planned paths of a request block, one per row.
 
         One ``np.unique`` pass dedups the block's (probe, region) pairs in

@@ -1,14 +1,16 @@
 """Measurement requests in columnar form: what a scheduler asks the
 batch engine to run.
 
-A scheduler emits each batch as one request block.  A block holds what
-the :class:`~repro.measure.results.PingBlock` or
-:class:`~repro.measure.results.TraceBlock` of the same rows holds: the
+A scheduler emits each batch as one request block.  A request block is
+a :class:`~repro.measure.results.Block`, as the
+:class:`~repro.measure.results.PingBlock` or
+:class:`~repro.measure.results.TraceBlock` of the same rows is: the
 probe and region tables in first-seen order, ``int32`` probe and region
 code columns, a day column and protocol codes; a ping block also holds
 each request's sample count.  The batch engine, the planner and the
-fault wrappers read these columns; no per-request object is built on
-the way from the scheduler to the shard.
+fault wrappers read these columns, and the wrappers filter them with
+:meth:`~repro.measure.results.Block.take`; no per-request object is
+built on the way from the scheduler to the shard.
 
 :class:`PingRequest` and :class:`TraceRequest` are the record views a
 block yields when iterated, as :class:`~repro.measure.results.PingMeasurement`
@@ -19,16 +21,17 @@ is for a ping block; :meth:`PingRequests.from_records` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.cloud.regions import CloudRegion
 from repro.measure.results import (
+    KEY_COLUMNS,
     PROTOCOL_BY_CODE,
     PROTOCOL_CODES,
+    Block,
     Protocol,
-    first_seen,
 )
 from repro.platforms.probe import Probe
 
@@ -54,15 +57,23 @@ class TraceRequest:
     day: int = 0
 
 
-_Block = TypeVar("_Block", bound="RequestBlock")
+def _record_columns(
+    records: Sequence["PingRequest | TraceRequest"],
+) -> Dict[str, object]:
+    """The tables and key columns of request records, in their order."""
+    rows = RequestRows()
+    for record in records:
+        rows.add(record.probe, (record.region,), record.day)
+    return dict(
+        rows.columns(),
+        protocol_codes=np.array(
+            [PROTOCOL_CODES[record.protocol] for record in records], np.uint8
+        ),
+    )
 
 
-class RequestBlock:
-    """The columns every request block holds, one row per request.
-
-    ``probes`` and ``regions`` hold one entry per probe id and per
-    (provider, region id), in the order their first row names them.
-    """
+class PingRequests(Block):
+    """A ping request batch; ``samples`` is each request's sample count."""
 
     __slots__ = (
         "probes",
@@ -71,90 +82,12 @@ class RequestBlock:
         "region_codes",
         "days",
         "protocol_codes",
+        "samples",
     )
 
-    def __init__(
-        self,
-        probes: Sequence[Probe],
-        regions: Sequence[CloudRegion],
-        probe_codes: np.ndarray,
-        region_codes: np.ndarray,
-        days: np.ndarray,
-        protocol_codes: np.ndarray,
-    ) -> None:
-        self.probes = list(probes)
-        self.regions = list(regions)
-        self.probe_codes = np.asarray(probe_codes, dtype=np.int32)
-        self.region_codes = np.asarray(region_codes, dtype=np.int32)
-        self.days = np.asarray(days, dtype=np.int32)
-        self.protocol_codes = np.asarray(protocol_codes, dtype=np.uint8)
+    COLUMNS = {**KEY_COLUMNS, "samples": np.dtype(np.int64)}
 
-    def __len__(self) -> int:
-        return len(self.probe_codes)
-
-    @staticmethod
-    def _record_columns(
-        records: Sequence["PingRequest | TraceRequest"],
-    ) -> Dict[str, object]:
-        """The columns every block holds, for request records."""
-        rows = RequestRows()
-        for record in records:
-            rows.add(record.probe, (record.region,), record.day)
-        return dict(
-            rows.columns(),
-            protocol_codes=np.array(
-                [PROTOCOL_CODES[record.protocol] for record in records], np.uint8
-            ),
-        )
-
-    def _row_columns(self, rows: np.ndarray) -> Dict[str, np.ndarray]:
-        """The block's row columns beyond the codes, at ``rows``."""
-        return {"days": self.days[rows], "protocol_codes": self.protocol_codes[rows]}
-
-    def take(self: _Block, rows: np.ndarray) -> _Block:
-        """The block of ``rows`` (indices or a mask), in that order.
-
-        Its tables keep only the probes and regions those rows name, in
-        the order the rows first name them -- the tables a block built
-        from those rows alone would have.
-        """
-        rows = np.flatnonzero(rows) if rows.dtype == bool else rows
-        probes, probe_codes = _reinterned(self.probes, self.probe_codes[rows])
-        regions, region_codes = _reinterned(self.regions, self.region_codes[rows])
-        return type(self)(
-            probes=probes,
-            regions=regions,
-            probe_codes=probe_codes,
-            region_codes=region_codes,
-            **self._row_columns(rows),
-        )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(requests={len(self)})"
-
-
-class PingRequests(RequestBlock):
-    """A ping request batch; ``samples`` is each request's sample count."""
-
-    __slots__ = ("samples",)
-
-    def __init__(
-        self,
-        probes: Sequence[Probe],
-        regions: Sequence[CloudRegion],
-        probe_codes: np.ndarray,
-        region_codes: np.ndarray,
-        days: np.ndarray,
-        protocol_codes: np.ndarray,
-        samples: np.ndarray,
-    ) -> None:
-        super().__init__(
-            probes, regions, probe_codes, region_codes, days, protocol_codes
-        )
-        self.samples = np.asarray(samples, dtype=np.int64)
-
-    def _row_columns(self, rows: np.ndarray) -> Dict[str, np.ndarray]:
-        return dict(super()._row_columns(rows), samples=self.samples[rows])
+    samples: np.ndarray
 
     def __iter__(self) -> Iterator[PingRequest]:
         for probe, region, day, protocol, samples in zip(
@@ -177,15 +110,24 @@ class PingRequests(RequestBlock):
         """The block of ping request records, in their order."""
         records = list(records)
         return cls(
-            **cls._record_columns(records),  # type: ignore[arg-type]
+            **_record_columns(records),  # type: ignore[arg-type]
             samples=np.array([record.samples for record in records], np.int64),
         )
 
 
-class TraceRequests(RequestBlock):
+class TraceRequests(Block):
     """A traceroute request batch."""
 
-    __slots__ = ()
+    __slots__ = (
+        "probes",
+        "regions",
+        "probe_codes",
+        "region_codes",
+        "days",
+        "protocol_codes",
+    )
+
+    COLUMNS = KEY_COLUMNS
 
     def __iter__(self) -> Iterator[TraceRequest]:
         for probe, region, day, protocol in zip(
@@ -204,7 +146,7 @@ class TraceRequests(RequestBlock):
     @classmethod
     def from_records(cls, records: Iterable[TraceRequest]) -> "TraceRequests":
         """The block of traceroute request records, in their order."""
-        return cls(**cls._record_columns(list(records)))  # type: ignore[arg-type]
+        return cls(**_record_columns(list(records)))  # type: ignore[arg-type]
 
 
 def pair_requests(pairs: Sequence[Tuple[Probe, CloudRegion]]) -> TraceRequests:
@@ -286,14 +228,3 @@ class RequestRows:
             **self.columns(),  # type: ignore[arg-type]
             protocol_codes=np.full(len(self), PROTOCOL_CODES[protocol], np.uint8),
         )
-
-
-def _reinterned(
-    table: Sequence[object], codes: np.ndarray
-) -> Tuple[List[object], np.ndarray]:
-    """The entries of ``table`` that ``codes`` name, in the order the
-    codes first name them, and the codes into that shorter table."""
-    if not len(codes):
-        return [], np.empty(0, np.int32)
-    firsts, inverse = first_seen(codes)
-    return [table[code] for code in codes[firsts].tolist()], inverse

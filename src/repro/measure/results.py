@@ -1,4 +1,5 @@
-"""Measurement records and the dataset container.
+"""Measurement records, the columnar blocks that hold them, and the
+dataset container.
 
 Records intentionally carry only what a real measurement platform would
 return (addresses, RTTs) plus the probe/endpoint bookkeeping the paper's
@@ -6,6 +7,14 @@ pipeline keeps alongside (probe id, geolocation, serving ASN, target
 region).  Everything inferred -- AS paths, last-mile segments, peering
 classes -- is derived by :mod:`repro.resolve` and :mod:`repro.analysis`,
 exactly as the paper derives it from raw traceroutes.
+
+Every batch of rows is a :class:`Block`: the requests a scheduler emits
+(:mod:`repro.measure.requests`) and the :class:`PingBlock` and
+:class:`TraceBlock` the batch engine returns.  A block holds interned
+probe and region tables and the columns its class's schema declares;
+construction, validation, :meth:`Block.take` and
+:meth:`Block.concatenate` are written once on the base, and the shard
+codec (:mod:`repro.store.shards`) reads the same schema.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from operator import attrgetter
 from typing import (
     Any,
     Callable,
+    ClassVar,
     Dict,
     Iterator,
     List,
@@ -25,6 +35,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Type,
     TypeVar,
 )
 
@@ -170,7 +181,218 @@ def _codes_by(table: Sequence[Any], key: Callable[[Any], object]) -> np.ndarray:
     )
 
 
-class PingBlock:
+#: The columns every block starts with, in shard order: interned probe
+#: and region codes, the day and the protocol's wire code.
+KEY_COLUMNS: Dict[str, np.dtype] = {
+    "probe_codes": np.dtype(np.int32),
+    "region_codes": np.dtype(np.int32),
+    "days": np.dtype(np.int32),
+    "protocol_codes": np.dtype(np.uint8),
+}
+
+#: Optional per-row provenance columns of the measurement blocks that
+#: run under an active network fault plan (:mod:`repro.netfaults`):
+#: ``epochs`` is the routing epoch a request executed in, ``outage_ids``
+#: the network event id that rerouted it (``-1`` when none).  Absent on
+#: blocks from static-world runs, keeping those bytes unchanged.
+PROVENANCE_COLUMNS: Dict[str, np.dtype] = {
+    "epochs": np.dtype(np.int32),
+    "outage_ids": np.dtype(np.int32),
+}
+
+_B = TypeVar("_B", bound="Block")
+
+
+class Block:
+    """One batch of rows in columns, over interned probe and region tables.
+
+    ``probes`` and ``regions`` are the tables; the ``probe_codes`` and
+    ``region_codes`` columns index them.  A subclass lists every
+    attribute in its own ``__slots__`` and declares its schema:
+
+    - :attr:`COLUMNS`: every column, name -> dtype, in shard order;
+    - :attr:`RAGGED`: each offsets column of :attr:`COLUMNS` -> the value
+      columns it indexes (row ``i`` owns values ``offsets[i]:offsets[i + 1]``);
+      every other column holds one entry per row;
+    - :attr:`OPTIONAL`: per-row columns that may be ``None``.
+
+    Construction, :meth:`validate`, :meth:`take` and :meth:`concatenate`
+    read nothing else, so they are written once for every block kind.
+    """
+
+    __slots__ = ()
+
+    COLUMNS: ClassVar[Dict[str, np.dtype]]
+    RAGGED: ClassVar[Dict[str, Tuple[str, ...]]] = {}
+    OPTIONAL: ClassVar[Dict[str, np.dtype]] = {}
+
+    probes: List[Probe]
+    regions: List[CloudRegion]
+    probe_codes: np.ndarray
+    region_codes: np.ndarray
+    days: np.ndarray
+    protocol_codes: np.ndarray
+
+    def __init__(
+        self,
+        probes: Sequence[Probe],
+        regions: Sequence[CloudRegion],
+        **columns: Optional[np.ndarray],
+    ) -> None:
+        unknown = [name for name in columns if name not in self._schema()]
+        missing = [name for name in self.COLUMNS if name not in columns]
+        if unknown or missing:
+            raise TypeError(
+                f"{type(self).__name__} got unknown columns {unknown} "
+                f"and lacks {missing}"
+            )
+        self.probes = list(probes)
+        self.regions = list(regions)
+        for name, dtype in self._schema().items():
+            column = columns.get(name)
+            setattr(self, name, None if column is None else np.asarray(column, dtype))
+        for offsets in self.RAGGED:
+            if len(getattr(self, offsets)) != len(self) + 1:
+                raise ValueError(f"{offsets} must have one entry per row + 1")
+        # Private slots are caches, empty until first read.
+        for name in self.__slots__:
+            if name.startswith("_"):
+                setattr(self, name, None)
+
+    @classmethod
+    def _schema(cls) -> Dict[str, np.dtype]:
+        return {**cls.COLUMNS, **cls.OPTIONAL}
+
+    @classmethod
+    def _row_columns(cls) -> List[str]:
+        """The columns of :attr:`COLUMNS` with one entry per row."""
+        ragged = set(cls.RAGGED).union(*cls.RAGGED.values())
+        return [name for name in cls.COLUMNS if name not in ragged]
+
+    def __len__(self) -> int:
+        return len(self.probe_codes)
+
+    def validate(self) -> None:
+        """Check the columns against the schema.
+
+        Raises :class:`TypeError` on a column of the wrong type or dtype
+        and :class:`ValueError` on internal inconsistencies (lengths,
+        offsets, out-of-range interned or protocol codes).
+        """
+        kind = type(self).__name__
+        rows = len(self)
+        per_row = self._row_columns() + list(self.OPTIONAL)
+        for name, dtype in self._schema().items():
+            column = getattr(self, name)
+            if column is None and name in self.OPTIONAL:
+                continue
+            if not isinstance(column, np.ndarray):
+                raise TypeError(
+                    f"{kind}.{name} must be a numpy array, "
+                    f"got {type(column).__name__}"
+                )
+            if column.dtype != dtype:
+                raise TypeError(
+                    f"{kind}.{name} has dtype {column.dtype}, expected {dtype}"
+                )
+            if column.ndim != 1:
+                raise ValueError(f"{kind}.{name} must be one-dimensional")
+            if name in per_row and len(column) != rows:
+                raise ValueError(
+                    f"{kind}.{name} has {len(column)} entries for {rows} rows"
+                )
+        for offsets_name, values_names in self.RAGGED.items():
+            offsets = getattr(self, offsets_name)
+            if len(offsets) != rows + 1:
+                raise ValueError(
+                    f"{offsets_name} must have {rows + 1} entries, got {len(offsets)}"
+                )
+            if int(offsets[0]) != 0 or np.any(np.diff(offsets) < 0):
+                raise ValueError(f"{offsets_name} must start at 0 and be nondecreasing")
+            for values_name in values_names:
+                values = getattr(self, values_name)
+                if len(values) != int(offsets[-1]):
+                    raise ValueError(
+                        f"{values_name} has {len(values)} entries but "
+                        f"{offsets_name} addresses {int(offsets[-1])}"
+                    )
+        if rows:
+            for name, table in (("probe", self.probes), ("region", self.regions)):
+                codes = getattr(self, f"{name}_codes")
+                if int(codes.min()) < 0 or int(codes.max()) >= len(table):
+                    raise ValueError(f"{name}_codes reference rows outside the table")
+            if int(self.protocol_codes.max()) >= len(PROTOCOL_BY_CODE):
+                raise ValueError("protocol_codes contain unknown wire codes")
+
+    def take(self: _B, rows: np.ndarray) -> _B:
+        """The block of ``rows`` (indices or a mask), in that order.
+
+        Its tables keep only the probes and regions those rows name, in
+        the order the rows first name them -- the tables a block built
+        from those rows alone would have.  Ragged values and optional
+        columns follow their rows.
+        """
+        rows = np.flatnonzero(rows) if rows.dtype == bool else rows
+        columns = {name: getattr(self, name)[rows] for name in self._row_columns()}
+        probes, columns["probe_codes"] = _first_seen_table(
+            self.probes, columns["probe_codes"]
+        )
+        regions, columns["region_codes"] = _first_seen_table(
+            self.regions, columns["region_codes"]
+        )
+        for offsets_name, values_names in self.RAGGED.items():
+            positions, columns[offsets_name] = _ragged_rows(
+                getattr(self, offsets_name), rows
+            )
+            for values_name in values_names:
+                columns[values_name] = getattr(self, values_name)[positions]
+        for name in self.OPTIONAL:
+            column = getattr(self, name)
+            columns[name] = None if column is None else column[rows]
+        return type(self)(probes=probes, regions=regions, **columns)
+
+    @classmethod
+    def concatenate(cls: Type[_B], blocks: Sequence[_B]) -> _B:
+        """One block holding ``blocks``' rows in order, or an empty block
+        when there are none.
+
+        Probes are merged by :func:`probe_key` and regions by
+        :func:`region_key` (the first block's object wins), so every row
+        keeps its meta.  An optional column is kept when every block
+        has it.
+        """
+        if len(blocks) == 1:
+            return blocks[0]
+        if not blocks:
+            return cls(
+                probes=[],
+                regions=[],
+                **{
+                    name: np.zeros(int(name in cls.RAGGED), dtype)
+                    for name, dtype in cls.COLUMNS.items()
+                },
+            )
+        probes, probe_codes = _union_table(
+            [(block.probes, block.probe_codes) for block in blocks], probe_key
+        )
+        regions, region_codes = _union_table(
+            [(block.regions, block.region_codes) for block in blocks], region_key
+        )
+        columns = {"probe_codes": probe_codes, "region_codes": region_codes}
+        for name in cls._schema():
+            if name in columns:
+                continue
+            parts = [getattr(block, name) for block in blocks]
+            if all(part is not None for part in parts):
+                join = join_offsets if name in cls.RAGGED else np.concatenate
+                columns[name] = join(parts)
+        return cls(probes=probes, regions=regions, **columns)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(requests={len(self)})"
+
+
+class PingBlock(Block):
     """One batch of ping requests in columnar form.
 
     Instead of one frozen dataclass per request, a block holds structured
@@ -196,41 +418,19 @@ class PingBlock:
         "_records",
     )
 
-    def __init__(
-        self,
-        probes: Sequence,
-        regions: Sequence,
-        probe_codes: np.ndarray,
-        region_codes: np.ndarray,
-        days: np.ndarray,
-        protocol_codes: np.ndarray,
-        sample_values: np.ndarray,
-        sample_offsets: np.ndarray,
-        epochs: Optional[np.ndarray] = None,
-        outage_ids: Optional[np.ndarray] = None,
-    ) -> None:
-        self.probes = list(probes)
-        self.regions = list(regions)
-        self.probe_codes = np.asarray(probe_codes, dtype=np.int32)
-        self.region_codes = np.asarray(region_codes, dtype=np.int32)
-        self.days = np.asarray(days, dtype=np.int32)
-        self.protocol_codes = np.asarray(protocol_codes, dtype=np.uint8)
-        self.sample_values = np.asarray(sample_values, dtype=np.float64)
-        self.sample_offsets = np.asarray(sample_offsets, dtype=np.int64)
-        self.epochs: Optional[np.ndarray] = (
-            None if epochs is None else np.asarray(epochs, dtype=np.int32)
-        )
-        self.outage_ids: Optional[np.ndarray] = (
-            None
-            if outage_ids is None
-            else np.asarray(outage_ids, dtype=np.int32)
-        )
-        if len(self.sample_offsets) != len(self.probe_codes) + 1:
-            raise ValueError("sample_offsets must have one entry per request + 1")
-        self._records: Optional[List[PingMeasurement]] = None
+    COLUMNS = {
+        **KEY_COLUMNS,
+        "sample_values": np.dtype(np.float64),
+        "sample_offsets": np.dtype(np.int64),
+    }
+    RAGGED = {"sample_offsets": ("sample_values",)}
+    OPTIONAL = PROVENANCE_COLUMNS
 
-    def __len__(self) -> int:
-        return len(self.probe_codes)
+    sample_values: np.ndarray
+    sample_offsets: np.ndarray
+    epochs: Optional[np.ndarray]
+    outage_ids: Optional[np.ndarray]
+    _records: Optional[List[PingMeasurement]]
 
     @property
     def sample_count(self) -> int:
@@ -320,10 +520,7 @@ class PingBlock:
 
     def samples_of(self, rows: np.ndarray) -> np.ndarray:
         """The samples of ``rows``, row after row."""
-        starts = self.sample_offsets[rows]
-        counts = self.sample_offsets[rows + 1] - starts
-        shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        return self.sample_values[shift + np.arange(int(counts.sum()))]
+        return self.sample_values[_ragged_rows(self.sample_offsets, rows)[0]]
 
     def grouped_samples(self, rows: np.ndarray, labels: np.ndarray) -> List[np.ndarray]:
         """Per group of ``labels`` (numbered from 0, one per row of
@@ -335,148 +532,11 @@ class PingBlock:
         ends = np.cumsum(np.bincount(labels, weights=sizes)).astype(np.int64)
         return np.split(self.samples_of(rows[order]), ends[:-1])
 
-    def validate(self) -> None:
-        """Check the block's columns against the canonical schema.
-
-        Raises :class:`TypeError` on dtype mismatches and
-        :class:`ValueError` on internal inconsistencies (offset shape,
-        out-of-range interned codes).
-        """
-        n = len(self)
-        _validate_columns(
-            self, PING_COLUMN_DTYPES, n, "sample_offsets", ("sample_values",)
-        )
-        _validate_optional_columns(self, PING_OPTIONAL_COLUMN_DTYPES, n)
-        if n:
-            if int(self.probe_codes.min()) < 0 or int(
-                self.probe_codes.max()
-            ) >= len(self.probes):
-                raise ValueError("probe_codes reference rows outside the table")
-            if int(self.region_codes.min()) < 0 or int(
-                self.region_codes.max()
-            ) >= len(self.regions):
-                raise ValueError("region_codes reference rows outside the table")
-            if int(self.protocol_codes.max()) >= len(PROTOCOL_BY_CODE):
-                raise ValueError("protocol_codes contain unknown wire codes")
-
     def __repr__(self) -> str:
         return f"PingBlock(requests={len(self)}, samples={self.sample_count})"
 
 
-#: The canonical column schema of a :class:`PingBlock`: attribute name ->
-#: expected NumPy dtype.  Shared by the in-memory store validation and
-#: the on-disk shard format of :mod:`repro.store`.
-PING_COLUMN_DTYPES: Dict[str, np.dtype] = {
-    "probe_codes": np.dtype(np.int32),
-    "region_codes": np.dtype(np.int32),
-    "days": np.dtype(np.int32),
-    "protocol_codes": np.dtype(np.uint8),
-    "sample_values": np.dtype(np.float64),
-    "sample_offsets": np.dtype(np.int64),
-}
-
-#: The canonical column schema of a :class:`TraceBlock`.
-TRACE_COLUMN_DTYPES: Dict[str, np.dtype] = {
-    "probe_codes": np.dtype(np.int32),
-    "region_codes": np.dtype(np.int32),
-    "days": np.dtype(np.int32),
-    "protocol_codes": np.dtype(np.uint8),
-    "source_addresses": np.dtype(np.int64),
-    "dest_addresses": np.dtype(np.int64),
-    "hop_offsets": np.dtype(np.int64),
-    "hop_addresses": np.dtype(np.int64),
-    "hop_rtts": np.dtype(np.float64),
-}
-
-#: Optional per-request provenance columns carried by blocks produced
-#: under an active network fault plan (:mod:`repro.netfaults`):
-#: ``epochs`` is the routing epoch a request executed in, ``outage_ids``
-#: the network event id that rerouted it (``-1`` when none).  Absent on
-#: blocks from static-world runs, keeping those bytes unchanged.
-PING_OPTIONAL_COLUMN_DTYPES: Dict[str, np.dtype] = {
-    "epochs": np.dtype(np.int32),
-    "outage_ids": np.dtype(np.int32),
-}
-
-#: Optional provenance columns of a :class:`TraceBlock`; see
-#: :data:`PING_OPTIONAL_COLUMN_DTYPES`.
-TRACE_OPTIONAL_COLUMN_DTYPES: Dict[str, np.dtype] = {
-    "epochs": np.dtype(np.int32),
-    "outage_ids": np.dtype(np.int32),
-}
-
-
-def _validate_optional_columns(
-    block: object, schema: Mapping[str, np.dtype], rows: int
-) -> None:
-    """Check optional provenance columns when present (``None`` is valid)."""
-    for name, expected in schema.items():
-        column = getattr(block, name)
-        if column is None:
-            continue
-        if not isinstance(column, np.ndarray):
-            raise TypeError(
-                f"{type(block).__name__}.{name} must be a numpy array or "
-                f"None, got {type(column).__name__}"
-            )
-        if column.dtype != expected:
-            raise TypeError(
-                f"{type(block).__name__}.{name} has dtype {column.dtype}, "
-                f"expected {expected}"
-            )
-        if column.ndim != 1:
-            raise ValueError(
-                f"{type(block).__name__}.{name} must be one-dimensional"
-            )
-        if len(column) != rows:
-            raise ValueError(
-                f"{type(block).__name__}.{name} has {len(column)} entries "
-                f"for {rows} requests"
-            )
-
-
-def _validate_columns(
-    block: object,
-    schema: Mapping[str, np.dtype],
-    rows: int,
-    offsets_name: str,
-    values_names: Sequence[str],
-) -> None:
-    """Schema/consistency checks shared by ping and trace blocks."""
-    for name, expected in schema.items():
-        column = getattr(block, name)
-        if not isinstance(column, np.ndarray):
-            raise TypeError(
-                f"{type(block).__name__}.{name} must be a numpy array, "
-                f"got {type(column).__name__}"
-            )
-        if column.dtype != expected:
-            raise TypeError(
-                f"{type(block).__name__}.{name} has dtype {column.dtype}, "
-                f"expected {expected}"
-            )
-        if column.ndim != 1:
-            raise ValueError(
-                f"{type(block).__name__}.{name} must be one-dimensional"
-            )
-    offsets = getattr(block, offsets_name)
-    if len(offsets) != rows + 1:
-        raise ValueError(
-            f"{offsets_name} must have {rows + 1} entries, got {len(offsets)}"
-        )
-    if rows and (int(offsets[0]) != 0 or np.any(np.diff(offsets) < 0)):
-        raise ValueError(f"{offsets_name} must start at 0 and be nondecreasing")
-    total = int(offsets[-1]) if len(offsets) else 0
-    for values_name in values_names:
-        values = getattr(block, values_name)
-        if len(values) != total:
-            raise ValueError(
-                f"{values_name} has {len(values)} entries but "
-                f"{offsets_name} addresses {total}"
-            )
-
-
-class TraceBlock:
+class TraceBlock(Block):
     """One batch of traceroutes in columnar form.
 
     The traceroute counterpart of :class:`PingBlock`: interned
@@ -506,47 +566,25 @@ class TraceBlock:
         "_records",
     )
 
-    def __init__(
-        self,
-        probes: Sequence[Probe],
-        regions: Sequence[CloudRegion],
-        probe_codes: np.ndarray,
-        region_codes: np.ndarray,
-        days: np.ndarray,
-        protocol_codes: np.ndarray,
-        source_addresses: np.ndarray,
-        dest_addresses: np.ndarray,
-        hop_offsets: np.ndarray,
-        hop_addresses: np.ndarray,
-        hop_rtts: np.ndarray,
-        epochs: Optional[np.ndarray] = None,
-        outage_ids: Optional[np.ndarray] = None,
-    ) -> None:
-        self.probes = list(probes)
-        self.regions = list(regions)
-        self.probe_codes = np.asarray(probe_codes, dtype=np.int32)
-        self.region_codes = np.asarray(region_codes, dtype=np.int32)
-        self.days = np.asarray(days, dtype=np.int32)
-        self.protocol_codes = np.asarray(protocol_codes, dtype=np.uint8)
-        self.source_addresses = np.asarray(source_addresses, dtype=np.int64)
-        self.dest_addresses = np.asarray(dest_addresses, dtype=np.int64)
-        self.hop_offsets = np.asarray(hop_offsets, dtype=np.int64)
-        self.hop_addresses = np.asarray(hop_addresses, dtype=np.int64)
-        self.hop_rtts = np.asarray(hop_rtts, dtype=np.float64)
-        self.epochs: Optional[np.ndarray] = (
-            None if epochs is None else np.asarray(epochs, dtype=np.int32)
-        )
-        self.outage_ids: Optional[np.ndarray] = (
-            None
-            if outage_ids is None
-            else np.asarray(outage_ids, dtype=np.int32)
-        )
-        if len(self.hop_offsets) != len(self.probe_codes) + 1:
-            raise ValueError("hop_offsets must have one entry per trace + 1")
-        self._records: Optional[List[TracerouteMeasurement]] = None
+    COLUMNS = {
+        **KEY_COLUMNS,
+        "source_addresses": np.dtype(np.int64),
+        "dest_addresses": np.dtype(np.int64),
+        "hop_offsets": np.dtype(np.int64),
+        "hop_addresses": np.dtype(np.int64),
+        "hop_rtts": np.dtype(np.float64),
+    }
+    RAGGED = {"hop_offsets": ("hop_addresses", "hop_rtts")}
+    OPTIONAL = PROVENANCE_COLUMNS
 
-    def __len__(self) -> int:
-        return len(self.probe_codes)
+    source_addresses: np.ndarray
+    dest_addresses: np.ndarray
+    hop_offsets: np.ndarray
+    hop_addresses: np.ndarray
+    hop_rtts: np.ndarray
+    epochs: Optional[np.ndarray]
+    outage_ids: Optional[np.ndarray]
+    _records: Optional[List[TracerouteMeasurement]]
 
     @property
     def hop_count(self) -> int:
@@ -618,29 +656,6 @@ class TraceBlock:
                 )
             ]
         return self._records
-
-    def validate(self) -> None:
-        """Check the block's columns against the canonical schema."""
-        n = len(self)
-        _validate_columns(
-            self,
-            TRACE_COLUMN_DTYPES,
-            n,
-            "hop_offsets",
-            ("hop_addresses", "hop_rtts"),
-        )
-        _validate_optional_columns(self, TRACE_OPTIONAL_COLUMN_DTYPES, n)
-        if n:
-            if int(self.probe_codes.min()) < 0 or int(
-                self.probe_codes.max()
-            ) >= len(self.probes):
-                raise ValueError("probe_codes reference rows outside the table")
-            if int(self.region_codes.min()) < 0 or int(
-                self.region_codes.max()
-            ) >= len(self.regions):
-                raise ValueError("region_codes reference rows outside the table")
-            if int(self.protocol_codes.max()) >= len(PROTOCOL_BY_CODE):
-                raise ValueError("protocol_codes contain unknown wire codes")
 
     def __repr__(self) -> str:
         return f"TraceBlock(traces={len(self)}, hops={self.hop_count})"
@@ -851,63 +866,46 @@ def join_offsets(parts: Sequence[np.ndarray]) -> np.ndarray:
     return offsets
 
 
-#: A :class:`PingBlock` or a :class:`TraceBlock`.
-Block = TypeVar("Block", "PingBlock", "TraceBlock")
+def _ragged_rows(
+    offsets: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """For ``rows`` of a ragged column: the positions of their values,
+    row after row, and the offsets of those values."""
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    taken = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(counts, out=taken[1:])
+    return np.repeat(starts - taken[:-1], counts) + np.arange(taken[-1]), taken
 
 
-def _merged_table(
-    blocks: Sequence[Block],
-    table: str,
-    codes: str,
+def _first_seen_table(
+    table: Sequence[Any], codes: np.ndarray
+) -> Tuple[List[Any], np.ndarray]:
+    """The entries of ``table`` that ``codes`` name, in the order the
+    codes first name them, and the codes into that shorter table."""
+    firsts, inverse = first_seen(codes)
+    return [table[code] for code in codes[firsts].tolist()], inverse
+
+
+def _union_table(
+    parts: Sequence[Tuple[Sequence[Any], np.ndarray]],
     key: Callable[[Any], Tuple[object, ...]],
 ) -> Tuple[List[Any], np.ndarray]:
-    """One table for ``blocks``' ``table`` attributes, one row per distinct
-    ``key`` (the first block's object wins), and every row's code in it."""
+    """One table for the (table, codes) ``parts``, one row per distinct
+    ``key`` (the first part's object wins), and every part's codes into
+    it, laid end to end."""
     index: Dict[Tuple[object, ...], int] = {}
     merged: List[Any] = []
     joined = []
-    for block in blocks:
+    for table, codes in parts:
         remap = []
-        for row in getattr(block, table):
+        for row in table:
             code = index.setdefault(key(row), len(merged))
             if code == len(merged):
                 merged.append(row)
             remap.append(code)
-        joined.append(np.asarray(remap, np.int32)[getattr(block, codes)])
+        joined.append(np.asarray(remap, np.int32)[codes])
     return merged, np.concatenate(joined)
-
-
-def concatenate_blocks(blocks: Sequence[Block]) -> Block:
-    """One block holding ``blocks``' rows in order; all of one kind.
-
-    Probes are merged by :func:`probe_key` and regions by
-    :func:`region_key`, so every row keeps its meta.  The netfault
-    provenance columns are not carried over.
-    """
-    if len(blocks) == 1:
-        return blocks[0]
-    schema, offsets = (
-        (PING_COLUMN_DTYPES, "sample_offsets")
-        if isinstance(blocks[0], PingBlock)
-        else (TRACE_COLUMN_DTYPES, "hop_offsets")
-    )
-    probes, probe_codes = _merged_table(blocks, "probes", "probe_codes", probe_key)
-    regions, region_codes = _merged_table(
-        blocks, "regions", "region_codes", region_key
-    )
-    columns = {
-        name: np.concatenate([getattr(block, name) for block in blocks])
-        for name in schema
-        if name not in ("probe_codes", "region_codes", offsets)
-    }
-    columns[offsets] = join_offsets([getattr(block, offsets) for block in blocks])
-    return type(blocks[0])(
-        probes=probes,
-        regions=regions,
-        probe_codes=probe_codes,
-        region_codes=region_codes,
-        **columns,
-    )
 
 
 def dataset_pings(dataset: "MeasurementDataset") -> PingBlock:
@@ -947,15 +945,12 @@ class PingsView:
 
 
 def _join_pings(dataset: "MeasurementDataset") -> PingBlock:
-    blocks = list(dataset.ping_blocks())
-    return concatenate_blocks(blocks) if blocks else ping_block_from_records([])
+    return PingBlock.concatenate(list(dataset.ping_blocks()))
 
 
 def _read_only(block: PingBlock) -> PingBlock:
     """A block over read-only views of ``block``'s columns."""
-    columns = {
-        name: getattr(block, name).view() for name in PING_COLUMN_DTYPES
-    }
+    columns = {name: getattr(block, name).view() for name in PingBlock.COLUMNS}
     for column in columns.values():
         column.flags.writeable = False
     return PingBlock(probes=block.probes, regions=block.regions, **columns)

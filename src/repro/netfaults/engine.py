@@ -17,7 +17,7 @@ but instead of corrupting calls it *reshapes* them around the network:
   are decided once per region of the block's table and routing verdicts
   once per (provider, ISP, continent) scope, then applied to the rows as
   masks; a segment's survivors are a
-  :meth:`~repro.measure.requests.RequestBlock.take` of the block;
+  :meth:`~repro.measure.results.Block.take` of the block;
 - survivors execute through the inner engine *with the unit's own
   generator threaded sequentially through the segments*, so the wrapper
   adds no draws of its own and an event-free day is draw-for-draw
@@ -36,7 +36,6 @@ from typing import (
     Dict,
     List,
     Optional,
-    Sequence,
     Tuple,
     Type,
     TypeVar,
@@ -44,20 +43,14 @@ from typing import (
 
 import numpy as np
 
-from repro.cloud.regions import CloudRegion
 from repro.measure.engine import BatchEngine
 from repro.measure.pathpolicy import FailoverPathPolicy
-from repro.measure.requests import PingRequests, RequestBlock, TraceRequests
-from repro.measure.results import (
-    PING_COLUMN_DTYPES,
-    TRACE_COLUMN_DTYPES,
-    PingBlock,
-    TraceBlock,
-    first_seen,
-)
+from repro.measure.requests import PingRequests, TraceRequests
+from repro.measure.results import Block, PingBlock, TraceBlock, first_seen
 from repro.netfaults.events import SLOTS_PER_DAY, DayTimeline, NetworkEvent
 from repro.netfaults.plan import NetworkFaultPlan
-from repro.platforms.probe import Probe
+
+_Block = TypeVar("_Block", PingBlock, TraceBlock)
 
 
 def find_netfault_engine(engine: object) -> Optional["NetfaultEngine"]:
@@ -76,76 +69,6 @@ def find_netfault_engine(engine: object) -> Optional["NetfaultEngine"]:
         if current is None:
             return None
     return None
-
-
-#: Per block kind: its column schema and the offsets column in it.
-_BLOCK_SCHEMAS: Dict[type, Tuple[Dict[str, np.dtype], str]] = {
-    PingBlock: (PING_COLUMN_DTYPES, "sample_offsets"),
-    TraceBlock: (TRACE_COLUMN_DTYPES, "hop_offsets"),
-}
-
-_Block = TypeVar("_Block", PingBlock, TraceBlock)
-
-
-def _merge_blocks(
-    kind: Type[_Block],
-    segments: Sequence[_Block],
-    epochs: np.ndarray,
-    outage_ids: np.ndarray,
-) -> _Block:
-    """Concatenate per-segment blocks of one kind, re-interning codes.
-
-    Probe/region tables are re-interned in first-seen order over the
-    concatenated rows -- the same order a single-segment batch would
-    have produced -- and offsets are shifted into one flat value array.
-    Every other column concatenates as it is.
-    """
-    schema, offsets_name = _BLOCK_SCHEMAS[kind]
-    probes: List[Probe] = []
-    probe_code_by_id: Dict[str, int] = {}
-    regions: List[CloudRegion] = []
-    region_code_by_key: Dict[Tuple[str, str], int] = {}
-    columns: Dict[str, List[np.ndarray]] = {
-        name: [np.empty(0, dtype)]
-        for name, dtype in schema.items()
-        if name != offsets_name
-    }
-    offsets: List[np.ndarray] = [np.zeros(1, np.int64)]
-    shift = 0
-    for block in segments:
-        probe_remap = np.empty(max(len(block.probes), 1), np.int32)
-        for local, probe in enumerate(block.probes):
-            code = probe_code_by_id.get(probe.probe_id)
-            if code is None:
-                code = len(probes)
-                probes.append(probe)
-                probe_code_by_id[probe.probe_id] = code
-            probe_remap[local] = code
-        region_remap = np.empty(max(len(block.regions), 1), np.int32)
-        for local, region in enumerate(block.regions):
-            key = (region.provider_code, region.region_id)
-            code = region_code_by_key.get(key)
-            if code is None:
-                code = len(regions)
-                regions.append(region)
-                region_code_by_key[key] = code
-            region_remap[local] = code
-        for name, parts in columns.items():
-            parts.append(getattr(block, name))
-        columns["probe_codes"][-1] = probe_remap[block.probe_codes]
-        columns["region_codes"][-1] = region_remap[block.region_codes]
-        block_offsets = getattr(block, offsets_name)
-        offsets.append(block_offsets[1:] + shift)
-        shift += int(block_offsets[-1])
-    merged = {name: np.concatenate(parts) for name, parts in columns.items()}
-    merged[offsets_name] = np.concatenate(offsets)
-    return kind(
-        probes=probes,
-        regions=regions,
-        epochs=epochs,
-        outage_ids=outage_ids,
-        **merged,
-    )
 
 
 class NetfaultEngine:
@@ -193,7 +116,7 @@ class NetfaultEngine:
     # -- segmentation ------------------------------------------------------
 
     def _segments(
-        self, requests: RequestBlock
+        self, requests: Block
     ) -> List[Tuple[int, int, int, int]]:
         """Contiguous (start, end, day, epoch) runs of a request block.
 
@@ -230,7 +153,7 @@ class NetfaultEngine:
 
     def _filter_segment(
         self,
-        requests: RequestBlock,
+        requests: Block,
         scopes: np.ndarray,
         rows: np.ndarray,
         timeline: DayTimeline,
@@ -290,7 +213,7 @@ class NetfaultEngine:
 
     def _verdicts_of(
         self,
-        requests: RequestBlock,
+        requests: Block,
         scopes: np.ndarray,
         rows: np.ndarray,
         timeline: DayTimeline,
@@ -404,7 +327,7 @@ class NetfaultEngine:
         self,
         kind: Type[_Block],
         execute: Callable[..., _Block],
-        requests: RequestBlock,
+        requests: Block,
         rng: Optional[np.random.Generator],
     ) -> _Block:
         """Run ``execute`` on each epoch segment's survivors; one block.
@@ -431,14 +354,10 @@ class NetfaultEngine:
                     outage_ids.append(reroutes.astype(np.int32))
         finally:
             self._policy.set_view(None)
-        epoch_column = np.concatenate(epochs)
-        outage_column = np.concatenate(outage_ids)
-        if len(blocks) == 1:
-            block = blocks[0]
-            block.epochs = epoch_column
-            block.outage_ids = outage_column
-            return block
-        return _merge_blocks(kind, blocks, epoch_column, outage_column)
+        block = kind.concatenate(blocks)
+        block.epochs = np.concatenate(epochs)
+        block.outage_ids = np.concatenate(outage_ids)
+        return block
 
     def ping_batch(
         self,
@@ -470,7 +389,7 @@ def _count_effects(
         effects.setdefault(event_id, [0, 0])[slot] += count
 
 
-def _verdict_scopes(requests: RequestBlock) -> np.ndarray:
+def _verdict_scopes(requests: Block) -> np.ndarray:
     """Per row, a code two rows share exactly when their probes' (ISP,
     continent) and their regions' provider are equal: the scope of a
     routing verdict."""

@@ -18,10 +18,12 @@ from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
 import numpy as np
 
 from repro.measure.results import (
+    PingBlock,
     PingMeasurement,
+    TraceBlock,
     TracerouteMeasurement,
 )
-from repro.store.shards import read_ping_shard, read_trace_shard
+from repro.store.shards import read_block_shard
 from repro.query.builder import QueryResult, group_rows, quantile_label
 from repro.query.plan import build_plan
 from repro.query.scan import GroupKey, GroupState
@@ -137,10 +139,8 @@ def oracle_execute(store: "DatasetStore", spec: QuerySpec) -> QueryResult:
     merged: Dict[GroupKey, GroupState] = {}
     exact_values: Dict[GroupKey, List[np.ndarray]] = {}
     for shard in plan.scanned:
-        if spec.kind == PING_KIND:
-            block = read_ping_shard(shard.path)
-        else:
-            block = read_trace_shard(shard.path)
+        kind = PingBlock if spec.kind == PING_KIND else TraceBlock
+        block = read_block_shard(shard.path, kind)
         per_shard: Dict[GroupKey, List[float]] = {}
         epochs, outage_ids = _block_provenance(block, len(block))
         for index in range(len(block)):

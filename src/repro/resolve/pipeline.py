@@ -32,12 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.measure.results import (
-    TraceBlock,
-    concatenate_blocks,
-    join_offsets,
-    trace_block_from_records,
-)
+from repro.measure.results import TraceBlock, join_offsets
 from repro.net.asn import ASRegistry
 from repro.net.ip import private_mask
 from repro.net.ixp import IXPRegistry
@@ -129,14 +124,14 @@ class ResolvedTraceBlock:
         cls, blocks: Sequence["ResolvedTraceBlock"]
     ) -> "ResolvedTraceBlock":
         """One block holding ``blocks``' rows in order; the traces are
-        joined by :func:`~repro.measure.results.concatenate_blocks`."""
+        joined by :meth:`~repro.measure.results.Block.concatenate`."""
         if len(blocks) == 1:
             return blocks[0]
         columns = {}
         for column in fields(cls)[1:]:
             join = join_offsets if column.name.endswith("_offsets") else np.concatenate
             columns[column.name] = join([getattr(b, column.name) for b in blocks])
-        return cls(traces=concatenate_blocks([b.traces for b in blocks]), **columns)
+        return cls(traces=TraceBlock.concatenate([b.traces for b in blocks]), **columns)
 
     def __repr__(self) -> str:
         return (
@@ -305,7 +300,7 @@ class TracerouteResolver:
         dataset's traceroute order."""
         resolved = [self.resolve_many(block) for block in dataset.trace_blocks()]
         if not resolved:
-            resolved.append(self.resolve_many(trace_block_from_records([])))
+            resolved.append(self.resolve_many(TraceBlock.concatenate([])))
         return ResolvedTraceBlock.concatenate(resolved)
 
     def _learn(self, distinct: np.ndarray) -> None:

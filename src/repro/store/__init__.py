@@ -24,10 +24,8 @@ from repro.store.shards import (
     column_zone,
     compute_zones,
     header_zones,
-    read_ping_shard,
-    read_trace_shard,
-    write_ping_shard,
-    write_trace_shard,
+    read_block_shard,
+    write_block_shard,
     zone_problems,
 )
 from repro.store.view import StoredDataset
@@ -55,14 +53,12 @@ __all__ = [
     "column_zone",
     "compute_zones",
     "header_zones",
+    "read_block_shard",
     "read_columns",
-    "read_ping_shard",
-    "read_trace_shard",
     "report_problems",
     "verify_shard",
     "verify_shard_report",
-    "write_ping_shard",
-    "write_trace_shard",
+    "write_block_shard",
     "write_shard",
     "zone_problems",
 ]

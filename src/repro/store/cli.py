@@ -19,17 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.measure.io import load_dataset, save_dataset
-from repro.measure.results import (
-    PingMeasurement,
-    TracerouteMeasurement,
-    ping_block_from_records,
-    trace_block_from_records,
-)
+from repro.measure.results import Block, PingBlock, TraceBlock
 from repro.store.format import read_header
 from repro.store.shards import header_zones
 from repro.store.warehouse import DatasetStore, StoreError, report_problems
@@ -206,35 +202,34 @@ def _command_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unit_rows(block: Block) -> Dict[Tuple[str, int], List[int]]:
+    """The rows of each (platform, day) of ``block``, in first-seen order."""
+    platforms = [probe.platform for probe in block.probes]
+    units: Dict[Tuple[str, int], List[int]] = {}
+    for row, (code, day) in enumerate(
+        zip(block.probe_codes.tolist(), block.days.tolist())
+    ):
+        units.setdefault((platforms[code], day), []).append(row)
+    return units
+
+
 def _command_import(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.input)
-    pings_by_unit: Dict[Tuple[str, int], List[PingMeasurement]] = defaultdict(list)
-    traces_by_unit: Dict[Tuple[str, int], List[TracerouteMeasurement]] = (
-        defaultdict(list)
-    )
-    for ping_block in dataset.ping_blocks():
-        for ping in ping_block.records():
-            pings_by_unit[(ping.meta.platform, ping.meta.day)].append(ping)
-    for trace_block in dataset.trace_blocks():
-        for trace in trace_block.records():
-            traces_by_unit[(trace.meta.platform, trace.meta.day)].append(trace)
+    pings = PingBlock.concatenate(list(dataset.ping_blocks()))
+    traces = TraceBlock.concatenate(list(dataset.trace_blocks()))
+    ping_units = _unit_rows(pings)
+    trace_units = _unit_rows(traces)
 
     store = DatasetStore.create(Path(args.run_dir), source="import")
     # Units keep the input's first-seen order, so exporting the imported
     # store reproduces the original file byte-for-byte.
-    units = list(
-        dict.fromkeys(list(pings_by_unit) + list(traces_by_unit))
-    )
-    for platform, day in units:
-        unit = f"{platform}:{day:03d}"
+    units = list(dict.fromkeys([*ping_units, *trace_units]))
+    for unit in units:
+        platform, day = unit
         store.flush_unit(
-            unit,
-            ping_block=ping_block_from_records(
-                pings_by_unit.get((platform, day), [])
-            ),
-            trace_block=trace_block_from_records(
-                traces_by_unit.get((platform, day), [])
-            ),
+            f"{platform}:{day:03d}",
+            ping_block=pings.take(np.array(ping_units.get(unit, []), np.int64)),
+            trace_block=traces.take(np.array(trace_units.get(unit, []), np.int64)),
         )
     print(
         f"Imported {store.ping_count} pings and {store.traceroute_count} "

@@ -1,11 +1,15 @@
-"""Encoding :class:`PingBlock`/:class:`TraceBlock` as shard files.
+"""Encoding measurement blocks as shard files.
 
-A *ping shard* holds one :class:`~repro.measure.results.PingBlock`: the
-six canonical columns as raw arrays plus the interned probe/region
-tables serialized into the shard header.  A *trace shard* does the same
-for a :class:`~repro.measure.results.TraceBlock`.  Decoding reverses the
-mapping exactly -- ``write`` then ``read`` yields a block whose
-``records()`` equal the original's.
+A shard holds one :class:`~repro.measure.results.PingBlock` (a *ping
+shard*) or :class:`~repro.measure.results.TraceBlock` (a *trace
+shard*): the block's columns as raw arrays, in the order of its schema
+(:attr:`~repro.measure.results.Block.COLUMNS`, then the optional
+provenance columns it carries), plus the interned probe/region tables
+serialized into the shard header.  One writer and one reader serve both
+kinds: :func:`write_block_shard` and :func:`read_block_shard`, which
+checks the header's kind tag against the class it is asked for.
+Decoding reverses the mapping exactly -- ``write`` then ``read`` yields
+a block whose ``records()`` equal the original's.
 
 Probe and region tables are small (hundreds of rows per shard) relative
 to the measurement columns (tens of thousands), so they live as JSON in
@@ -15,7 +19,7 @@ columns take the binary path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Type, TypeVar
 
 import numpy as np
 
@@ -23,14 +27,7 @@ from repro.cloud.regions import CloudRegion
 from repro.geo.continents import Continent
 from repro.geo.coords import GeoPoint
 from repro.lastmile.base import AccessKind
-from repro.measure.results import (
-    PING_COLUMN_DTYPES,
-    PING_OPTIONAL_COLUMN_DTYPES,
-    TRACE_COLUMN_DTYPES,
-    TRACE_OPTIONAL_COLUMN_DTYPES,
-    PingBlock,
-    TraceBlock,
-)
+from repro.measure.results import Block, PingBlock, TraceBlock
 from repro.platforms.probe import Probe
 from repro.store.fileops import FileOps
 from repro.store.format import (
@@ -43,6 +40,14 @@ from repro.store.format import (
 #: ``kind`` tags in shard headers.
 PING_SHARD_KIND = "pings"
 TRACE_SHARD_KIND = "traces"
+
+#: The ``kind`` tag of each block class's shards.
+SHARD_KINDS: Dict[type, str] = {
+    PingBlock: PING_SHARD_KIND,
+    TraceBlock: TRACE_SHARD_KIND,
+}
+
+_B = TypeVar("_B", PingBlock, TraceBlock)
 
 #: Header key carrying the per-column zone map (shard version >= zones).
 ZONES_KEY = "zones"
@@ -146,66 +151,34 @@ def region_from_dict(payload: Dict[str, Any]) -> CloudRegion:
     )
 
 
-def _tables_metadata(
-    kind: str,
-    block: Any,
+def write_block_shard(
+    path: PathLike,
+    block: Block,
     unit: str,
-    columns: Mapping[str, np.ndarray],
+    fileops: "FileOps | None" = None,
 ) -> Dict[str, Any]:
-    return {
-        "kind": kind,
+    """Write one validated block as a shard file; returns the header.
+
+    The block's columns go in schema order, followed by the optional
+    columns it carries.  The header names the shard's kind and unit,
+    holds the probe and region tables, and carries a per-column zone map
+    (row count, min/max) that the query planner (:mod:`repro.query`)
+    reads to prune shards without touching column bytes.
+    """
+    block.validate()
+    columns = {
+        name: getattr(block, name)
+        for name in [*block.COLUMNS, *block.OPTIONAL]
+        if getattr(block, name) is not None
+    }
+    metadata = {
+        "kind": SHARD_KINDS[type(block)],
         "unit": unit,
         "probes": [probe_to_dict(probe) for probe in block.probes],
         "regions": [region_to_dict(region) for region in block.regions],
         ZONES_KEY: compute_zones(columns),
     }
-
-
-def write_ping_shard(
-    path: PathLike,
-    block: PingBlock,
-    unit: str,
-    fileops: "FileOps | None" = None,
-) -> Dict[str, Any]:
-    """Write one validated ping block as a shard file; returns the header.
-
-    The header carries a per-column zone map (row count, min/max) that
-    the query planner (:mod:`repro.query`) reads to prune shards without
-    touching column bytes.
-    """
-    block.validate()
-    columns = {name: getattr(block, name) for name in PING_COLUMN_DTYPES}
-    for name in PING_OPTIONAL_COLUMN_DTYPES:
-        column = getattr(block, name)
-        if column is not None:
-            columns[name] = column
-    return write_shard(
-        path,
-        columns,
-        _tables_metadata(PING_SHARD_KIND, block, unit, columns),
-        fileops=fileops,
-    )
-
-
-def write_trace_shard(
-    path: PathLike,
-    block: TraceBlock,
-    unit: str,
-    fileops: "FileOps | None" = None,
-) -> Dict[str, Any]:
-    """Write one validated trace block as a shard file; returns the header."""
-    block.validate()
-    columns = {name: getattr(block, name) for name in TRACE_COLUMN_DTYPES}
-    for name in TRACE_OPTIONAL_COLUMN_DTYPES:
-        column = getattr(block, name)
-        if column is not None:
-            columns[name] = column
-    return write_shard(
-        path,
-        columns,
-        _tables_metadata(TRACE_SHARD_KIND, block, unit, columns),
-        fileops=fileops,
-    )
+    return write_shard(path, columns, metadata, fileops=fileops)
 
 
 def zone_problems(
@@ -236,54 +209,24 @@ def zone_problems(
     return problems
 
 
-def _decoded_tables(
-    path: PathLike, header: Dict[str, Any], kind: str
-) -> "tuple[List[Probe], List[CloudRegion]]":
-    if header.get("kind") != kind:
-        raise ShardFormatError(
-            f"{path}: expected a {kind!r} shard, found {header.get('kind')!r}"
-        )
-    probes = [probe_from_dict(row) for row in header["probes"]]
-    regions = [region_from_dict(row) for row in header["regions"]]
-    return probes, regions
+def read_block_shard(path: PathLike, kind: Type[_B], mmap: bool = True) -> _B:
+    """Decode one shard back into a validated block of class ``kind``.
 
-
-def read_ping_shard(path: PathLike, mmap: bool = True) -> PingBlock:
-    """Decode one ping shard back into a :class:`PingBlock`.
-
-    With ``mmap=True`` the block's columns are read-only memmap views --
-    record materialization faults pages in lazily and nothing is copied
-    up front.
+    Raises :class:`~repro.store.format.ShardFormatError` when the shard
+    holds another kind.  With ``mmap=True`` the block's columns are
+    read-only memmap views -- record materialization faults pages in
+    lazily and nothing is copied up front.
     """
     header, columns = read_columns(path, mmap=mmap)
-    probes, regions = _decoded_tables(path, header, PING_SHARD_KIND)
-    block = PingBlock(
-        probes=probes,
-        regions=regions,
-        **{name: columns[name] for name in PING_COLUMN_DTYPES},
-        **{
-            name: columns[name]
-            for name in PING_OPTIONAL_COLUMN_DTYPES
-            if name in columns
-        },
-    )
-    block.validate()
-    return block
-
-
-def read_trace_shard(path: PathLike, mmap: bool = True) -> TraceBlock:
-    """Decode one trace shard back into a :class:`TraceBlock`."""
-    header, columns = read_columns(path, mmap=mmap)
-    probes, regions = _decoded_tables(path, header, TRACE_SHARD_KIND)
-    block = TraceBlock(
-        probes=probes,
-        regions=regions,
-        **{name: columns[name] for name in TRACE_COLUMN_DTYPES},
-        **{
-            name: columns[name]
-            for name in TRACE_OPTIONAL_COLUMN_DTYPES
-            if name in columns
-        },
+    expected = SHARD_KINDS[kind]
+    if header.get("kind") != expected:
+        raise ShardFormatError(
+            f"{path}: expected a {expected!r} shard, found {header.get('kind')!r}"
+        )
+    block = kind(
+        probes=[probe_from_dict(row) for row in header["probes"]],
+        regions=[region_from_dict(row) for row in header["regions"]],
+        **columns,
     )
     block.validate()
     return block

@@ -49,10 +49,8 @@ from repro.store.journal import BEGIN_ENTRY, SKIP_ENTRY, UNIT_ENTRY, RunJournal
 from repro.store.shards import (
     PING_SHARD_KIND,
     TRACE_SHARD_KIND,
-    read_ping_shard,
-    read_trace_shard,
-    write_ping_shard,
-    write_trace_shard,
+    read_block_shard,
+    write_block_shard,
     zone_problems,
 )
 
@@ -161,11 +159,11 @@ def _check_shard(task: Tuple[str, str]) -> Dict[str, Any]:
     if not problems:
         try:
             if name.endswith("-pings.shard"):
-                block = read_ping_shard(path)
+                block = read_block_shard(path, PingBlock)
                 counts["pings"] = len(block)
                 counts["ping_samples"] = block.sample_count
             else:
-                trace_block = read_trace_shard(path)
+                trace_block = read_block_shard(path, TraceBlock)
                 counts["traceroutes"] = len(trace_block)
         except (ShardFormatError, TypeError, ValueError) as exc:
             problems.append(f"{name} fails to decode: {exc}")
@@ -336,7 +334,7 @@ class DatasetStore:
         }
         if ping_block is not None and len(ping_block):
             name = f"{stem}-pings.shard"
-            write_ping_shard(
+            write_block_shard(
                 self.shard_dir / name, ping_block, unit, fileops=fileops
             )
             entry["pings"] = len(ping_block)
@@ -344,7 +342,7 @@ class DatasetStore:
             entry["shards"].append(name)
         if trace_block is not None and len(trace_block):
             name = f"{stem}-traces.shard"
-            write_trace_shard(
+            write_block_shard(
                 self.shard_dir / name, trace_block, unit, fileops=fileops
             )
             entry["traceroutes"] = len(trace_block)
@@ -554,12 +552,12 @@ class DatasetStore:
     def iter_ping_blocks(self, mmap: bool = True) -> Iterator[PingBlock]:
         """Decode journaled ping shards lazily, one block at a time."""
         for path in self._shard_paths("-pings.shard"):
-            yield read_ping_shard(path, mmap=mmap)
+            yield read_block_shard(path, PingBlock, mmap=mmap)
 
     def iter_trace_blocks(self, mmap: bool = True) -> Iterator[TraceBlock]:
         """Decode journaled trace shards lazily, one block at a time."""
         for path in self._shard_paths("-traces.shard"):
-            yield read_trace_shard(path, mmap=mmap)
+            yield read_block_shard(path, TraceBlock, mmap=mmap)
 
     @property
     def ping_count(self) -> int:

@@ -10,14 +10,17 @@ engine interned into probe and region codes (:func:`intern`).
 - :class:`ReferenceFaultyEngine` is ``FaultyEngine`` over request lists;
 - :func:`segments`, :func:`filter_segment` and
   :class:`ReferenceNetfaultEngine` are ``NetfaultEngine``'s per-request
-  epoch segmentation and event filter.
+  epoch segmentation and event filter;
+- :func:`_merge_blocks` is its old segment merge, which interns the
+  tables by probe id and (provider, region id) instead of going through
+  :meth:`~repro.measure.results.Block.concatenate`.
 
 Property tests hold the columnar versions to these, column for column.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from repro.faults.injectors import _truncate_traces
 from repro.faults.plan import AttemptFaults
 from repro.measure.requests import PingRequest, TraceRequest
 from repro.measure.results import PingBlock, TraceBlock
-from repro.netfaults.engine import NetfaultEngine, _merge_blocks
+from repro.netfaults.engine import NetfaultEngine
 from repro.netfaults.events import SLOTS_PER_DAY, DayTimeline
 from repro.platforms.probe import Probe
 
@@ -267,6 +270,76 @@ def filter_segment(
         survivors.append(request)
         annotations.append((epoch, reroute_id))
     return survivors, annotations, effects
+
+
+#: Per block kind: its column schema and the offsets column in it.
+_BLOCK_SCHEMAS: Dict[type, Tuple[Dict[str, np.dtype], str]] = {
+    PingBlock: (PingBlock.COLUMNS, "sample_offsets"),
+    TraceBlock: (TraceBlock.COLUMNS, "hop_offsets"),
+}
+
+_Block = TypeVar("_Block", PingBlock, TraceBlock)
+
+
+def _merge_blocks(
+    kind: Type[_Block],
+    segments: Sequence[_Block],
+    epochs: np.ndarray,
+    outage_ids: np.ndarray,
+) -> _Block:
+    """Concatenate per-segment blocks of one kind, re-interning codes.
+
+    Probe/region tables are re-interned in first-seen order over the
+    concatenated rows -- the same order a single-segment batch would
+    have produced -- and offsets are shifted into one flat value array.
+    Every other column concatenates as it is.
+    """
+    schema, offsets_name = _BLOCK_SCHEMAS[kind]
+    probes: List[Probe] = []
+    probe_code_by_id: Dict[str, int] = {}
+    regions: List[CloudRegion] = []
+    region_code_by_key: Dict[Tuple[str, str], int] = {}
+    columns: Dict[str, List[np.ndarray]] = {
+        name: [np.empty(0, dtype)]
+        for name, dtype in schema.items()
+        if name != offsets_name
+    }
+    offsets: List[np.ndarray] = [np.zeros(1, np.int64)]
+    shift = 0
+    for block in segments:
+        probe_remap = np.empty(max(len(block.probes), 1), np.int32)
+        for local, probe in enumerate(block.probes):
+            code = probe_code_by_id.get(probe.probe_id)
+            if code is None:
+                code = len(probes)
+                probes.append(probe)
+                probe_code_by_id[probe.probe_id] = code
+            probe_remap[local] = code
+        region_remap = np.empty(max(len(block.regions), 1), np.int32)
+        for local, region in enumerate(block.regions):
+            key = (region.provider_code, region.region_id)
+            code = region_code_by_key.get(key)
+            if code is None:
+                code = len(regions)
+                regions.append(region)
+                region_code_by_key[key] = code
+            region_remap[local] = code
+        for name, parts in columns.items():
+            parts.append(getattr(block, name))
+        columns["probe_codes"][-1] = probe_remap[block.probe_codes]
+        columns["region_codes"][-1] = region_remap[block.region_codes]
+        block_offsets = getattr(block, offsets_name)
+        offsets.append(block_offsets[1:] + shift)
+        shift += int(block_offsets[-1])
+    merged = {name: np.concatenate(parts) for name, parts in columns.items()}
+    merged[offsets_name] = np.concatenate(offsets)
+    return kind(
+        probes=probes,
+        regions=regions,
+        epochs=epochs,
+        outage_ids=outage_ids,
+        **merged,
+    )
 
 
 class ReferenceNetfaultEngine(NetfaultEngine):

@@ -83,7 +83,7 @@ class TestPing:
         assert meta.day == 5
         assert meta.provider_code == eu_region.provider_code
         assert meta.region_continent is Continent.EU
-        from repro.measure.engine import city_key_for
+        from repro.platforms.probe import city_key_for
 
         assert meta.city_key == city_key_for(home_probe)
 

@@ -126,16 +126,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="header counts None pings"):
             load_dataset(path)
 
+    def _with_edited_line(self, tmp_path, edit):
+        """A one-ping file whose line 2 went through ``edit``."""
+        path = tmp_path / "data.jsonl"
+        save_dataset(dataset_of(make_ping([10.0])), path)
+        header, line = path.read_text().splitlines()
+        payload = json.loads(line)
+        edit(payload)
+        path.write_text(header + "\n" + json.dumps(payload) + "\n")
+        return path
+
     def test_city_key_outside_the_grid_is_rejected(self, tmp_path):
         """Every probe's city key lies within ±45 x ±90 (2-degree cells
         of a valid location); the loader's stand-in probe for any other
         key would sit off the globe."""
-        dataset = dataset_of(make_ping([10.0]))
-        path = tmp_path / "data.jsonl"
-        save_dataset(dataset, path)
-        header, line = path.read_text().splitlines()
-        payload = json.loads(line)
-        payload["meta"]["city_key"] = [46, 0]
-        path.write_text(header + "\n" + json.dumps(payload) + "\n")
-        with pytest.raises(ValueError, match="latitude out of range"):
+        path = self._with_edited_line(
+            tmp_path, lambda payload: payload["meta"].update(city_key=[46, 0])
+        )
+        with pytest.raises(ValueError, match=r"data\.jsonl:2: city_key \[46, 0\]"):
+            load_dataset(path)
+
+    def test_missing_field_names_the_file_and_line(self, tmp_path):
+        path = self._with_edited_line(
+            tmp_path, lambda payload: payload["meta"].pop("day")
+        )
+        with pytest.raises(ValueError, match=r"data\.jsonl:2: missing field 'day'"):
             load_dataset(path)

@@ -3,7 +3,8 @@
 Each ``tests/unit/lint_corpus/*.corpus`` file declares the rules that
 must fire (``# expect:``) and the rules that must stay silent
 (``# absent:``) when its embedded source files are linted together as
-one project.  The corpus is the executable specification of each
+one project; a source line that ends in ``# fires: RULE`` must carry a
+finding of that rule.  The corpus is the executable specification of each
 rule's boundary -- in particular, the flow-aware families' positives
 are cross-function violations with ``# absent:`` lines proving the
 old syntactic rules cannot see them.
@@ -29,6 +30,8 @@ class CorpusCase:
     absent: List[str] = field(default_factory=list)
     strict: bool = False
     files: List[Tuple[str, str]] = field(default_factory=list)
+    #: (file, line, rule) of each ``# fires:`` marker.
+    sites: List[Tuple[str, int, str]] = field(default_factory=list)
 
 
 def _split_rules(raw: str) -> List[str]:
@@ -43,6 +46,10 @@ def load_case(path: Path) -> CorpusCase:
     def flush() -> None:
         if current_name is not None:
             case.files.append((current_name, "\n".join(current_lines) + "\n"))
+            for number, text in enumerate(current_lines, start=1):
+                if "# fires:" in text:
+                    for rule_id in _split_rules(text.split("# fires:", 1)[1]):
+                        case.sites.append((current_name, number, rule_id))
 
     for line in path.read_text(encoding="utf-8").splitlines():
         stripped = line.strip()
@@ -109,3 +116,9 @@ def test_corpus_case(path: Path):
         )
     if "PARSE" not in case.expect:
         assert "PARSE" not in found, f"{case.name}: corpus source failed to parse"
+    flagged = {(v.path, v.line, v.rule_id) for v in result.violations}
+    for path_name, line, rule_id in case.sites:
+        assert (path_name, line, rule_id) in flagged, (
+            f"{case.name}: expected {rule_id} at {path_name}:{line}:\n"
+            + "\n".join(str(v) for v in result.violations)
+        )

@@ -12,6 +12,7 @@ from oracles.routing import compute_routes_reference
 from repro import build_world
 from repro.geo.continents import Continent
 from repro.measure.campaign import run_campaign_checkpointed
+from repro.measure.results import PingBlock, TraceBlock
 from repro.measure.pathpolicy import (
     BASELINE_TOKEN,
     FailoverPathPolicy,
@@ -33,7 +34,7 @@ from repro.netfaults import (
 )
 from repro.netfaults.engine import find_netfault_engine
 from repro.store.format import read_columns, write_shard
-from repro.store.shards import header_zones, read_ping_shard, read_trace_shard
+from repro.store.shards import header_zones, read_block_shard
 
 
 @pytest.fixture(scope="module")
@@ -462,11 +463,11 @@ class TestOptionalColumnZoneVerify:
         store = run_campaign_checkpointed(
             world, tmp_path / "run", days=1, netfaults=ACTIVE_CONFIG
         )
-        ping = read_ping_shard(store.shard_entries("pings")[0].path)
+        ping = read_block_shard(store.shard_entries("pings")[0].path, PingBlock)
         assert ping.epochs is not None
         assert ping.outage_ids is not None
         assert ping.epochs.shape == ping.probe_codes.shape
-        trace = read_trace_shard(store.shard_entries("traces")[0].path)
+        trace = read_block_shard(store.shard_entries("traces")[0].path, TraceBlock)
         assert trace.epochs is not None
         assert trace.outage_ids is not None
 

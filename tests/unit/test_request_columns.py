@@ -11,7 +11,7 @@ with repeats, several days and empty results.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -28,12 +28,17 @@ from repro.measure.pathpolicy import FailoverPathPolicy
 from repro.measure.requests import (
     PingRequest,
     PingRequests,
-    RequestBlock,
     RequestRows,
     TraceRequest,
     TraceRequests,
 )
-from repro.measure.results import PROTOCOL_CODES, PingBlock, Protocol, TraceBlock
+from repro.measure.results import (
+    PROTOCOL_CODES,
+    Block,
+    PingBlock,
+    Protocol,
+    TraceBlock,
+)
 from repro.netfaults import NetfaultEngine, NetworkFaultConfig, NetworkFaultPlan
 
 SETTINGS = settings(
@@ -89,7 +94,7 @@ def trace_records(pools, rows) -> List[TraceRequest]:
 def columns(requests: Any) -> Tuple[Any, ...]:
     """A request batch's tables and columns: a block's own, or those the
     engine interned from a list of records."""
-    if isinstance(requests, RequestBlock):
+    if isinstance(requests, Block):
         probes, probe_codes = requests.probes, requests.probe_codes
         regions, region_codes = requests.regions, requests.region_codes
         days, protocols = requests.days, requests.protocol_codes
@@ -137,7 +142,7 @@ class RecordingEngine:
         self.calls: List[Tuple[str, Tuple[Any, ...]]] = []
 
     def _tables(self, requests: Any) -> Tuple[Any, ...]:
-        if isinstance(requests, RequestBlock):
+        if isinstance(requests, Block):
             return (
                 requests.probes,
                 requests.regions,
@@ -164,7 +169,12 @@ class RecordingEngine:
         )
         n = len(probe_codes)
         return PingBlock(
-            probes, regions, probe_codes, region_codes, days, protocols,
+            probes=probes,
+            regions=regions,
+            probe_codes=probe_codes,
+            region_codes=region_codes,
+            days=days,
+            protocol_codes=protocols,
             sample_values=np.arange(n, dtype=np.float64),
             sample_offsets=np.arange(n + 1, dtype=np.int64),
         )
@@ -181,7 +191,12 @@ class RecordingEngine:
         offsets = np.zeros(n + 1, np.int64)
         np.cumsum(hops, out=offsets[1:])
         return TraceBlock(
-            probes, regions, probe_codes, region_codes, days, protocols,
+            probes=probes,
+            regions=regions,
+            probe_codes=probe_codes,
+            region_codes=region_codes,
+            days=days,
+            protocol_codes=protocols,
             source_addresses=np.arange(n, dtype=np.int64),
             dest_addresses=np.arange(n, dtype=np.int64) + 100,
             hop_offsets=offsets,
@@ -250,6 +265,106 @@ class TestRequestBlocks:
             if flip
         ]
         assert columns(rows.traces(Protocol.TCP).take(mask)) == columns(traces)
+
+
+def measurement_block(pools, rows, kind, provenance):
+    """A ping or trace block over the pools' tables.  Row ``i`` owns as
+    many values as its request has samples, every value distinct, and
+    with ``provenance`` its epoch and outage id differ by row."""
+    requests = PingRequests.from_records(ping_records(pools, rows))
+    n = len(requests)
+    offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(requests.samples, out=offsets[1:])
+    values = np.arange(int(offsets[-1]))
+    columns: Dict[str, Any] = dict(
+        probes=requests.probes,
+        regions=requests.regions,
+        probe_codes=requests.probe_codes,
+        region_codes=requests.region_codes,
+        days=requests.days,
+        protocol_codes=requests.protocol_codes,
+    )
+    if provenance:
+        columns.update(epochs=np.arange(n) % 3, outage_ids=np.arange(n) - 1)
+    if kind is PingBlock:
+        return PingBlock(**columns, sample_values=values * 0.5, sample_offsets=offsets)
+    return TraceBlock(
+        **columns,
+        source_addresses=np.arange(n),
+        dest_addresses=np.arange(n) + 100,
+        hop_offsets=offsets,
+        hop_addresses=values,
+        hop_rtts=values * 1.5,
+    )
+
+
+def first_named(table: Sequence[Any], codes: np.ndarray) -> List[int]:
+    """The ids of the ``table`` objects ``codes`` name, in the order the
+    codes first name them."""
+    return list(dict.fromkeys(id(table[code]) for code in codes.tolist()))
+
+
+BLOCK_KINDS = st.sampled_from([PingBlock, TraceBlock])
+PICKS = st.lists(st.integers(0, 39), max_size=60)
+
+
+class TestMeasurementBlocks:
+    @SETTINGS
+    @given(rows=ROWS, picks=PICKS, kind=BLOCK_KINDS, provenance=st.booleans())
+    def test_take_keeps_rows_tables_and_provenance(
+        self, pools, rows, picks, kind, provenance
+    ):
+        block = measurement_block(pools, rows, kind, provenance)
+        picks = np.array([pick for pick in picks if pick < len(block)], np.int64)
+        taken = block.take(picks)
+        taken.validate()
+        records = block.records()
+        assert taken.records() == [records[pick] for pick in picks.tolist()]
+        assert [id(probe) for probe in taken.probes] == first_named(
+            block.probes, block.probe_codes[picks]
+        )
+        assert [id(region) for region in taken.regions] == first_named(
+            block.regions, block.region_codes[picks]
+        )
+        for name in ("epochs", "outage_ids"):
+            column = getattr(taken, name)
+            if provenance:
+                assert column.tolist() == getattr(block, name)[picks].tolist()
+            else:
+                assert column is None
+
+    @SETTINGS
+    @given(
+        rows=ROWS,
+        first=PICKS,
+        second=PICKS,
+        kind=st.sampled_from([PingBlock, TraceBlock, PingRequests, TraceRequests]),
+        provenance=st.booleans(),
+    )
+    def test_concatenate_of_takes_is_the_take_of_both(
+        self, pools, rows, first, second, kind, provenance
+    ):
+        if kind in (PingBlock, TraceBlock):
+            block = measurement_block(pools, rows, kind, provenance)
+        else:
+            records = ping_records if kind is PingRequests else trace_records
+            block = kind.from_records(records(pools, rows))
+        first = [pick for pick in first if pick < len(block)]
+        second = [pick for pick in second if pick < len(block)]
+        first_rows = np.array(first, np.int64)
+        second_rows = np.array(second, np.int64)
+        joined = kind.concatenate([block.take(first_rows), block.take(second_rows)])
+        joined.validate()
+        expected = block.take(np.concatenate([first_rows, second_rows]))
+        assert block_columns(joined) == block_columns(expected)
+
+    @pytest.mark.parametrize(
+        "kind", [PingBlock, TraceBlock, PingRequests, TraceRequests]
+    )
+    def test_concatenate_of_no_blocks_is_an_empty_block(self, kind):
+        empty = kind.concatenate([])
+        empty.validate()
+        assert (len(empty), empty.probes, empty.regions) == (0, [], [])
 
 
 FAULTS = st.builds(
@@ -353,3 +468,36 @@ class TestNetfaultEngineMasks:
         assert any("dropped=0" not in effect for effect in effects) or any(
             "rerouted=0" not in effect for effect in effects
         )
+
+    def test_a_batch_with_every_row_dropped(self, world):
+        """A request towards a region that is down at its slot: no
+        segment survives, so the wrapper merges no block at all."""
+        plan = NetworkFaultPlan(
+            world.config.seed, NETFAULTS["outages"], world.topology, world.catalog
+        )
+        def down_at_dawn(day, region):
+            network = plan.topology.network_code(region.provider_code)
+            return any(
+                (event.network, event.continent) == (network, region.continent)
+                for event in plan.timeline(day).outages(0)
+            )
+
+        day, region = next(
+            (day, region)
+            for day in range(30)
+            for region in world.catalog
+            if down_at_dawn(day, region)
+        )
+        probe = world.speedchecker.probes[0]
+        for records in (
+            [PingRequest(probe, region, Protocol.TCP, 2, day)],
+            [TraceRequest(probe, region, Protocol.ICMP, day)],
+        ):
+            calls, columns, events = self.run(plan, NetfaultEngine, records)
+            assert (calls, columns, events) == self.run(
+                plan, ReferenceNetfaultEngine, records
+            )
+            assert calls == []
+            assert columns[:2] == ([], [])
+            assert columns[-2:] == (b"", b"")
+            assert any("dropped=1" in event for event in events)

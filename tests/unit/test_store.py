@@ -18,8 +18,10 @@ from repro.measure.io import load_dataset, save_dataset
 from repro.measure.results import (
     MeasurementDataset,
     MeasurementMeta,
+    PingBlock,
     PingMeasurement,
     Protocol,
+    TraceBlock,
     TraceHop,
     TracerouteMeasurement,
     ping_block_from_records,
@@ -32,13 +34,11 @@ from repro.store import (
     StoreError,
     column_zone,
     header_zones,
+    read_block_shard,
     read_columns,
-    read_ping_shard,
-    read_trace_shard,
     verify_shard,
-    write_ping_shard,
+    write_block_shard,
     write_shard,
-    write_trace_shard,
     zone_problems,
 )
 from repro.store.cli import main as store_cli
@@ -156,25 +156,25 @@ class TestMeasurementShards:
         records = [_ping("p0", 0), _ping("p1", 0, samples=(9.5, 10.0)), _ping("p0", 1)]
         block = ping_block_from_records(records)
         path = tmp_path / "u-pings.shard"
-        header = write_ping_shard(path, block, unit="speedchecker:000")
+        header = write_block_shard(path, block, unit="speedchecker:000")
         assert header["unit"] == "speedchecker:000"
-        loaded = read_ping_shard(path)
+        loaded = read_block_shard(path, PingBlock)
         assert loaded.records() == records
 
     def test_trace_shard_round_trip(self, tmp_path):
         records = [_trace("p0", 0), _trace("p1", 2)]
         block = trace_block_from_records(records)
         path = tmp_path / "u-traces.shard"
-        write_trace_shard(path, block, unit="speedchecker:000")
-        loaded = read_trace_shard(path)
+        write_block_shard(path, block, unit="speedchecker:000")
+        loaded = read_block_shard(path, TraceBlock)
         assert loaded.records() == records
 
     def test_kind_mismatch_is_detected(self, tmp_path):
         block = ping_block_from_records([_ping()])
         path = tmp_path / "u-pings.shard"
-        write_ping_shard(path, block, unit="u")
+        write_block_shard(path, block, unit="u")
         with pytest.raises(ShardFormatError, match="expected"):
-            read_trace_shard(path)
+            read_block_shard(path, TraceBlock)
 
 
 class TestRunJournal:
@@ -400,8 +400,8 @@ def test_standin_tables_survive_import(tmp_path):
     records = [_ping("p7", 3)]
     block = ping_block_from_records(records)  # no lookup tables: stand-ins
     path = tmp_path / "u-pings.shard"
-    write_ping_shard(path, block, unit="speedchecker:003")
-    loaded = read_ping_shard(path)
+    write_block_shard(path, block, unit="speedchecker:003")
+    loaded = read_block_shard(path, PingBlock)
     assert loaded.records() == records
     probe = loaded.probes[0]
     assert probe.probe_id == "p7"

@@ -35,7 +35,6 @@ from repro.measure.requests import (
     TraceRequests,
 )
 from repro.measure.results import (
-    TRACE_COLUMN_DTYPES,
     PingBlock,
     Protocol,
     TraceBlock,
@@ -108,7 +107,7 @@ def _tables(requests):
 
 def assert_blocks_equal(block: TraceBlock, expected: TraceBlock) -> None:
     """Column for column, byte for byte, with the very same table objects."""
-    for name in TRACE_COLUMN_DTYPES:
+    for name in TraceBlock.COLUMNS:
         got = getattr(block, name)
         want = getattr(expected, name)
         assert got.dtype == want.dtype, name
