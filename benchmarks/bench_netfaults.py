@@ -4,10 +4,10 @@ The contract of ``repro.netfaults`` (docs/DYNAMIC_TOPOLOGY.md): an
 active network-event plan -- per-epoch route re-convergence, failover
 path selection, and provenance columns included -- may cost at most
 **20% wall-clock overhead** over a static-world campaign day.  The
-epoch views make that possible: per-epoch tables are recomputed only
-for the (provider, continent) scopes whose baseline routes actually
-ride a removed edge, and re-used across units through the shared view
-cache.
+epoch views aim at that: only a route whose baseline path rides a
+removed edge re-plans and re-converges its (provider, continent) scope,
+and per-epoch tables are re-used across units through the shared view
+cache.  On a 2-CPU VM the gate does not hold (docs/DYNAMIC_TOPOLOGY.md).
 
 Runs on a 20%-scale world (the same workload class as the parallel
 benchmarks) with a dense flap-heavy event mix, so the benchmark

@@ -482,22 +482,13 @@ class PathPlanner:
         #: ever invalidated -- planned paths are pure functions of
         #: (pair, token).
         self._route_policy = route_policy
-        #: Planned paths; ``_cache`` maps a pair key (plus its scope
+        #: Planned paths; ``_cache`` maps a pair key (plus its route
         #: token, if any) to the ``int`` row built for it.
         self.table = PathTable()
         self._cache: Dict[Tuple[Hashable, ...], int] = {}
         self._metas: List[_RouteMeta] = []
         self._path_ases: Dict[Tuple[Tuple[int, ...], InterconnectKind], _PathASes] = {}
         self._meta_cache: Dict[Tuple[Hashable, ...], _RouteMeta] = {}
-        #: Per-scope token memo for the *current* policy state: pair
-        #: tokens are pure given (policy token, scope), so the memo is
-        #: dropped whenever the policy's cache token changes (epoch view
-        #: installed, path marked down/up) and hit on every plan
-        #: otherwise.
-        self._pair_token_state: Optional[Hashable] = None
-        self._pair_token_cache: Dict[
-            Tuple[str, Continent], Optional[Hashable]
-        ] = {}
         #: Rolling-hash caches for the pair digest: ``name_digest`` is a
         #: linear fold, so the digest of ``"path.<probe>.<prov>.<region>"``
         #: combines a per-probe prefix digest with a per-region suffix in
@@ -527,35 +518,25 @@ class PathPlanner:
         return token
 
     def _pair_token(
-        self, provider_code: str, source_continent: Continent
+        self, isp_asn: int, provider_code: str, source_continent: Continent
     ) -> Optional[Hashable]:
-        """The cache namespace of one (provider, source continent) scope.
+        """The cache namespace of one (ISP, provider, source continent)
+        route.
 
         Finer-grained than :meth:`_policy_token`: a policy that knows an
-        epoch's events never touched this scope's routes (see
+        epoch's events never touched this route (see
         :meth:`~repro.measure.pathpolicy.PathSelectionPolicy.pair_token`)
         returns ``None``, and the pair plans against -- and shares cache
         entries with -- the bare policy-free keys.  Cached entries are
-        interchangeable because a ``None`` token certifies the scope's
-        routing table *is* the baseline table.
+        interchangeable because a ``None`` token certifies the route
+        *is* the baseline route.
         """
         policy = self._route_policy
         if policy is None:
             return None
-        state = policy.cache_token()
-        if state is not self._pair_token_state:
-            if state != self._pair_token_state:
-                self._pair_token_cache = {}
-            self._pair_token_state = state
-        scope = (provider_code, source_continent)
-        try:
-            return self._pair_token_cache[scope]
-        except KeyError:
-            token = policy.pair_token(
-                self._topology, provider_code, source_continent
-            )
-            self._pair_token_cache[scope] = token
-            return token
+        return policy.pair_token(
+            self._topology, isp_asn, provider_code, source_continent
+        )
 
     def _ensure_policy(self) -> PathSelectionPolicy:
         if self._route_policy is None:
@@ -660,7 +641,14 @@ class PathPlanner:
         ]
         tokens: List[Optional[Hashable]] = [None] * len(keys)
         if self._route_policy is not None:
-            tokens = self._scope_tokens(probes, regions, pair_probes, pair_regions)
+            routes = [
+                (probes[p].isp_asn, region_keys[r][0], probes[p].continent)
+                for p, r in zip(pair_probes.tolist(), pair_regions.tolist())
+            ]
+            token_of = {
+                route: self._pair_token(*route) for route in dict.fromkeys(routes)
+            }
+            tokens = [token_of[route] for route in routes]
             keys = [
                 key if token is None else key + (token,)
                 for key, token in zip(keys, tokens)
@@ -684,24 +672,6 @@ class PathPlanner:
             rows[miss] = built
         return rows[pair_of].tolist()
 
-    def _scope_tokens(
-        self,
-        probes: Sequence[Probe],
-        regions: Sequence[CloudRegion],
-        pair_probes: np.ndarray,
-        pair_regions: np.ndarray,
-    ) -> List[Optional[Hashable]]:
-        """Each pair's scope token (see :meth:`_pair_token`), resolved
-        once per (provider, source continent) scope."""
-        scopes = [
-            (regions[r].provider_code, probes[p].continent)
-            for p, r in zip(pair_probes.tolist(), pair_regions.tolist())
-        ]
-        tokens = {
-            scope: self._pair_token(*scope) for scope in dict.fromkeys(scopes)
-        }
-        return [tokens[scope] for scope in scopes]
-
     def _route_meta(
         self,
         probe: Probe,
@@ -710,7 +680,7 @@ class PathPlanner:
     ) -> _RouteMeta:
         """The shared (ISP, country, region) prefix of preparation, cached.
 
-        ``token`` is the pair's scope token (see :meth:`_pair_token`),
+        ``token`` is the pair's route token (see :meth:`_pair_token`),
         already resolved by the caller so the hot path never re-derives
         it per pair.
         """
@@ -857,7 +827,7 @@ class PathPlanner:
         plus the address draw of every hop, in hop order.
 
         ``pair_probes``/``pair_regions`` index ``probes``/``regions``;
-        ``tokens`` are the pairs' scope tokens (``None`` for baseline
+        ``tokens`` are the pairs' route tokens (``None`` for baseline
         planning).  Routing, classification, stretch geography, fixed
         overheads and the hop-count terms come from the
         :meth:`_route_meta` cache, resolved once per distinct (ISP,

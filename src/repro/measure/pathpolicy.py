@@ -44,8 +44,8 @@ class RouteView(Protocol):
         self, isp_asn: int, provider_code: str, source_continent: Continent
     ) -> Optional[List[int]]: ...
 
-    def scope_token(
-        self, provider_code: str, source_continent: Continent
+    def route_token(
+        self, isp_asn: int, provider_code: str, source_continent: Continent
     ) -> Optional[Hashable]: ...
 
 
@@ -126,20 +126,21 @@ class PathSelectionPolicy:
     def pair_token(
         self,
         topology: Topology,
+        isp_asn: int,
         provider_code: str,
         source_continent: Continent,
     ) -> Optional[Hashable]:
-        """Cache namespace for one (provider, source continent) scope.
+        """Cache namespace for one (ISP, provider, source continent) route.
 
-        ``None`` means "this scope selects exactly the baseline routes"
-        -- the planner may then share cache entries with policy-free
-        planning.  The base policy only refines to scope granularity at
-        its baseline token; subclasses that know which scopes an event
-        actually touched (see :class:`FailoverPathPolicy`) return
-        ``None`` for every unaffected scope, so a routing epoch pays
-        re-planning costs only where routes really changed.
+        ``None`` means "this route is exactly the baseline route" -- the
+        planner may then share cache entries with policy-free planning.
+        The base policy answers ``None`` only at its baseline token;
+        subclasses that know which routes an event actually touched (see
+        :class:`FailoverPathPolicy`) return ``None`` for every unaffected
+        route, so a routing epoch pays re-planning costs only where
+        routes really changed.
         """
-        del topology, provider_code, source_continent
+        del topology, isp_asn, provider_code, source_continent
         if self._token is BASELINE_TOKEN or self._token == BASELINE_TOKEN:
             return None
         return self._token
@@ -192,22 +193,24 @@ class FailoverPathPolicy(PathSelectionPolicy):
     def pair_token(
         self,
         topology: Topology,
+        isp_asn: int,
         provider_code: str,
         source_continent: Continent,
     ) -> Optional[Hashable]:
-        """Scope-grained cache namespace under the active epoch view.
+        """Route-grained cache namespace under the active epoch view.
 
-        Down marks apply per path, so any downed path forces the full
-        token; otherwise the view reports whether this scope's table
-        diverged from baseline, and unaffected scopes plan (and cache)
-        exactly like a static world.
+        Any downed path forces the full token, as down marks change
+        selection beyond the view; otherwise the view's route token
+        (:meth:`RouteView.route_token`) is ``None`` exactly when the
+        ISP's baseline route rides no downed link, and such a route
+        plans (and caches) exactly like a static world.
         """
         del topology
         if self._down:
             return self._token
         if self._view is None:
             return None
-        return self._view.scope_token(provider_code, source_continent)
+        return self._view.route_token(isp_asn, provider_code, source_continent)
 
     def as_path(
         self,

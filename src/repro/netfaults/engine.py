@@ -15,8 +15,9 @@ but instead of corrupting calls it *reshapes* them around the network:
   serving ISP lost all routes to the provider in this epoch, are dropped
   (no measurement row) with the responsible event recorded.  Outages
   are decided once per region of the block's table and routing verdicts
-  once per (provider, ISP, continent) scope, then applied to the rows as
-  masks; a segment's survivors are a
+  once per (provider, ISP, continent) route, then applied to the rows as
+  masks; only a route that rides a downed link re-converges its scope
+  for its verdict.  A segment's survivors are a
   :meth:`~repro.measure.results.Block.take` of the block;
 - survivors execute through the inner engine *with the unit's own
   generator threaded sequentially through the segments*, so the wrapper
@@ -158,7 +159,6 @@ class NetfaultEngine:
         rows: np.ndarray,
         timeline: DayTimeline,
         epoch: int,
-        view,
     ) -> Tuple[np.ndarray, np.ndarray, Dict[int, List[int]]]:
         """Apply one epoch's events to the block's ``rows``.
 
@@ -194,7 +194,7 @@ class NetfaultEngine:
         if removed:
             live = np.flatnonzero(keep)
             keeps, blames, reroute_ids = self._verdicts_of(
-                requests, scopes, rows[live], timeline, epoch, view
+                requests, scopes, rows[live], timeline, epoch
             )
             _count_effects(effects, blames[~keeps & (blames >= 0)], 0)
             rerouted = keeps & (reroute_ids >= 0)
@@ -218,27 +218,26 @@ class NetfaultEngine:
         rows: np.ndarray,
         timeline: DayTimeline,
         epoch: int,
-        view,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per row, whether it keeps a route, the event blamed when it
         does not, and the event that rerouted it: one verdict per
-        distinct scope (``scopes``) of the rows.
+        distinct (provider, ISP, continent) route (``scopes``) of the
+        rows.
 
-        Scopes whose table is the baseline object need no per-pair
-        verdict at all: every measured pair has a baseline route (the
-        planner raises otherwise), and a baseline table proves no
-        selected path rides a removed edge, so the verdict is always
-        (keep, no reroute).  Only valid while no path is explicitly
-        marked down -- down marks are per (isp, network, continent),
-        finer than scope.
+        A route whose pair token is ``None`` is its baseline route (no
+        downed link on its path, no path marked down), and every
+        measured pair has one (the planner raises otherwise), so its
+        verdict is (keep, no reroute) without re-converging its scope.
+        Only a route that rides a downed link asks the policy for its
+        re-converged path.
         """
         topology = self._plan.topology
         graph_events = tuple(
             event for event in timeline.active[epoch] if event.edge is not None
         )
-        scope_fastpath = not self._policy.down_paths
+        policy = self._policy
         verdicts = self._verdicts.setdefault(
-            (timeline.day, epoch, self._policy.cache_token()), {}
+            (timeline.day, epoch, policy.cache_token()), {}
         )
         probes, regions = requests.probes, requests.regions
         firsts, scope_of = first_seen(scopes[rows])
@@ -253,12 +252,15 @@ class NetfaultEngine:
             vkey = (provider_code, probe.isp_asn, probe.continent)
             verdict = verdicts.get(vkey)
             if verdict is None:
-                if scope_fastpath and (
-                    view.scope_token(provider_code, probe.continent) is None
+                if (
+                    policy.pair_token(
+                        topology, probe.isp_asn, provider_code, probe.continent
+                    )
+                    is None
                 ):
                     verdict = (True, -1, -1)
                 elif (
-                    self._policy.as_path(
+                    policy.as_path(
                         topology, probe.isp_asn, provider_code, probe.continent
                     )
                     is None
@@ -345,7 +347,7 @@ class NetfaultEngine:
                 view = self._plan.view(timeline.removed_edges(epoch))
                 self._policy.set_view(view)
                 rows, reroutes, effects = self._filter_segment(
-                    requests, scopes, np.arange(start, end), timeline, epoch, view
+                    requests, scopes, np.arange(start, end), timeline, epoch
                 )
                 self._journal(timeline, effects)
                 if len(rows):

@@ -2,14 +2,21 @@
 
 An :class:`EpochTopologyView` is an immutable overlay on a
 :class:`~repro.core.topology.Topology`: the same scoped graphs, minus a
-fixed set of downed AS-pair links.  Per (provider network, source
-continent) scope it resolves the re-converged routing table with two
-fast paths before ever running the sweep:
+fixed set of downed AS-pair links.
+
+Routes are answered per (serving ISP, provider, source continent).
+:meth:`~EpochTopologyView.route_token` asks whether the ISP's baseline
+AS path rides a downed link, once per route and view.  A route whose
+links all survive is still the one selected -- removing links never
+improves a valley-free route -- so it keeps its baseline path, its
+planned rows and its verdict without any sweep.  Only a route that
+rides a downed link re-converges its (provider network, source
+continent) scope, through :meth:`~EpochTopologyView.routes_for`:
 
 1. no downed pair touches the scope's graph -> the baseline table;
 2. :func:`~repro.net.routing.table_uses_edges` shows no selected route
-   rides a downed pair -> the baseline table (edge removal is monotone:
-   an unused edge was never a winner, so the table cannot change);
+   rides a downed pair -> the baseline table (the same argument, for
+   the whole table);
 3. otherwise the valley-free sweep re-runs over the incrementally
    filtered CSR arrays, memoized process-wide under the filtered
    structure's digest.
@@ -68,12 +75,10 @@ class EpochTopologyView:
             for a, b in removed_edges
         )
         self._route_cache: Dict[Tuple[str, Continent], RoutingTable] = {}
-        #: Hot-path memo keyed by the caller's raw (provider code,
-        #: continent) arguments, skipping network resolution and enum
-        #: normalization on repeat lookups.
-        self._scope_cache: Dict[Tuple[str, Continent], RoutingTable] = {}
-        self._scope_tokens: Dict[
-            Tuple[str, Continent], Optional[FrozenSet[Tuple[int, int]]]
+        #: (ISP, provider code, continent) -> route token, keyed by the
+        #: caller's raw arguments.
+        self._route_tokens: Dict[
+            Tuple[int, str, Continent], Optional[FrozenSet[Tuple[int, int]]]
         ] = {}
 
     @property
@@ -100,16 +105,10 @@ class EpochTopologyView:
         topology = self._topology
         if not self._removed:
             return topology.routes_for(provider_code, source_continent)
-        scope = (provider_code, source_continent)
-        hot = self._scope_cache.get(scope)
-        if hot is not None:
-            return hot
-        base = topology.routes_for(provider_code, source_continent)
         network = topology.network_code(provider_code)
         key = (network, Continent(source_continent))
         cached = self._route_cache.get(key)
         if cached is not None:
-            self._scope_cache[scope] = cached
             return cached
         graph = topology.graph_for(network, key[1])
         adjacency = graph.adjacency()
@@ -121,6 +120,7 @@ class EpochTopologyView:
         )
         table = _SCOPE_TABLE_MEMO.get(memo_key)
         if table is None:
+            base = topology.routes_for(provider_code, source_continent)
             effective = [
                 pair
                 for pair in sorted(self._removed)
@@ -139,43 +139,54 @@ class EpochTopologyView:
                 _SCOPE_TABLE_MEMO.popitem(last=False)
             _SCOPE_TABLE_MEMO[memo_key] = table
         self._route_cache[key] = table
-        self._scope_cache[scope] = table
         return table
+
+    def route_token(
+        self, isp_asn: int, provider_code: str, source_continent: Continent
+    ) -> Optional[FrozenSet[Tuple[int, int]]]:
+        """Cache identity of one (ISP, provider, continent) route.
+
+        ``None`` when the ISP's baseline AS path rides no downed link:
+        the route is then the baseline route, so planners share cache
+        entries with static runs and verdicts need no sweep.  The
+        removed-edge set otherwise.  Memoized per view.
+        """
+        if not self._removed:
+            return None
+        key = (isp_asn, provider_code, source_continent)
+        try:
+            return self._route_tokens[key]
+        except KeyError:
+            pass
+        path = (
+            self._topology.as_path(isp_asn, provider_code, source_continent)
+            or []
+        )
+        token = (
+            self._removed
+            if any(
+                (min(a, b), max(a, b)) in self._removed
+                for a, b in zip(path, path[1:])
+            )
+            else None
+        )
+        self._route_tokens[key] = token
+        return token
 
     def as_path(
         self, isp_asn: int, provider_code: str, source_continent: Continent
     ) -> Optional[List[int]]:
-        """AS-level path under this epoch, or ``None`` if unreachable."""
+        """AS-level path under this epoch, or ``None`` if unreachable.
+
+        Only a route that rides a downed link re-converges its scope.
+        """
+        if self.route_token(isp_asn, provider_code, source_continent) is None:
+            return self._topology.as_path(
+                isp_asn, provider_code, source_continent
+            )
         return self.routes_for(provider_code, source_continent).as_path(
             isp_asn
         )
-
-    def scope_token(
-        self, provider_code: str, source_continent: Continent
-    ) -> Optional[FrozenSet[Tuple[int, int]]]:
-        """Cache identity of one (provider, continent) scope.
-
-        ``None`` when this epoch's table for the scope *is* the baseline
-        table (no downed pair changed any selected route), so planners
-        can share cache entries with static runs; the removed-edge set
-        otherwise.
-        """
-        if not self._removed:
-            return None
-        scope = (provider_code, source_continent)
-        try:
-            return self._scope_tokens[scope]
-        except KeyError:
-            pass
-        table = self.routes_for(provider_code, source_continent)
-        token = (
-            None
-            if table
-            is self._topology.routes_for(provider_code, source_continent)
-            else self._removed
-        )
-        self._scope_tokens[scope] = token
-        return token
 
     def __repr__(self) -> str:
         return f"EpochTopologyView(removed={sorted(self._removed)})"

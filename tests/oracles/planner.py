@@ -15,11 +15,17 @@ passes and kept its paths as rows of a
   its paths in a table (``_place_hops``, ``_hop_columns`` and
   ``_finalize``).
 
-It shares none of ``plan_many``, ``_prepare_many``, ``_route_meta``,
-``_pair_digest`` and ``_add_paths`` with the planner it checks: only the
-scope-token lookup and the geography correction of the stretch.  Parity
-tests assert that the planner's ``path(row)`` views equal this
-reference's paths in every slot, at full float64 bits.
+- every pair routes eagerly under the policy's state, through
+  :class:`~oracles.routing.EpochRoutes` (a full sweep of the epoch's
+  scope graph), and its row is keyed by (pair, AS path) instead of a
+  cache token.
+
+It shares none of ``plan_many``, ``_pair_token``, ``_prepare_many``,
+``_route_meta``, ``_pair_digest`` and ``_add_paths`` with the planner it
+checks, and no route token or per-route shortcut of the epoch views:
+only the geography correction of the stretch.  Parity tests assert that
+the planner's ``path(row)`` views equal this reference's paths in every
+slot, at full float64 bits.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from oracles.routing import EpochRoutes
 
 from repro.cloud.regions import CloudRegion
 from repro.cloud.wan import PrivateWAN
@@ -143,10 +150,12 @@ def request_pairs(requests: object) -> List[Tuple[Probe, CloudRegion]]:
 class ReferencePlanner(PathPlanner):
     """Plans each pair on its own, from uncached routing.
 
-    Takes the arguments of ``PathPlanner``.  A pair whose scope token is
-    not ``None`` routes through ``route_policy``, as the planner does.
-    Rows index the reference's own list of :class:`PlannedPath` objects,
-    and :meth:`path` returns them; the planner's path table stays empty.
+    Takes the arguments of ``PathPlanner``.  Every pair takes the route
+    ``route_policy`` selects in its current state, from
+    :class:`~oracles.routing.EpochRoutes`; a pair planned before under
+    the same AS path returns its row.  Rows index the reference's own
+    list of :class:`PlannedPath` objects, and :meth:`path` returns them;
+    the planner's path table stays empty.
     """
 
     def __init__(
@@ -169,6 +178,7 @@ class ReferencePlanner(PathPlanner):
             route_policy=route_policy,
         )
         self._entropy = pair_entropy
+        self._routes = EpochRoutes(topology)
         self._paths: List[PlannedPath] = []
         self._rows: Dict[Tuple[Hashable, ...], int] = {}
 
@@ -178,12 +188,27 @@ class ReferencePlanner(PathPlanner):
         rows: List[int] = []
         preps: List[PathPrep] = []
         for probe, region in request_pairs(requests):
-            token = self._pair_token(region.provider_code, probe.continent)
-            key = (probe.probe_id, region.provider_code, region.region_id, token)
+            as_path = self._routes.as_path(
+                self._route_policy,
+                probe.isp_asn,
+                region.provider_code,
+                probe.continent,
+            )
+            if as_path is None:
+                raise RuntimeError(
+                    f"no route from AS{probe.isp_asn} to provider "
+                    f"{region.provider_code}"
+                )
+            key = (
+                probe.probe_id,
+                region.provider_code,
+                region.region_id,
+                tuple(as_path),
+            )
             row = self._rows.get(key)
             if row is None:
                 row = self._rows[key] = len(self._paths) + len(preps)
-                preps.append(self._prepare_pair(probe, region, token))
+                preps.append(self._prepare_pair(probe, region, as_path))
             rows.append(row)
         if preps:
             self._paths.extend(self._assemble(preps))
@@ -193,26 +218,13 @@ class ReferencePlanner(PathPlanner):
         return self._paths[row]
 
     def _prepare_pair(
-        self, probe: Probe, region: CloudRegion, token: Optional[Hashable]
+        self, probe: Probe, region: CloudRegion, as_path: List[int]
     ) -> PathPrep:
-        """One pair's route, distance, jitter sigma, hop counts and
-        address draws."""
+        """One pair's distance, jitter sigma, hop counts and address
+        draws along ``as_path``."""
         topology = self._topology
         provider_code = region.provider_code
         network = topology.network_code(provider_code)
-        if token is None:
-            as_path = topology.as_path(
-                probe.isp_asn, provider_code, probe.continent
-            )
-        else:
-            assert self._route_policy is not None
-            as_path = self._route_policy.as_path(
-                topology, probe.isp_asn, provider_code, probe.continent
-            )
-        if as_path is None:
-            raise RuntimeError(
-                f"no route from AS{probe.isp_asn} to provider {provider_code}"
-            )
         interconnect = classify_interconnect(as_path, topology, provider_code)
         wan = self._wans[network]
         distance = probe.location.distance_km(region.location)

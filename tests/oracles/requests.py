@@ -10,7 +10,11 @@ engine interned into probe and region codes (:func:`intern`).
 - :class:`ReferenceFaultyEngine` is ``FaultyEngine`` over request lists;
 - :func:`segments`, :func:`filter_segment` and
   :class:`ReferenceNetfaultEngine` are ``NetfaultEngine``'s per-request
-  epoch segmentation and event filter;
+  epoch segmentation and event filter.  The filter takes its routing
+  verdicts from the eager routes of :class:`~oracles.routing.EpochRoutes`
+  (a full sweep of the epoch's scope graph) and finds the rerouting
+  event itself: it shares no route token, verdict shortcut or
+  ``_reroute_event`` with the engine;
 - :func:`_merge_blocks` is its old segment merge, which interns the
   tables by probe id and (provider, region id) instead of going through
   :meth:`~repro.measure.results.Block.concatenate`.
@@ -23,6 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
 
 import numpy as np
+from oracles.routing import EpochRoutes
 
 from repro.cloud.regions import CloudRegion
 from repro.faults.injectors import _truncate_traces
@@ -201,11 +206,17 @@ def filter_segment(
     requests: Sequence[Request],
     timeline: DayTimeline,
     epoch: int,
-    view: Any,
+    routes: EpochRoutes,
 ) -> Tuple[List[Request], List[Annotation], Dict[int, List[int]]]:
     """One epoch's events applied to a segment, request by request: the
     survivors, their (epoch, outage id) annotations, and per-event
-    (dropped, rerouted) counters."""
+    (dropped, rerouted) counters.
+
+    A request keeps its route when ``routes`` finds one under the
+    policy's state.  The blame of a dropped request is the epoch's
+    first link event; a kept request is rerouted by the lowest-id link
+    event on its baseline path, if any.
+    """
     topology = netfault.plan.topology
     policy = netfault.policy
     outages = timeline.outages(epoch)
@@ -222,8 +233,6 @@ def filter_segment(
     }
     if not outage_keys and not removed:
         return list(requests), [(epoch, -1)] * len(requests), effects
-    scope_fastpath = bool(removed) and not policy.down_paths
-    verdicts: Dict[Tuple, Tuple[bool, int, int]] = {}
     for request in requests:
         probe = request.probe
         region = request.region
@@ -236,35 +245,26 @@ def filter_segment(
                 continue
         reroute_id = -1
         if removed:
-            vkey = (provider_code, probe.isp_asn, probe.continent)
-            verdict = verdicts.get(vkey)
-            if verdict is None:
-                if scope_fastpath and (
-                    view.scope_token(provider_code, probe.continent) is None
-                ):
-                    verdict = (True, -1, -1)
-                elif (
-                    policy.as_path(
-                        topology, probe.isp_asn, provider_code, probe.continent
-                    )
-                    is None
-                ):
-                    blame = graph_events[0].event_id if graph_events else -1
-                    verdict = (False, blame, -1)
-                else:
-                    verdict = (
-                        True,
-                        -1,
-                        netfault._reroute_event(
-                            topology, probe, provider_code, graph_events
-                        ),
-                    )
-                verdicts[vkey] = verdict
-            keep, blame, reroute_id = verdict
-            if not keep:
+            if (
+                routes.as_path(
+                    policy, probe.isp_asn, provider_code, probe.continent
+                )
+                is None
+            ):
+                blame = graph_events[0].event_id if graph_events else -1
                 if blame >= 0:
                     effects.setdefault(blame, [0, 0])[0] += 1
                 continue
+            base = topology.as_path(probe.isp_asn, provider_code, probe.continent)
+            links = {frozenset(link) for link in zip(base, base[1:])}
+            reroute_id = min(
+                (
+                    event.event_id
+                    for event in graph_events
+                    if frozenset(event.edge) in links
+                ),
+                default=-1,
+            )
             if reroute_id >= 0:
                 effects.setdefault(reroute_id, [0, 0])[1] += 1
         survivors.append(request)
@@ -347,6 +347,10 @@ class ReferenceNetfaultEngine(NetfaultEngine):
     filters, each segment's survivors handed to the inner engine as a
     list of records."""
 
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._routes = EpochRoutes(self.plan.topology)
+
     def _execute(  # type: ignore[override]
         self,
         kind: Type[Any],
@@ -363,7 +367,7 @@ class ReferenceNetfaultEngine(NetfaultEngine):
                 view = self.plan.view(timeline.removed_edges(epoch))
                 self.policy.set_view(view)
                 survivors, notes, effects = filter_segment(
-                    self, requests[start:end], timeline, epoch, view
+                    self, requests[start:end], timeline, epoch, self._routes
                 )
                 self._journal(timeline, effects)
                 if survivors:

@@ -7,14 +7,23 @@ edges for provider routes, each visiting neighbours in ascending ASN
 order.  Parity tests assert that ``compute_routes`` returns
 entry-for-entry identical tables, and the full-scale benchmark times it
 as the pre-optimization baseline.
+
+:class:`EpochRoutes` is the eager route of a path policy under a
+routing epoch, for the planner and netfault-engine oracles: every route
+reads a full per-node sweep of its scope graph minus the epoch's downed
+links.  It has none of the route tokens, baseline fast paths and
+per-route shortcuts of ``repro.netfaults.view``.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Dict
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.core.topology import Topology
+from repro.geo.continents import Continent
+from repro.measure.pathpolicy import FailoverPathPolicy, PathSelectionPolicy
 from repro.net.relationships import RelationshipGraph
 from repro.net.routing import (
     RouteClass,
@@ -135,3 +144,74 @@ def _valley_free_routes(
                 heapq.heappush(heap, (candidate_dist, customer))
 
     return RoutingTable(destination, entries)
+
+
+class EpochRoutes:
+    """The AS path a policy selects, from a full sweep per downed-link set.
+
+    With no downed link a route reads the topology's baseline table
+    (which ``TestRoutingParity`` holds to the per-node sweep).
+    Otherwise it reads :func:`compute_routes_reference` over the scope
+    graph without the downed links, one sweep per (network, continent,
+    downed links), kept for the instance's lifetime.
+    """
+
+    def __init__(self, topology: Topology) -> None:
+        self._topology = topology
+        self._tables: Dict[
+            Tuple[str, Continent, FrozenSet[Tuple[int, int]]], RoutingTable
+        ] = {}
+
+    def table(
+        self,
+        provider_code: str,
+        continent: Continent,
+        removed: FrozenSet[Tuple[int, int]],
+    ) -> RoutingTable:
+        """The scope's table with the unordered pairs ``removed`` down."""
+        topology = self._topology
+        if not removed:
+            return topology.routes_for(provider_code, continent)
+        network = topology.network_code(provider_code)
+        key = (network, Continent(continent), removed)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = compute_routes_reference(
+                topology.graph_for(network, key[1]).without_edges(sorted(removed)),
+                topology.peerings[network].cloud_asn,
+                topology.policy,
+            )
+        return table
+
+    def as_path(
+        self,
+        policy: Optional[PathSelectionPolicy],
+        isp_asn: int,
+        provider_code: str,
+        continent: Continent,
+    ) -> Optional[List[int]]:
+        """The route ``policy`` selects in its current state: the sweep
+        under its epoch view's downed links and, for a path marked down,
+        ``None`` or (failover) the sweep that also downs the path's
+        first link."""
+        view = getattr(policy, "view", None)
+        removed: Set[Tuple[int, int]] = (
+            set() if view is None else set(view.removed_edges)
+        )
+        path = self.table(provider_code, continent, frozenset(removed)).as_path(
+            isp_asn
+        )
+        if (
+            policy is None
+            or path is None
+            or not policy.is_down(
+                policy.path_key(self._topology, isp_asn, provider_code, continent)
+            )
+        ):
+            return path
+        if not isinstance(policy, FailoverPathPolicy) or len(path) < 2:
+            return None
+        removed.add((min(path[0], path[1]), max(path[0], path[1])))
+        return self.table(provider_code, continent, frozenset(removed)).as_path(
+            isp_asn
+        )

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from oracles.requests import filter_segment, segments
+from oracles.routing import EpochRoutes
 
 from repro.lastmile.base import AccessKind
 from repro.measure.latency import (
@@ -255,13 +256,14 @@ def netfault_traceroute_records(
     """
     records: List[TracerouteMeasurement] = []
     annotations: List[Tuple[int, int]] = []
+    routes = EpochRoutes(netfault.plan.topology)
     try:
         for start, end, day, epoch in segments(netfault, requests):
             timeline = netfault.plan.timeline(day)
             view = netfault.plan.view(timeline.removed_edges(epoch))
             netfault.policy.set_view(view)
             survivors, notes, effects = filter_segment(
-                netfault, requests[start:end], timeline, epoch, view
+                netfault, requests[start:end], timeline, epoch, routes
             )
             netfault._journal(timeline, effects)
             if survivors:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from oracles.lpm import ReferencePyASN
 from oracles.planner import ReferencePlanner
-from oracles.routing import compute_routes_reference
+from oracles.routing import EpochRoutes, compute_routes_reference
 
 from repro.measure.path import PathPlanner, PlannedPath
 from repro.measure.pathpolicy import FailoverPathPolicy
@@ -30,6 +30,7 @@ from repro.measure.requests import pair_requests
 from repro.net.ip import IPv4Prefix, parse_ip
 from repro.net.relationships import RelationshipGraph
 from repro.net.routing import RoutePolicy, clear_route_cache, compute_routes
+from repro.netfaults import EpochTopologyView
 from repro.resolve.pyasn import PyASNResolver
 
 
@@ -403,6 +404,71 @@ class TestPlannerParity:
             planner.path(row).as_path != baseline.plan(*pair).as_path
             for row, pair in zip(rows, pairs)
         ), "the downed path planned its baseline route"
+
+    def test_an_epoch_replans_only_the_routes_on_a_downed_link(
+        self, planners, world
+    ):
+        """Under an epoch view, a pair whose baseline route rides no
+        downed link returns its baseline row; a pair whose route does
+        gets a new row, planned over the eager re-converged route."""
+        topology = world.topology
+        regions = list(world.catalog)
+        pairs = [
+            (probe, regions[(7 * i) % len(regions)])
+            for i, probe in enumerate(world.speedchecker.probes[:300])
+        ]
+
+        def links(pair):
+            probe, region = pair
+            path = topology.as_path(
+                probe.isp_asn, region.provider_code, probe.continent
+            )
+            return {frozenset(link) for link in zip(path, path[1:])}
+
+        riders: dict = {}
+        for pair in pairs:
+            for link in links(pair):
+                riders[link] = riders.get(link, 0) + 1
+        # The busiest inter-AS link that some routes do not ride.
+        link = max(
+            (link for link, count in riders.items() if count < len(pairs)),
+            key=lambda link: (riders[link], sorted(link)),
+        )
+        downed = frozenset({tuple(sorted(link))})
+        eager = EpochRoutes(topology)
+        pairs = [
+            pair
+            for pair in pairs
+            if eager.table(pair[1].provider_code, pair[0].continent, downed)
+            .as_path(pair[0].isp_asn)
+            is not None
+        ]
+        affected = [link in links(pair) for pair in pairs]
+        assert 0 < sum(affected) < len(pairs)
+
+        policy = FailoverPathPolicy()
+        planner = planners(False, route_policy=policy)
+        baseline = planner.plan_many(pair_requests(pairs))
+        planned = planner.table.rows
+        policy.set_view(EpochTopologyView(topology, downed))
+        rows = planner.plan_many(pair_requests(pairs))
+        new_pairs = {
+            (probe.probe_id, region.region_id)
+            for (probe, region), hit in zip(pairs, affected)
+            if hit
+        }
+        assert planner.table.rows == planned + len(new_pairs)
+        reference = planners(True, route_policy=policy)
+        for row, base, pair, hit in zip(rows, baseline, pairs, affected):
+            if not hit:
+                assert row is base
+                continue
+            assert row >= planned
+            path = planner.path(row)
+            assert link not in {
+                frozenset(hop) for hop in zip(path.as_path, path.as_path[1:])
+            }
+            assert paths_identical(path, reference.plan(*pair))
 
     def test_a_cached_pair_returns_its_row_object(self, planners, world):
         """Past the interpreter's shared small ints, too."""

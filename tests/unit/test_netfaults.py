@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.routing import compute_routes_reference
 
@@ -24,6 +26,7 @@ from repro.netfaults import (
     PEERING_FLAP,
     REGIONAL_OUTAGE,
     SLOTS_PER_DAY,
+    EpochTopologyView,
     NetfaultEngine,
     NetworkEvent,
     NetworkFaultConfig,
@@ -33,6 +36,7 @@ from repro.netfaults import (
     netfault_digest,
 )
 from repro.netfaults.engine import find_netfault_engine
+from repro.netfaults.plan import _flap_candidates, _link_candidates
 from repro.store.format import read_columns, write_shard
 from repro.store.shards import header_zones, read_block_shard
 
@@ -291,6 +295,66 @@ class TestEpochReconvergence:
         view = plan.view(frozenset({(64512, 64513)}))
         assert not table_uses_edges(base, [(64512, 64513)])
         assert view.routes_for(provider.code, continent) is base
+
+
+class TestRouteTokens:
+    """A route whose links all survive is still the one selected:
+    removing links never improves a valley-free route.  The epoch view
+    keeps such a route without re-converging its scope."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_routes_off_downed_links_keep_their_path(self, world, data):
+        topology = world.topology
+        provider_code = data.draw(
+            st.sampled_from([provider.code for provider in world.providers]),
+            "provider",
+        )
+        continent = data.draw(
+            st.sampled_from([Continent.EU, Continent.NA, Continent.AS]),
+            "continent",
+        )
+        network = topology.network_code(provider_code)
+        graph = topology.graph_for(network, continent)
+        cloud = topology.peerings[network].cloud_asn
+        base = compute_routes_reference(graph, cloud, topology.policy)
+        paths = {asn: base.as_path(asn) for asn in sorted(graph.all_asns())}
+        path_links = sorted(
+            {
+                (min(link), max(link))
+                for path in paths.values()
+                if path is not None
+                for link in zip(path, path[1:])
+            }
+        )
+        candidates = _link_candidates(topology) + _flap_candidates(topology)
+        removed = frozenset(
+            (min(link), max(link))
+            for link in data.draw(
+                st.lists(
+                    st.sampled_from(path_links) | st.sampled_from(candidates),
+                    min_size=1,
+                    max_size=4,
+                ),
+                "removed",
+            )
+        )
+        reduced = compute_routes_reference(
+            graph.without_edges(sorted(removed)), cloud, topology.policy
+        )
+        view = EpochTopologyView(topology, removed)
+        for asn, path in paths.items():
+            rides = path is not None and any(
+                (min(link), max(link)) in removed for link in zip(path, path[1:])
+            )
+            if not rides:
+                assert reduced.as_path(asn) == path, (asn, sorted(removed))
+            assert view.as_path(asn, provider_code, continent) == reduced.as_path(
+                asn
+            ), (asn, sorted(removed))
+            assert (view.route_token(asn, provider_code, continent) is None) == (
+                not rides
+            )
 
 
 class TestPathPolicies:
